@@ -10,8 +10,20 @@ right-hand side's leading entry is fixed at exactly 1; bias decimation is
 scale-invariant, so its true value is immaterial.
 
 Gram entries are Plancherel sums of coefficient products. They are evaluated
-in bulk as sparse dot products over a shared term index (scipy.sparse), which
-is the same sum per entry at C speed; nothing is ever enumerated over 2^n.
+in bulk as sparse dot products over a shared term index (scipy.sparse), a
+bounded block of rows at a time; nothing is ever enumerated over 2^n.
+
+No Gram matrix is kept. The only K-squared state is the lower Cholesky factor
+L of Gram + lambda*I, stored as one row panel per batch of added columns. A
+batch of d columns appended at K = o costs O(K^2 d), not O(K^3): its raw Gram
+rows fill a new panel, which becomes factor rows in place by the block
+Cholesky update (Golub & Van Loan, Matrix Computations, section 4.2)
+
+    L21 = G21 L11^-T,    L22 = chol(G22 - L21 L21^T).
+
+When that fails (the Schur complement is not positive definite, or the solve
+misses the residual check), the ridge ladder rebuilds the Gram matrix and
+re-factors it whole, lambda = 0 first.
 """
 
 from __future__ import annotations
@@ -29,6 +41,9 @@ from .indicator import ColumnKey, IndicatorCache
 RIDGE_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 SIGNATURE_DECIMALS = 10
 _RESIDUAL_TOL = 1e-6
+# Dense entries per sparse product when computing Gram rows: bounds the
+# temporaries of a Gram extension however many columns a batch adds.
+_GRAM_BLOCK_ENTRIES = 1 << 20
 
 # signature_index value for products that are identically zero and therefore
 # never become columns (a zero column would make the Gram matrix singular).
@@ -56,10 +71,18 @@ def column_signature(poly: SparsePoly) -> Signature:
 
 
 class ApproxState:
-    """Columns, Gram matrix, solved weights, and the assembled approximation.
+    """Columns, the factored Gram system, solved weights, and the assembled
+    approximation.
 
     Single-owner mutable: one solver run drives add_columns/solve_weights
     sequentially. keys[0] is always the empty key (constant-1 column).
+
+    Each column's coefficients are kept as a sparse row over a shared term
+    index; the Gram matrix is never stored. `_panels` holds the lower
+    Cholesky factor of Gram + ridge_lambda * I by row panels: a panel of
+    shape (d, o + d) holds factor rows [o, o + d), columns [0, o + d).
+    Panels starting at or past row `_factored` still hold raw Gram rows
+    written by `_extend_gram`; solve_weights factors them in place.
     """
 
     def __init__(self, formula: Formula, cache: IndicatorCache | None = None):
@@ -74,7 +97,8 @@ class ApproxState:
         self.ridge_lambda = 0.0
         self._term_ids: dict[frozenset, int] = {}
         self._rows: list[tuple[np.ndarray, np.ndarray]] = []
-        self._gram_buf = np.zeros((0, 0))
+        self._panels: list[np.ndarray] = []
+        self._factored = 0
 
     @property
     def num_columns(self) -> int:
@@ -82,9 +106,12 @@ class ApproxState:
 
     @property
     def gram(self) -> np.ndarray:
-        """View of the live (K x K) Gram matrix."""
-        k = self.num_columns
-        return self._gram_buf[:k, :k]
+        """The (K x K) Gram matrix, rebuilt from the column coefficients.
+
+        A reference for tests and debugging; the solve path never builds it
+        outside the ridge ladder.
+        """
+        return self._gram_rows(0)
 
     def dump(self) -> str:
         """Debug text dump of keys and weights for refinement-trace analysis."""
@@ -119,26 +146,31 @@ class ApproxState:
             data = np.zeros(0, dtype=np.float64)
         return scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(rows), width))
 
-    def _ensure_capacity(self, k: int) -> None:
-        cap = self._gram_buf.shape[0]
-        if k <= cap:
-            return
-        new_cap = max(k, cap + cap // 2, 16)
-        buf = np.zeros((new_cap, new_cap))
-        buf[:cap, :cap] = self._gram_buf
-        self._gram_buf = buf
+    def _gram_rows(self, start: int) -> np.ndarray:
+        """Dense Gram rows [start, K) against columns [0, K).
+
+        The sparse products cover a bounded block of rows each. The square
+        part [start, K) x [start, K) is symmetrized, so both evaluation
+        orders of an inner product count.
+        """
+        k = self.num_columns
+        out = np.zeros((k - start, k))
+        if k == start:
+            return out
+        everything_t = self._csr(self._rows).T.tocsr()
+        step = max(1, _GRAM_BLOCK_ENTRIES // k)
+        for lo in range(start, k, step):
+            hi = min(lo + step, k)
+            block = self._csr(self._rows[lo:hi]) @ everything_t
+            block.toarray(out=out[lo - start : hi - start])
+        square = out[:, start:]
+        np.add(square, square.T, out=square)
+        square *= 0.5
+        return out
 
     def _extend_gram(self, start: int) -> None:
-        """Fill Gram rows/columns for columns [start, K) against everything."""
-        k = self.num_columns
-        self._ensure_capacity(k)
-        new = self._csr(self._rows[start:])
-        everything = self._csr(self._rows)
-        block = (new @ everything.T).toarray()
-        self._gram_buf[start:k, :start] = block[:, :start]
-        self._gram_buf[:start, start:k] = block[:, :start].T
-        square = block[:, start:]
-        self._gram_buf[start:k, start:k] = (square + square.T) / 2.0
+        """Append the raw Gram rows of columns [start, K) as a new panel."""
+        self._panels.append(self._gram_rows(start))
 
 
 def init_first_order(formula: Formula, cache: IndicatorCache | None = None) -> ApproxState:
@@ -154,9 +186,9 @@ def add_columns(state: ApproxState, new_keys: Iterable[ColumnKey]) -> int:
     """Append columns for keys not yet present (by key, then by signature).
 
     Identically-zero products are recorded as exhausted but never added.
-    Returns the number of columns actually appended; when nonzero the Gram
-    matrix is extended incrementally, weights re-solved, and omega_tilde
-    rebuilt.
+    Returns the number of columns actually appended; when nonzero their Gram
+    rows are appended as a new factor panel, weights re-solved, and
+    omega_tilde rebuilt.
     """
     accepted: list[tuple[ColumnKey, SparsePoly]] = []
     for key in new_keys:
@@ -189,32 +221,104 @@ def add_columns(state: ApproxState, new_keys: Iterable[ColumnKey]) -> int:
 def solve_weights(state: ApproxState) -> np.ndarray:
     """Solve (A^T A) a = e_0, escalating a ridge term if the system is singular.
 
-    Stores the result and the ridge value used on the state and returns the
-    weight vector.
+    While the factor carries no ridge, the panels appended since the last
+    solve are factored onto it incrementally. If that fails, or a ridge is
+    in use, the ridge ladder re-factors the whole Gram matrix from
+    lambda = 0 up. Stores the result and the ridge value used on the state
+    and returns the weight vector.
     """
     k = state.num_columns
     if k == 0:
         raise WeightSolveError("no columns to solve")
     rhs = np.zeros(k)
     rhs[0] = 1.0
-    gram = state.gram
+    columns = state._csr(state._rows)
+    covered = sum(panel.shape[0] for panel in state._panels)
+    if state.ridge_lambda == 0.0 and covered == k:
+        a = _factor_and_solve(state, columns, rhs, 0.0)
+        if a is not None:
+            state.weights = a
+            return a
     for lam in RIDGE_LADDER:
-        m = gram.copy()
+        state._panels = []  # drop the old factor before building its successor
+        state._factored = 0
+        gram = state._gram_rows(0)
         if lam:
-            m.flat[:: k + 1] += lam
-        try:
-            factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
-            a = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(a)):
-            continue
-        residual = np.abs(m @ a - rhs).max()
-        if residual <= _RESIDUAL_TOL * max(1.0, np.abs(a).max()):
+            gram.flat[:: k + 1] += lam
+        state._panels = [gram]
+        a = _factor_and_solve(state, columns, rhs, lam)
+        if a is not None:
             state.weights = a
             state.ridge_lambda = lam
             return a
+    state._panels = []
+    state._factored = 0
     raise WeightSolveError(f"Gram solve failed after ridge escalation (K={k})")
+
+
+def _factor_and_solve(
+    state: ApproxState, columns: scipy.sparse.csr_matrix, rhs: np.ndarray, lam: float
+) -> np.ndarray | None:
+    """Factor the pending panels, solve, and check the residual against
+    (A A^T + lam*I) a = rhs, with A the column rows. None on failure."""
+    try:
+        for q, panel in enumerate(state._panels):
+            if panel.shape[1] > state._factored:
+                _factor_panel(state._panels, q)
+                state._factored = panel.shape[1]
+    except scipy.linalg.LinAlgError:
+        return None
+    a = _solve_factored(state._panels, rhs)
+    if not np.all(np.isfinite(a)):
+        return None
+    residual = np.abs(columns @ (columns.T @ a) + lam * a - rhs).max()
+    if residual <= _RESIDUAL_TOL * max(1.0, np.abs(a).max()):
+        return a
+    return None
+
+
+def _factor_panel(panels: list[np.ndarray], q: int) -> None:
+    """Turn panel q's raw Gram rows into factor rows, in place, given the
+    factored panels before it: X = G21 L11^-T by block forward substitution,
+    then L22 = chol(G22 - X X^T)."""
+    new = panels[q]
+    d, width = new.shape
+    o = width - d
+    for panel in panels[:q]:
+        dp, wp = panel.shape
+        op = wp - dp
+        block = new[:, op:wp]
+        if op:
+            block -= new[:, :op] @ panel[:, :op].T
+        block[...] = scipy.linalg.solve_triangular(
+            panel[:, op:], block.T, lower=True, check_finite=False
+        ).T
+    schur = new[:, o:]
+    if o:
+        schur -= new[:, :o] @ new[:, :o].T
+    schur[...] = scipy.linalg.cholesky(schur, lower=True, check_finite=False)
+
+
+def _solve_factored(panels: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Solve L L^T a = rhs by panel-wise forward then back substitution."""
+    a = rhs.copy()
+    for panel in panels:
+        d, width = panel.shape
+        o = width - d
+        if o:
+            a[o:width] -= panel[:, :o] @ a[:o]
+        a[o:width] = scipy.linalg.solve_triangular(
+            panel[:, o:], a[o:width], lower=True, check_finite=False
+        )
+    for panel in reversed(panels):
+        d, width = panel.shape
+        o = width - d
+        a[o:width] = scipy.linalg.solve_triangular(
+            panel[:, o:], a[o:width], lower=True, trans="T", check_finite=False
+        )
+        if o:
+            a[:o] -= panel[:, :o].T @ a[o:width]
+    return a
 
 
 def _assemble_omega_tilde(state: ApproxState) -> None:

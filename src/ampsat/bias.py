@@ -67,7 +67,6 @@ def measure_bias(
     p: SparsePoly,
     kind: BiasKind,
     tie_rng: random.Random | None = None,
-    signed_argmax: bool = False,
 ) -> Assignment:
     """Decimate p into a full assignment by repeated strongest-bias conditioning.
 
@@ -78,10 +77,7 @@ def measure_bias(
     result is invariant to scaling p by any positive constant.
 
     tie_rng, when given, randomizes tie and exact-zero resolution (used by the
-    solver once refinement saturates). signed_argmax is an experiment flag
-    that ranks variables by signed bias instead of magnitude; it is not used
-    by the default solver because a variable whose bias is strongly negative
-    would then never be selected and assigned -1.
+    solver once refinement saturates).
     """
     n = p.num_vars
     out = [0] * n
@@ -99,10 +95,7 @@ def measure_bias(
         scale = max((abs(c) for c in current.terms.values()), default=0.0)
         floor = TIE_REL_TOL * (scale if kind == BiasKind.BIAS1 else scale * scale)
         biases = {i: (0.0 if abs(b) <= floor else b) for i, b in biases.items()}
-        if signed_argmax:
-            rank = biases
-        else:
-            rank = {i: abs(b) for i, b in biases.items()}
+        rank = {i: abs(b) for i, b in biases.items()}
         best = max(rank[i] for i in unfixed)
         cutoff = best - abs(best) * TIE_REL_TOL
         tied = [i for i in unfixed if rank[i] >= cutoff]

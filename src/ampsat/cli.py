@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
+import multiprocessing
+import os
 import random
 import sys
 import time
@@ -181,6 +184,35 @@ def _bench_task(task: tuple[str, str, int, float]) -> dict:
     return run_one(*task)
 
 
+# OpenBLAS and OpenMP size their thread pools once, when the library loads.
+SINGLE_THREAD_BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
+@contextlib.contextmanager
+def single_thread_blas_pool(max_workers: int):
+    """A process pool whose workers each run BLAS on one thread.
+
+    Workers are spawned, not forked: a forked worker inherits the parent's
+    already-started BLAS thread pool, and N of them oversubscribe the cores.
+    A spawned worker imports numpy afresh with the environment it started
+    with, so SINGLE_THREAD_BLAS_ENV is set for the life of the pool and the
+    previous values are restored afterwards.
+    """
+    saved = {name: os.environ.get(name) for name in SINGLE_THREAD_BLAS_ENV}
+    os.environ.update(SINGLE_THREAD_BLAS_ENV)
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=max_workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def cmd_bench(args) -> int:
     directory = Path(args.dir)
     instances = sorted(str(p) for p in directory.glob("*.cnf"))
@@ -202,7 +234,7 @@ def cmd_bench(args) -> int:
         for solver_id in solvers
     ]
     if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with single_thread_blas_pool(args.jobs) as pool:
             rows = list(pool.map(_bench_task, tasks))
     else:
         rows = [_bench_task(t) for t in tasks]

@@ -92,8 +92,12 @@ def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
 
     def finish(status: Status, assignment: Assignment | None, columns: int,
                diagnostic: str | None = None, dump: str | None = None) -> SolverStats:
-        if status == Status.SAT:
-            assert assignment is not None and verify(formula, assignment)
+        # The soundness gate: an explicit check, so it also runs under -O.
+        if status == Status.SAT and (
+            assignment is None or not verify(formula, assignment)
+        ):
+            status = Status.UNKNOWN
+            diagnostic = "SAT candidate failed verification; not reported as SAT"
         return SolverStats(
             status=status,
             assignment=assignment if status == Status.SAT else None,

@@ -4,8 +4,9 @@ import random
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ampsat import measure_bias, parse_dimacs
+from ampsat import SparsePoly, measure_bias, parse_dimacs
 from ampsat.approx import (
     ApproxState,
     WeightSolveError,
@@ -26,6 +27,27 @@ def _unit_rhs(k):
     rhs = np.zeros(k)
     rhs[0] = 1.0
     return rhs
+
+
+def _append_raw(state, columns):
+    """Append (key, poly) columns past add_columns' deduplication and write
+    their Gram rows as a new panel, leaving it for solve_weights to factor."""
+    start = state.num_columns
+    for key, poly in columns:
+        state.keys.append(key)
+        state.polys.append(poly)
+        state._rows.append(state._row_for(poly))
+    state._extend_gram(start)
+
+
+def _dense_factor(state):
+    """The factor panels laid out as one dense lower-triangular matrix."""
+    k = state.num_columns
+    out = np.zeros((k, k))
+    for panel in state._panels:
+        d, width = panel.shape
+        out[width - d : width, :width] = panel
+    return out
 
 
 class TestInitFirstOrder:
@@ -72,9 +94,12 @@ class TestInitFirstOrder:
 
 class TestSolveWeights:
     def test_identity_gram(self):
+        # the constant and two degree-1 characters are orthonormal columns
         state = ApproxState(parse_dimacs("p cnf 2 0\n"))
-        state.keys = [(), (0,), (1,)]
-        state._gram_buf = np.eye(3)
+        _append_raw(
+            state, [(key, SparsePoly(2, {key: 1.0})) for key in [(), (0,), (1,)]]
+        )
+        assert np.array_equal(state.gram, np.eye(3))
         weights = solve_weights(state)
         assert weights == pytest.approx(_unit_rhs(3))
         assert state.ridge_lambda == 0.0
@@ -82,11 +107,7 @@ class TestSolveWeights:
     def test_duplicated_column_triggers_ridge(self):
         f = parse_dimacs("p cnf 2 1\n1 2 0")
         state = init_first_order(f)
-        poly = state.polys[1]
-        state.keys.append((0,))
-        state.polys.append(poly)
-        state._rows.append(state._row_for(poly))
-        state._extend_gram(2)
+        _append_raw(state, [((0,), state.polys[1])])
         weights = solve_weights(state)
         assert state.ridge_lambda > 0.0
         m = state.gram + state.ridge_lambda * np.eye(3)
@@ -94,10 +115,110 @@ class TestSolveWeights:
 
     def test_unsolvable_raises(self):
         state = ApproxState(parse_dimacs("p cnf 1 0\n"))
-        state.keys = [(), (0,)]
-        state._gram_buf = np.array([[np.nan, 0.0], [0.0, np.nan]])
+        nan = float("nan")
+        _append_raw(
+            state,
+            [
+                ((), SparsePoly._raw(1, {frozenset(): nan})),
+                ((0,), SparsePoly._raw(1, {frozenset((0,)): nan})),
+            ],
+        )
         with pytest.raises(WeightSolveError):
             solve_weights(state)
+
+
+class TestIncrementalFactor:
+    @staticmethod
+    def _check_against_full_refactor(state):
+        # Reference: the parent's method, one Cholesky of the whole rebuilt
+        # Gram matrix at the ridge the state settled on. With linearly
+        # dependent columns the split of weight between them is not
+        # determined, so only the fitted function is compared.
+        k = state.num_columns
+        m = state.gram + state.ridge_lambda * np.eye(k)
+        cols = np.stack([dense_evaluate(p).values for p in state.polys], axis=1)
+        full_rank = np.linalg.matrix_rank(cols) == k
+        if full_rank:
+            ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(m, lower=True), _unit_rhs(k))
+        else:
+            ref = scipy.linalg.lstsq(m, _unit_rhs(k))[0]
+        scale = max(1.0, np.abs(ref).max(), np.abs(state.weights).max())
+        if full_rank:
+            assert np.abs(state.weights - ref).max() <= TOL * scale
+        assert np.abs(cols @ state.weights - cols @ ref).max() <= TOL * scale
+        assert np.abs(dense_evaluate(state.omega_tilde).values - cols @ ref).max() <= TOL * scale
+        return full_rank
+
+    def test_matches_full_refactor_over_random_batches(self):
+        rng = random.Random(47)
+        ridged = incremental = dependent = 0
+        for _ in range(25):
+            f = random_formula(rng, rng.randrange(3, 8), rng.randrange(3, 10))
+            state = init_first_order(f)
+            self._check_against_full_refactor(state)
+            pairs = [
+                (i, j)
+                for i in range(f.num_clauses)
+                for j in range(i + 1, f.num_clauses)
+            ]
+            rng.shuffle(pairs)
+            cuts = sorted(rng.sample(range(1, len(pairs)), min(3, len(pairs) - 1)))
+            for lo, hi in zip([0] + cuts, cuts + [len(pairs)]):
+                panels_before = len(state._panels)
+                if not add_columns(state, pairs[lo:hi]):
+                    continue
+                if len(state._panels) == panels_before + 1:
+                    incremental += 1
+                    assert state.ridge_lambda == 0.0
+                else:
+                    # the ladder re-factored the whole Gram matrix
+                    assert len(state._panels) == 1
+                    ridged += state.ridge_lambda > 0.0
+                if not self._check_against_full_refactor(state):
+                    dependent += 1
+        assert ridged and incremental and dependent  # every path is exercised
+
+    def test_forced_ridge_fallback_then_more_batches(self):
+        f = parse_dimacs("p cnf 6 3\n1 2 0\n3 4 0\n5 6 0")
+        state = init_first_order(f)
+        add_columns(state, [(0, 1)])
+        assert state.ridge_lambda == 0.0 and len(state._panels) == 2
+        _append_raw(state, [((9,), state.polys[4])])  # duplicate of (0, 1)
+        solve_weights(state)
+        assert state.ridge_lambda > 0.0 and len(state._panels) == 1
+        assert add_columns(state, [(0, 2), (1, 2)]) == 2
+        assert state.ridge_lambda > 0.0
+        self._check_against_full_refactor(state)
+
+    def test_panels_hold_the_cholesky_factor(self):
+        # clauses on disjoint variables: every product is a distinct cube, so
+        # the columns stay independent and every batch extends the factor
+        f = parse_dimacs("p cnf 12 6\n1 2 0\n3 -4 0\n-5 6 7 0\n8 9 0\n-10 0\n11 12 0")
+        state = init_first_order(f)
+        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        random.Random(48).shuffle(pairs)
+        for lo in range(0, len(pairs), 4):
+            add_columns(state, pairs[lo : lo + 4])
+        assert state.ridge_lambda == 0.0 and len(state._panels) == 5
+        factor = _dense_factor(state)
+        assert np.array_equal(factor, np.tril(factor))
+        assert np.allclose(factor @ factor.T, state.gram, atol=TOL)
+
+    def test_incremental_solve_never_rebuilds_the_whole_gram(self, monkeypatch):
+        f = parse_dimacs("p cnf 6 3\n1 2 0\n3 4 0\n5 6 0")
+        state = init_first_order(f)
+        starts = []
+        original = ApproxState._gram_rows
+
+        def recording(self, start):
+            starts.append((start, self.num_columns))
+            return original(self, start)
+
+        monkeypatch.setattr(ApproxState, "_gram_rows", recording)
+        add_columns(state, [(0, 1)])
+        add_columns(state, [(0, 2), (1, 2)])
+        assert state.ridge_lambda == 0.0
+        assert starts == [(4, 5), (5, 7)]  # only the new rows, once per batch
 
 
 class TestAddColumns:

@@ -141,17 +141,3 @@ class TestMeasureBias:
         p = SparsePoly(3, {(0,): 1.0, (1,): -0.5, (2,): 0.25})
         rng = random.Random(0)
         assert measure_bias(p, BiasKind.BIAS1, tie_rng=rng) == (1, -1, 1)
-
-    def test_signed_argmax_flag(self):
-        # With signed ranking the negative-bias variable is selected last and
-        # still assigned by sign.
-        p = SparsePoly(2, {(0,): -1.0, (1,): 0.5})
-        default = measure_bias(p, BiasKind.BIAS1)
-        flagged = measure_bias(p, BiasKind.BIAS1, signed_argmax=True)
-        assert default == (-1, 1)
-        assert flagged == (-1, 1)
-        # ranking differs even when the final assignment coincides: check the
-        # first conditioned variable via a polynomial where order matters
-        q = SparsePoly(2, {(0,): -1.0, (0, 1): 0.9})
-        assert measure_bias(q, BiasKind.BIAS1) == (-1, -1)
-        assert measure_bias(q, BiasKind.BIAS1, signed_argmax=True) == (-1, 1)

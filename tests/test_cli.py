@@ -1,20 +1,40 @@
 """Command-line interface: output contracts, exit codes, CSV schema."""
 
 import csv
+import os
+from pathlib import Path
 
 import pytest
 
 from ampsat.cli import (
     CSV_FIELDS,
+    SINGLE_THREAD_BLAS_ENV,
     derive_seed,
     main,
     parse_assignment_file,
+    single_thread_blas_pool,
 )
 
 ONE_CLAUSE = "p cnf 2 1\n1 2 0\n"
 EMPTY = "p cnf 3 0\n"
 UNSAT = "p cnf 1 2\n1 0\n-1 0\n"
 TINY_SAT = "p cnf 4 3\n1 2 0\n-1 3 0\n2 -4 0\n"
+
+
+def _report_worker_env(_):
+    """Runs in a bench pool worker: its pid, its environment now, and the
+    environment it was exec'd with (Linux only), which is what numpy saw
+    when it loaded."""
+    initial = None
+    proc = Path("/proc/self/environ")
+    if proc.exists():
+        entries = proc.read_bytes().decode(errors="replace").split("\0")
+        initial = dict(e.split("=", 1) for e in entries if "=" in e)
+    return {
+        "pid": os.getpid(),
+        "env": {name: os.environ.get(name) for name in SINGLE_THREAD_BLAS_ENV},
+        "initial_env": initial,
+    }
 
 
 @pytest.fixture
@@ -185,6 +205,22 @@ class TestBench:
             {k: v for k, v in r.items() if k != "wall_time_s"} for r in rows
         ]
         assert strip(self._read(serial)) == strip(self._read(parallel))
+
+    def test_bench_pool_workers_start_single_threaded(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        with single_thread_blas_pool(2) as pool:
+            reports = list(pool.map(_report_worker_env, range(2), timeout=120))
+        for report in reports:
+            assert report["pid"] != os.getpid()
+            assert report["env"] == SINGLE_THREAD_BLAS_ENV
+            if report["initial_env"] is not None:
+                # set before the worker's first import, not after a fork
+                for name, value in SINGLE_THREAD_BLAS_ENV.items():
+                    assert report["initial_env"].get(name) == value
+        # the parent's environment is restored once the pool is gone
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+        assert "OMP_NUM_THREADS" not in os.environ
 
     def test_empty_dir_errors(self, tmp_path, capsys):
         empty = tmp_path / "none"

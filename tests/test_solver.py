@@ -1,10 +1,16 @@
 """Solver loop: orchestration, statuses, determinism, soundness."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import ampsat.solver as solver_module
 from ampsat import parse_dimacs, solve, verify
 from ampsat.bias import BiasKind
 from ampsat.oracle import solution_count
@@ -47,6 +53,33 @@ class TestSolveBasics:
         assert verify(f, (1,))
         assert not verify(f, (-1,))
         assert verify(parse_dimacs("p cnf 1 0\n"), (-1,))
+
+    def test_soundness_gate_survives_optimize_flag(self):
+        # Under -O asserts vanish; a rejected SAT candidate must still come
+        # back UNKNOWN with a diagnostic, never as SAT.
+        script = textwrap.dedent(
+            """
+            import sys
+            import ampsat.solver as solver
+            from ampsat import parse_dimacs
+
+            solver.verify = lambda formula, assignment: False
+            stats = solver.solve(parse_dimacs("p cnf 2 1\\n1 2 0\\n"))
+            print(sys.flags.optimize, stats.status.value, stats.assignment,
+                  stats.diagnostic)
+            """
+        )
+        env = dict(os.environ)
+        src = str(Path(solver_module.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        ).stdout.split(maxsplit=3)
+        assert out[:3] == ["1", "UNKNOWN", "None"]
+        assert "verification" in out[3]
 
     def test_unsatisfiable_reports_unknown(self):
         f = parse_dimacs("p cnf 1 2\n1 0\n-1 0")
