@@ -23,7 +23,7 @@ from .cnf import (
     to_dimacs,
 )
 from .fourier import SparsePoly
-from .indicator import ColumnKey, IndicatorCache, clause_indicator, column_poly
+from .indicator import ColumnKey, IndicatorCache, clause_indicator
 from .refine import RefinementPlan, RefinementSaturated, clause_neighbors, plan_refinement
 from .solver import SolverConfig, SolverStats, Status, solve, verify
 
@@ -53,7 +53,6 @@ __all__ = [
     "clause_indicator",
     "clause_neighbors",
     "clause_satisfied",
-    "column_poly",
     "count_unsat",
     "default_schedule",
     "hamming_distance",

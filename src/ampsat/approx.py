@@ -1,17 +1,19 @@
-"""Least-squares approximation of the solution-set indicator, built and
-extended entirely in the coefficient domain.
+"""Least-squares approximation of the solution-set indicator over sub-cube
+columns.
 
 The approximation is omega_tilde = sum_i a_i * column_i where column 0 is the
-constant 1 and the rest are clause indicators or pairwise indicator products.
-The weights solve (A^T A) a = e_0: the Gram matrix of normalized inner
-products against the right-hand side that encodes "the solution set overlaps
-the all-ones column and is orthogonal to every indicator column". The
-right-hand side's leading entry is fixed at exactly 1; bias decimation is
+constant 1 and the rest are clause indicators or pairwise indicator products,
+each the indicator of a sub-cube (see ampsat.indicator) and deduplicated
+exactly by it. The weights solve G a = e_0: the Gram matrix of normalized
+inner products against the right-hand side that encodes "the solution set
+overlaps the all-ones column and is orthogonal to every indicator column".
+The right-hand side's leading entry is fixed at exactly 1; bias decimation is
 scale-invariant, so its true value is immaterial.
 
-Gram entries are Plancherel sums of coefficient products. They are evaluated
-in bulk as sparse dot products over a shared term index (scipy.sparse), a
-bounded block of rows at a time; nothing is ever enumerated over 2^n.
+Gram entries are closed-form: G_ij = 2^-|V_i ∪ V_j| for cubes on variables
+V_i and V_j that agree on every shared variable, 0 otherwise. They are read
+off packed uint64 sign masks, a bounded block of rows at a time; nothing is
+ever enumerated over 2^n.
 
 No Gram matrix is kept. The only K-squared state is the lower Cholesky factor
 L of Gram + lambda*I, stored as one row panel per batch of added columns. A
@@ -28,46 +30,31 @@ re-factors it whole, lambda = 0 first.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .cnf import Formula
 from .fourier import PRUNE_EPSILON, SparsePoly
-from .indicator import ColumnKey, IndicatorCache
+from .indicator import ColumnKey, Cube, IndicatorCache, validate_key
 
 RIDGE_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
-SIGNATURE_DECIMALS = 10
 _RESIDUAL_TOL = 1e-6
-# Dense entries per sparse product when computing Gram rows: bounds the
-# temporaries of a Gram extension however many columns a batch adds.
-_GRAM_BLOCK_ENTRIES = 1 << 20
-
-# signature_index value for products that are identically zero and therefore
-# never become columns (a zero column would make the Gram matrix singular).
-ZERO_COLUMN = -1
-
-Signature = tuple
+# Dense entries per block of Gram rows: bounds the temporaries of a Gram
+# extension or a Gram-vector product however many columns there are, and
+# keeps each temporary (512 KiB) cache-sized.
+_GRAM_BLOCK_ENTRIES = 1 << 16
 
 
 class WeightSolveError(RuntimeError):
     """The Gram system could not be solved even after ridge escalation."""
 
 
-def column_signature(poly: SparsePoly) -> Signature:
-    """Hashable identity of a column as a function: its rounded term list.
-
-    Distinct keys can produce identical polynomials (duplicate clauses,
-    coinciding products); columns are deduplicated on this, not on the key.
-    """
-    return tuple(
-        sorted(
-            (tuple(sorted(key)), round(coeff, SIGNATURE_DECIMALS))
-            for key, coeff in poly.terms.items()
-        )
-    )
+def column_signature(cache: IndicatorCache, key: ColumnKey) -> Cube | None:
+    """Exact identity of a column as a function: its cube, or None, shared by
+    every identically-zero product. Columns are deduplicated on this."""
+    return cache.cube(key)
 
 
 class ApproxState:
@@ -77,12 +64,13 @@ class ApproxState:
     Single-owner mutable: one solver run drives add_columns/solve_weights
     sequentially. keys[0] is always the empty key (constant-1 column).
 
-    Each column's coefficients are kept as a sparse row over a shared term
-    index; the Gram matrix is never stored. `_panels` holds the lower
-    Cholesky factor of Gram + ridge_lambda * I by row panels: a panel of
-    shape (d, o + d) holds factor rows [o, o + d), columns [0, o + d).
-    Panels starting at or past row `_factored` still hold raw Gram rows
-    written by `_extend_gram`; solve_weights factors them in place.
+    Column j's cube is `_masks[:, :, j]`: its (variables fixed to +1,
+    variables fixed to -1) masks as ceil(n/64) uint64 words each; the Gram
+    matrix is never stored. `_panels` holds the lower Cholesky factor of
+    Gram + ridge_lambda * I by row panels: a panel of shape (d, o + d) holds
+    factor rows [o, o + d), columns [0, o + d). Panels starting at or past
+    row `_factored` still hold raw Gram rows written by `_append`;
+    solve_weights factors them in place.
     """
 
     def __init__(self, formula: Formula, cache: IndicatorCache | None = None):
@@ -92,11 +80,10 @@ class ApproxState:
         self.polys: list[SparsePoly] = []
         self.weights = np.zeros(0)
         self.omega_tilde = SparsePoly.zero(formula.num_vars)
-        self.signature_index: dict[Signature, int] = {}
+        self.signatures: set[Cube | None] = set()
         self.seen_keys: set[ColumnKey] = set()
         self.ridge_lambda = 0.0
-        self._term_ids: dict[frozenset, int] = {}
-        self._rows: list[tuple[np.ndarray, np.ndarray]] = []
+        self._masks = np.zeros((2, -(-formula.num_vars // 64), 0), dtype=np.uint64)
         self._panels: list[np.ndarray] = []
         self._factored = 0
 
@@ -106,7 +93,7 @@ class ApproxState:
 
     @property
     def gram(self) -> np.ndarray:
-        """The (K x K) Gram matrix, rebuilt from the column coefficients.
+        """The (K x K) Gram matrix, rebuilt from the column cubes.
 
         A reference for tests and debugging; the solve path never builds it
         outside the ridge ladder.
@@ -120,57 +107,56 @@ class ApproxState:
             lines.append(f"{','.join(str(m) for m in key) or '-'} {w:.12g}")
         return "\n".join(lines) + "\n"
 
-    def _row_for(self, poly: SparsePoly) -> tuple[np.ndarray, np.ndarray]:
-        ids = np.empty(len(poly.terms), dtype=np.int64)
-        coeffs = np.empty(len(poly.terms), dtype=np.float64)
-        term_ids = self._term_ids
-        for pos, (key, coeff) in enumerate(poly.terms.items()):
-            tid = term_ids.get(key)
-            if tid is None:
-                tid = len(term_ids)
-                term_ids[key] = tid
-            ids[pos] = tid
-            coeffs[pos] = coeff
-        return ids, coeffs
+    def _append(self, columns: Sequence[tuple[ColumnKey, Cube, SparsePoly]]) -> None:
+        """Append (key, cube, expansion) columns past deduplication and write
+        their raw Gram rows as a new panel."""
+        start = self.num_columns
+        for key, _, poly in columns:
+            self.keys.append(key)
+            self.polys.append(poly)
+        words = self._masks.shape[1]
+        raw = b"".join(m.to_bytes(8 * words, "little") for _, cube, _ in columns for m in cube)
+        packed = np.frombuffer(raw, dtype="<u8").reshape(len(columns), 2, words)
+        self._masks = np.concatenate([self._masks, packed.transpose(1, 2, 0)], axis=2)
+        self._panels.append(self._gram_rows(start))
 
-    def _csr(self, rows: Sequence[tuple[np.ndarray, np.ndarray]]) -> scipy.sparse.csr_matrix:
-        width = len(self._term_ids)
-        lengths = np.fromiter((len(ids) for ids, _ in rows), dtype=np.int64, count=len(rows))
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        if rows:
-            indices = np.concatenate([ids for ids, _ in rows])
-            data = np.concatenate([coeffs for _, coeffs in rows])
-        else:
-            indices = np.zeros(0, dtype=np.int64)
-            data = np.zeros(0, dtype=np.float64)
-        return scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(rows), width))
+    def _row_blocks(self, start: int) -> Iterator[tuple[int, int]]:
+        """Row ranges [lo, hi) covering [start, K), each a bounded block."""
+        k = self.num_columns
+        step = max(1, _GRAM_BLOCK_ENTRIES // max(1, k))
+        for lo in range(start, k, step):
+            yield lo, min(lo + step, k)
+
+    def _gram_block(self, lo: int, hi: int) -> np.ndarray:
+        """Gram rows [lo, hi) against columns [0, K), in closed form: the
+        intersection of two cubes fixes the union of their variables, and is
+        empty when one variable is fixed to +1 by one cube and to -1 by the
+        other."""
+        k = self.num_columns
+        union = np.zeros((hi - lo, k), dtype=np.int32)
+        consistent = np.ones((hi - lo, k), dtype=bool)
+        for p, q in zip(*self._masks):
+            fixed_plus = p[lo:hi, None] | p
+            fixed_minus = q[lo:hi, None] | q
+            union += np.bitwise_count(fixed_plus | fixed_minus)
+            consistent &= (fixed_plus & fixed_minus) == 0
+        block = np.ldexp(1.0, -union)
+        block *= consistent
+        return block
 
     def _gram_rows(self, start: int) -> np.ndarray:
-        """Dense Gram rows [start, K) against columns [0, K).
-
-        The sparse products cover a bounded block of rows each. The square
-        part [start, K) x [start, K) is symmetrized, so both evaluation
-        orders of an inner product count.
-        """
-        k = self.num_columns
-        out = np.zeros((k - start, k))
-        if k == start:
-            return out
-        everything_t = self._csr(self._rows).T.tocsr()
-        step = max(1, _GRAM_BLOCK_ENTRIES // k)
-        for lo in range(start, k, step):
-            hi = min(lo + step, k)
-            block = self._csr(self._rows[lo:hi]) @ everything_t
-            block.toarray(out=out[lo - start : hi - start])
-        square = out[:, start:]
-        np.add(square, square.T, out=square)
-        square *= 0.5
+        """Dense Gram rows [start, K) against columns [0, K)."""
+        out = np.empty((self.num_columns - start, self.num_columns))
+        for lo, hi in self._row_blocks(start):
+            out[lo - start : hi - start] = self._gram_block(lo, hi)
         return out
 
-    def _extend_gram(self, start: int) -> None:
-        """Append the raw Gram rows of columns [start, K) as a new panel."""
-        self._panels.append(self._gram_rows(start))
+    def _gram_times(self, a: np.ndarray) -> np.ndarray:
+        """G a, without holding more than one block of G."""
+        out = np.empty(self.num_columns)
+        for lo, hi in self._row_blocks(0):
+            out[lo:hi] = self._gram_block(lo, hi) @ a
+        return out
 
 
 def init_first_order(formula: Formula, cache: IndicatorCache | None = None) -> ApproxState:
@@ -190,29 +176,22 @@ def add_columns(state: ApproxState, new_keys: Iterable[ColumnKey]) -> int:
     rows are appended as a new factor panel, weights re-solved, and
     omega_tilde rebuilt.
     """
-    accepted: list[tuple[ColumnKey, SparsePoly]] = []
+    accepted: list[tuple[ColumnKey, Cube]] = []
     for key in new_keys:
         key = tuple(key)
         if key in state.seen_keys:
             continue
-        poly = state.cache.column_poly(key)
+        validate_key(key, state.formula.num_clauses, state.cache.max_order)
         state.seen_keys.add(key)
-        sig = column_signature(poly)
-        if sig in state.signature_index:
+        sig = column_signature(state.cache, key)
+        if sig in state.signatures:
             continue
-        if poly.is_zero:
-            state.signature_index[sig] = ZERO_COLUMN
-            continue
-        state.signature_index[sig] = len(state.keys) + len(accepted)
-        accepted.append((key, poly))
+        state.signatures.add(sig)
+        if sig is not None:  # a zero column would make the Gram matrix singular
+            accepted.append((key, sig))
     if not accepted:
         return 0
-    start = state.num_columns
-    for key, poly in accepted:
-        state.keys.append(key)
-        state.polys.append(poly)
-        state._rows.append(state._row_for(poly))
-    state._extend_gram(start)
+    state._append([(key, cube, state.cache.column_poly(key)) for key, cube in accepted])
     solve_weights(state)
     _assemble_omega_tilde(state)
     return len(accepted)
@@ -232,10 +211,9 @@ def solve_weights(state: ApproxState) -> np.ndarray:
         raise WeightSolveError("no columns to solve")
     rhs = np.zeros(k)
     rhs[0] = 1.0
-    columns = state._csr(state._rows)
     covered = sum(panel.shape[0] for panel in state._panels)
     if state.ridge_lambda == 0.0 and covered == k:
-        a = _factor_and_solve(state, columns, rhs, 0.0)
+        a = _factor_and_solve(state, rhs, 0.0)
         if a is not None:
             state.weights = a
             return a
@@ -246,7 +224,7 @@ def solve_weights(state: ApproxState) -> np.ndarray:
         if lam:
             gram.flat[:: k + 1] += lam
         state._panels = [gram]
-        a = _factor_and_solve(state, columns, rhs, lam)
+        a = _factor_and_solve(state, rhs, lam)
         if a is not None:
             state.weights = a
             state.ridge_lambda = lam
@@ -256,11 +234,9 @@ def solve_weights(state: ApproxState) -> np.ndarray:
     raise WeightSolveError(f"Gram solve failed after ridge escalation (K={k})")
 
 
-def _factor_and_solve(
-    state: ApproxState, columns: scipy.sparse.csr_matrix, rhs: np.ndarray, lam: float
-) -> np.ndarray | None:
+def _factor_and_solve(state: ApproxState, rhs: np.ndarray, lam: float) -> np.ndarray | None:
     """Factor the pending panels, solve, and check the residual against
-    (A A^T + lam*I) a = rhs, with A the column rows. None on failure."""
+    (G + lam*I) a = rhs, with G the closed-form Gram matrix. None on failure."""
     try:
         for q, panel in enumerate(state._panels):
             if panel.shape[1] > state._factored:
@@ -271,7 +247,7 @@ def _factor_and_solve(
     a = _solve_factored(state._panels, rhs)
     if not np.all(np.isfinite(a)):
         return None
-    residual = np.abs(columns @ (columns.T @ a) + lam * a - rhs).max()
+    residual = np.abs(state._gram_times(a) + lam * a - rhs).max()
     if residual <= _RESIDUAL_TOL * max(1.0, np.abs(a).max()):
         return a
     return None

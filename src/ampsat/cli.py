@@ -23,7 +23,7 @@ from pathlib import Path
 from . import oracle as oracle_mod
 from .anneal import AnnealSchedule, default_schedule, sa_solve
 from .bias import BiasKind
-from .cnf import Assignment, DimacsError, Formula, count_unsat, parse_dimacs
+from .cnf import Assignment, DimacsError, EmptyClauseError, Formula, count_unsat, parse_dimacs
 from .solver import SolverConfig, SolverStats, Status, solve
 
 EXIT_SAT = 10
@@ -128,6 +128,11 @@ def _print_v_line(assignment: Assignment) -> None:
 def cmd_solve(args) -> int:
     try:
         formula = _load_formula(args.cnf)
+    except EmptyClauseError as exc:
+        # Trivially unsatisfiable, but an incomplete solver never reports UNSAT.
+        print(f"c diagnostic: {exc}: no assignment satisfies the formula")
+        print("s UNKNOWN")
+        return EXIT_UNKNOWN
     except DimacsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

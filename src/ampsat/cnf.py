@@ -23,6 +23,10 @@ class DimacsError(ValueError):
         super().__init__(message)
 
 
+class EmptyClauseError(DimacsError):
+    """Otherwise valid input holding the empty clause, which nothing satisfies."""
+
+
 @dataclass(frozen=True)
 class Literal:
     """A variable occurrence: polarity +1 for x_var, -1 for its negation."""
@@ -111,7 +115,8 @@ def parse_dimacs(text: str) -> Formula:
     Clauses are whitespace-separated nonzero integers terminated by 0 and may
     span lines. SATLIB-style trailing '%' (and anything after it) is ignored.
     Duplicate literals within a clause are merged; tautological clauses are
-    dropped and counted in Formula.tautology_count.
+    dropped and counted in Formula.tautology_count. An empty clause (a bare
+    0) raises EmptyClauseError unless the input has another error.
     """
     num_vars: int | None = None
     declared_clauses = 0  # validated for shape only; the count is not enforced
@@ -156,10 +161,12 @@ def parse_dimacs(text: str) -> Formula:
     tautologies = 0
     pending: list[int] = []
     pending_line = header_line or 1
+    empty_line: int | None = None
     for code, lineno in tokens:
         if code == 0:
             if not pending:
-                raise DimacsError("empty clause", lineno)
+                empty_line = empty_line or lineno
+                continue
             clause = make_clause(pending)
             if clause is None:
                 tautologies += 1
@@ -175,6 +182,8 @@ def parse_dimacs(text: str) -> Formula:
         pending_line = lineno
     if pending:
         raise DimacsError("unterminated clause at end of input", pending_line)
+    if empty_line is not None:
+        raise EmptyClauseError("empty clause", empty_line)
 
     return Formula(num_vars=num_vars, clauses=tuple(clauses), tautology_count=tautologies)
 

@@ -1,15 +1,14 @@
-"""Clause-complement indicator polynomials and their pairwise products.
+"""Columns as sub-cubes: clause-complement indicators and their products.
 
-For a clause of width k, the indicator is the 2^k-term multilinear expansion
-of (1/2^k) * prod_i (1 - c_i s_i), which takes the value 1 exactly on
-assignments that leave the clause UNSATISFIED and 0 elsewhere. Products of
-indicators (column keys of size 2) are 1 exactly where every referenced
-clause is simultaneously unsatisfied.
+A clause is unsatisfied exactly on the sub-cube that fixes each of its
+variables to the falsifying sign. A product of clause indicators is the
+indicator of the intersected cube, or identically 0 when two literals clash,
+so a column is identified exactly by its cube. The Fourier expansion of a
+cube on variables V with signs sigma is 2^-|V| * prod_{j in V} (1 + sigma_j
+s_j): 2^|V| terms of magnitude 2^-|V|.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .cnf import Clause, Formula
 from .fourier import SparsePoly
@@ -19,22 +18,41 @@ from .fourier import SparsePoly
 # all-ones column.
 ColumnKey = tuple[int, ...]
 
+# (variables fixed to +1, variables fixed to -1) as bit masks, bit j for s_j.
+# The empty cube (0, 0) is the constant all-ones column.
+Cube = tuple[int, int]
+
 DEFAULT_MAX_ORDER = 2
+
+
+def clause_cube(clause: Clause) -> Cube:
+    """The cube on which the clause is unsatisfied: every literal false."""
+    plus = minus = 0
+    for lit in clause.literals:
+        if lit.polarity > 0:
+            minus |= 1 << lit.var
+        else:
+            plus |= 1 << lit.var
+    return plus, minus
+
+
+def cube_poly(cube: Cube, num_vars: int) -> SparsePoly:
+    """Exact 2^|V|-term expansion of the cube's indicator."""
+    plus, minus = cube
+    either = plus | minus
+    if either.bit_length() > num_vars:
+        raise ValueError(f"cube fixes a variable beyond num_vars={num_vars}")
+    terms = {frozenset(): 2.0 ** -either.bit_count()}
+    for j in range(either.bit_length()):
+        if either >> j & 1:
+            sign = -1.0 if minus >> j & 1 else 1.0
+            terms.update([(key | {j}, sign * coeff) for key, coeff in terms.items()])
+    return SparsePoly._raw(num_vars, terms)
 
 
 def clause_indicator(clause: Clause, num_vars: int) -> SparsePoly:
     """Exact 2^k-term expansion of the unsatisfied-clause indicator."""
-    k = clause.width
-    base = 2.0 ** -k
-    terms: dict[frozenset, float] = {}
-    lits = clause.literals
-    for size in range(k + 1):
-        for subset in combinations(lits, size):
-            coeff = base
-            for lit in subset:
-                coeff *= -lit.polarity
-            terms[frozenset(l.var for l in subset)] = coeff
-    return SparsePoly(num_vars, terms)
+    return cube_poly(clause_cube(clause), num_vars)
 
 
 def validate_key(key: ColumnKey, num_clauses: int, max_order: int) -> None:
@@ -48,11 +66,10 @@ def validate_key(key: ColumnKey, num_clauses: int, max_order: int) -> None:
 
 
 class IndicatorCache:
-    """Memoized construction of column polynomials for one formula.
+    """The clause cubes of one formula, and the columns built from them.
 
-    First-order indicators are built once; higher-order products are memoized
-    by key. Entries are write-once, so concurrent readers are safe as long as
-    insertions are serialized by the owning solver.
+    cube(key) intersects clause cubes and is all the solve path needs to
+    identify a column; column_poly(key) builds its Fourier expansion afresh.
     """
 
     def __init__(self, formula: Formula, max_order: int = DEFAULT_MAX_ORDER):
@@ -60,34 +77,22 @@ class IndicatorCache:
             raise ValueError("max_order must be >= 1")
         self.formula = formula
         self.max_order = max_order
-        self._first: list[SparsePoly | None] = [None] * formula.num_clauses
-        self._products: dict[ColumnKey, SparsePoly] = {}
+        self.clause_cubes = [clause_cube(clause) for clause in formula.clauses]
 
-    def first_order(self, m: int) -> SparsePoly:
-        poly = self._first[m]
-        if poly is None:
-            poly = clause_indicator(self.formula.clauses[m], self.formula.num_vars)
-            self._first[m] = poly
-        return poly
+    def cube(self, key: ColumnKey) -> Cube | None:
+        """The key's cube, or None when two of its literals clash and the
+        product is identically zero. The key is not validated."""
+        plus = minus = 0
+        for m in key:
+            p, q = self.clause_cubes[m]
+            plus |= p
+            minus |= q
+        return None if plus & minus else (plus, minus)
 
     def column_poly(self, key: ColumnKey) -> SparsePoly:
-        """() -> constant 1; (m,) -> k_m; (m, n) -> k_m * k_n (memoized)."""
+        """() -> constant 1; (m,) -> k_m; (m, n) -> k_m * k_n."""
         validate_key(key, self.formula.num_clauses, self.max_order)
-        if len(key) == 0:
-            return SparsePoly.constant(self.formula.num_vars, 1.0)
-        if len(key) == 1:
-            return self.first_order(key[0])
-        poly = self._products.get(key)
-        if poly is None:
-            poly = self.first_order(key[0])
-            for m in key[1:]:
-                poly = poly.multiply(self.first_order(m))
-            self._products[key] = poly
-        return poly
-
-
-def column_poly(key: ColumnKey, formula: Formula, cache: IndicatorCache) -> SparsePoly:
-    """Functional wrapper around IndicatorCache.column_poly."""
-    if cache.formula is not formula:
-        raise ValueError("cache was built for a different formula")
-    return cache.column_poly(key)
+        cube = self.cube(key)
+        if cube is None:
+            return SparsePoly.zero(self.formula.num_vars)
+        return cube_poly(cube, self.formula.num_vars)

@@ -61,14 +61,13 @@ def clause_neighbors(formula: Formula, s: Assignment) -> set[int]:
 def _is_new(state: ApproxState, key: ColumnKey) -> bool:
     """True if the key was never tried and its product is a genuinely new column.
 
-    Examining a key computes (and memoizes) its product polynomial; keys whose
-    signature is already indexed are marked as tried so they are never
+    Keys whose signature (cube) is already indexed, identically-zero products
+    included once one has been tried, are marked as tried so they are never
     re-examined.
     """
     if key in state.seen_keys:
         return False
-    poly = state.cache.column_poly(key)
-    if column_signature(poly) in state.signature_index:
+    if column_signature(state.cache, key) in state.signatures:
         state.seen_keys.add(key)
         return False
     return True

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ampsat import SparsePoly, measure_bias, parse_dimacs
+from ampsat import SparsePoly, measure_bias, parse_dimacs, refine
 from ampsat.approx import (
     ApproxState,
     WeightSolveError,
@@ -16,9 +16,11 @@ from ampsat.approx import (
     solve_weights,
 )
 from ampsat.bias import BiasKind
+from ampsat.indicator import cube_poly
 from ampsat.oracle import dense_evaluate, dense_omega, exact_lstsq
+from ampsat.refine import RefinementSaturated, plan_refinement
 
-from helpers import random_formula
+from helpers import random_assignment, random_formula
 
 TOL = 1e-9
 
@@ -30,14 +32,34 @@ def _unit_rhs(k):
 
 
 def _append_raw(state, columns):
-    """Append (key, poly) columns past add_columns' deduplication and write
+    """Append (key, cube) columns past add_columns' deduplication and write
     their Gram rows as a new panel, leaving it for solve_weights to factor."""
-    start = state.num_columns
-    for key, poly in columns:
-        state.keys.append(key)
-        state.polys.append(poly)
-        state._rows.append(state._row_for(poly))
-    state._extend_gram(start)
+    n = state.formula.num_vars
+    state._append([(key, cube, cube_poly(cube, n)) for key, cube in columns])
+
+
+def _serve_gram(monkeypatch, matrix):
+    """Make the state read its Gram entries from `matrix` instead of the
+    closed form, for systems no set of cubes has."""
+    monkeypatch.setattr(ApproxState, "_gram_block", lambda self, lo, hi: matrix[lo:hi].copy())
+
+
+def _fourier_column(formula, key):
+    """The reference expansion of a column: the Fourier-domain product of
+    (1 - c s_v) / 2 over every literal c x_v of its clauses."""
+    n = formula.num_vars
+    poly = SparsePoly.constant(n, 1.0)
+    for m in key:
+        for lit in formula.clauses[m].literals:
+            poly = poly.multiply(SparsePoly(n, {(): 0.5, (lit.var,): -0.5 * lit.polarity}))
+    return poly
+
+
+def _rounded_fourier_signature(poly):
+    """Column identity by the rounded-term rule the cube signature replaced."""
+    return tuple(
+        sorted((tuple(sorted(key)), round(coeff, 10)) for key, coeff in poly.terms.items())
+    )
 
 
 def _dense_factor(state):
@@ -72,16 +94,39 @@ class TestInitFirstOrder:
         assert double.weights == pytest.approx(single.weights, abs=TOL)
 
     def test_gram_matches_pairwise_inner_products(self):
+        # Closed-form Gram entries and cube expansions against the Fourier
+        # reference: products of one-literal factors.
         rng = random.Random(41)
-        for _ in range(10):
-            f = random_formula(rng, rng.randrange(2, 7), rng.randrange(1, 7))
+        states = []
+        formulas = [
+            random_formula(rng, rng.randrange(2, 7), rng.randrange(1, 7))
+            for _ in range(10)
+        ]
+        formulas += [
+            # clause 1 duplicates clause 0; (0, 2) and (2, 4) clash; (0, 3) is
+            # clause 0's cube and (3, 4) is (0, 4)'s
+            parse_dimacs("p cnf 3 5\n1 2 0\n1 2 0\n-1 3 0\n1 0\n2 -3 0"),
+            # n = 72: cubes on x63..x66 straddle the bit-64 word boundary
+            parse_dimacs(
+                "p cnf 72 5\n63 64 65 0\n-64 66 0\n-65 -66 0\n1 64 72 0\n-63 70 0"
+            ),
+        ]
+        for f in formulas:
             state = init_first_order(f)
-            k = state.num_columns
-            for i in range(k):
-                for j in range(k):
-                    assert state.gram[i, j] == pytest.approx(
-                        state.polys[i].inner_product(state.polys[j]), abs=TOL
-                    )
+            states.append(state)
+            add_columns(
+                state,
+                [(i, j) for i in range(f.num_clauses) for j in range(i + 1, f.num_clauses)],
+            )
+            refs = [_fourier_column(f, key) for key in state.keys]
+            gram = state.gram
+            for i, ref in enumerate(refs):
+                assert dict(state.polys[i].terms) == dict(ref.terms)
+                for j in range(state.num_columns):
+                    assert gram[i, j] == pytest.approx(ref.inner_product(refs[j]), abs=TOL)
+        assert states[-2].keys == [(), (0,), (2,), (3,), (4,), (0, 4)]
+        either = states[-1]._masks[0] | states[-1]._masks[1]
+        assert np.any((either[0] != 0) & (either[1] != 0))  # cubes in both words
 
     def test_gram_positive_semidefinite(self):
         rng = random.Random(42)
@@ -93,12 +138,12 @@ class TestInitFirstOrder:
 
 
 class TestSolveWeights:
-    def test_identity_gram(self):
-        # the constant and two degree-1 characters are orthonormal columns
+    def test_identity_gram(self, monkeypatch):
+        # No cubes are orthonormal (the constant overlaps every cube), so the
+        # identity is served in place of the closed form.
         state = ApproxState(parse_dimacs("p cnf 2 0\n"))
-        _append_raw(
-            state, [(key, SparsePoly(2, {key: 1.0})) for key in [(), (0,), (1,)]]
-        )
+        _serve_gram(monkeypatch, np.eye(3))
+        _append_raw(state, [((), (0, 0)), ((0,), (1, 0)), ((1,), (2, 0))])
         assert np.array_equal(state.gram, np.eye(3))
         weights = solve_weights(state)
         assert weights == pytest.approx(_unit_rhs(3))
@@ -107,22 +152,16 @@ class TestSolveWeights:
     def test_duplicated_column_triggers_ridge(self):
         f = parse_dimacs("p cnf 2 1\n1 2 0")
         state = init_first_order(f)
-        _append_raw(state, [((0,), state.polys[1])])
+        _append_raw(state, [((0,), column_signature(state.cache, (0,)))])
         weights = solve_weights(state)
         assert state.ridge_lambda > 0.0
         m = state.gram + state.ridge_lambda * np.eye(3)
         assert np.abs(m @ weights - _unit_rhs(3)).max() < 1e-6
 
-    def test_unsolvable_raises(self):
+    def test_unsolvable_raises(self, monkeypatch):
         state = ApproxState(parse_dimacs("p cnf 1 0\n"))
-        nan = float("nan")
-        _append_raw(
-            state,
-            [
-                ((), SparsePoly._raw(1, {frozenset(): nan})),
-                ((0,), SparsePoly._raw(1, {frozenset((0,)): nan})),
-            ],
-        )
+        _serve_gram(monkeypatch, np.full((2, 2), np.nan))
+        _append_raw(state, [((), (0, 0)), ((0,), (1, 0))])
         with pytest.raises(WeightSolveError):
             solve_weights(state)
 
@@ -183,7 +222,7 @@ class TestIncrementalFactor:
         state = init_first_order(f)
         add_columns(state, [(0, 1)])
         assert state.ridge_lambda == 0.0 and len(state._panels) == 2
-        _append_raw(state, [((9,), state.polys[4])])  # duplicate of (0, 1)
+        _append_raw(state, [((9,), column_signature(state.cache, (0, 1)))])  # duplicate
         solve_weights(state)
         assert state.ridge_lambda > 0.0 and len(state._panels) == 1
         assert add_columns(state, [(0, 2), (1, 2)]) == 2
@@ -344,15 +383,91 @@ class TestApproximationQuality:
 
 
 class TestSignature:
-    def test_signature_ignores_term_order_and_dust(self):
-        f = parse_dimacs("p cnf 2 2\n1 2 0\n1 2 0")
+    def test_duplicate_clauses_share_a_signature(self):
+        f = parse_dimacs("p cnf 2 2\n1 2 0\n2 1 0")
         state = init_first_order(f)
-        assert column_signature(state.polys[1]) == column_signature(
-            state.cache.column_poly((1,))
-        )
+        assert column_signature(state.cache, (0,)) == column_signature(state.cache, (1,))
+        assert state.num_columns == 2
+
+    def test_signature_is_the_falsifying_cube(self):
+        f = parse_dimacs("p cnf 3 3\n1 -2 0\n-1 3 0\n-2 0")
+        cache = init_first_order(f).cache
+        assert column_signature(cache, ()) == (0, 0)
+        assert column_signature(cache, (0,)) == (0b010, 0b001)  # x1 = -1, x2 = +1
+        assert column_signature(cache, (0, 1)) is None  # x1 clashes
+        assert column_signature(cache, (0, 2)) == column_signature(cache, (0,))
+
+    def test_cube_dedup_replays_the_rounded_fourier_rule(self, monkeypatch):
+        # Seeded refinement sequences, deduplicated twice: by the state (cube
+        # signatures) and by a twin that keeps the rounded-Fourier-signature
+        # rule. Every _is_new verdict, and with it every draw of the
+        # refinement RNG, must agree, as must the accepted keys and seen_keys.
+        rng = random.Random(49)
+        original_is_new = refine._is_new
+        zero = collided = 0
+        for _ in range(30):
+            f = random_formula(rng, rng.randrange(2, 6), rng.randrange(3, 12))
+            state = init_first_order(f)
+            twin = _RoundedFourierDedup(f)
+            twin.add([()] + [(m,) for m in range(f.num_clauses)])
+
+            def checked_is_new(st, key, twin=twin):
+                verdict = original_is_new(st, key)
+                assert twin.is_new(key) == verdict, key
+                return verdict
+
+            monkeypatch.setattr(refine, "_is_new", checked_is_new)
+            plan_rng = random.Random(rng.randrange(1 << 30))
+            for _ in range(12):
+                s = random_assignment(rng, f.num_vars)
+                try:
+                    plan = plan_refinement(f, s, state, plan_rng)
+                except RefinementSaturated:
+                    break
+                assert add_columns(state, plan.keys) == twin.add(plan.keys)
+                assert state.keys == twin.keys
+                assert state.seen_keys == twin.seen
+            zero += None in state.signatures
+            collided += len(state.seen_keys) > state.num_columns + 1
+        assert zero and collided
 
     def test_dump_lists_columns(self):
         state = init_first_order(parse_dimacs("p cnf 2 1\n1 2 0"))
         text = state.dump()
         assert text.startswith("columns 2")
         assert "-" in text  # the constant column prints as '-'
+
+
+class _RoundedFourierDedup:
+    """add_columns' and _is_new's deduplication by rounded Fourier signatures
+    of the reference expansions, without the weights."""
+
+    def __init__(self, formula):
+        self.formula = formula
+        self.keys = []
+        self.seen = set()
+        self.index = set()
+
+    def is_new(self, key):
+        if key in self.seen:
+            return False
+        if _rounded_fourier_signature(_fourier_column(self.formula, key)) in self.index:
+            self.seen.add(key)
+            return False
+        return True
+
+    def add(self, keys):
+        added = 0
+        for key in map(tuple, keys):
+            if key in self.seen:
+                continue
+            poly = _fourier_column(self.formula, key)
+            self.seen.add(key)
+            sig = _rounded_fourier_signature(poly)
+            if sig in self.index:
+                continue
+            self.index.add(sig)
+            if not poly.is_zero:
+                self.keys.append(key)
+                added += 1
+        return added

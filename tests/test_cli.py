@@ -81,6 +81,16 @@ class TestSolve:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_empty_clause_is_unknown_not_unsat(self, tmp_path, capsys):
+        path = tmp_path / "empty_clause.cnf"
+        path.write_text("p cnf 2 2\n1 2 0\n0\n")
+        code = main(["solve", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines()[-1] == "s UNKNOWN"
+        assert "c diagnostic: line 3: empty clause" in out
+        assert "UNSAT" not in out
+
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/really.cnf"]) == 1
 

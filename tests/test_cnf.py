@@ -62,6 +62,7 @@ class TestParse:
             ("p cnf 2 1\n1 2", "unterminated"),
             ("1 2 0", "before header"),
             ("p cnf 2 1\n0", "empty clause"),
+            ("p cnf 2 2\n0\n3 0", "out of range"),  # not masked by the empty clause
             ("p cnf 2 1\np cnf 2 1\n1 0", "duplicate header"),
             ("p cnf 2 1\n1 z 0", "non-integer"),
         ],

@@ -6,7 +6,7 @@ import pytest
 
 from ampsat import parse_dimacs
 from ampsat.cnf import clause_satisfied
-from ampsat.indicator import IndicatorCache, clause_indicator, column_poly, validate_key
+from ampsat.indicator import IndicatorCache, clause_indicator, validate_key
 from ampsat.oracle import dense_omega
 
 from helpers import all_assignments, assignment_to_index, random_formula
@@ -42,6 +42,11 @@ class TestClauseIndicator:
         assert p.coefficient((0,)) == pytest.approx(0.5)
         assert p.evaluate((1,)) == pytest.approx(1.0)
         assert p.evaluate((-1,)) == pytest.approx(0.0)
+
+    def test_rejects_variable_beyond_num_vars(self):
+        f = parse_dimacs("p cnf 3 1\n1 -3 0")
+        with pytest.raises(ValueError):
+            clause_indicator(f.clauses[0], 2)
 
     def test_zero_one_valued_and_marks_unsat(self):
         rng = random.Random(32)
@@ -83,10 +88,24 @@ class TestColumnPoly:
                 )
                 assert p.evaluate(s) == pytest.approx(expected, abs=TOL)
 
-    def test_memoized(self):
-        f = parse_dimacs("p cnf 3 2\n1 2 0\n2 3 0")
-        cache = IndicatorCache(f)
-        assert cache.column_poly((0, 1)) is cache.column_poly((0, 1))
+    def test_cube_expansion_matches_fourier_product(self):
+        # the cube form against the reference: clause-indicator expansions
+        # multiplied in the Fourier domain, clashing (zero) products included
+        rng = random.Random(36)
+        zero = 0
+        for _ in range(40):
+            n = rng.randrange(1, 6)
+            f = random_formula(rng, n, 3)
+            cache = IndicatorCache(f)
+            inds = [clause_indicator(c, n) for c in f.clauses]
+            for key in [(0,), (1,), (0, 1), (0, 2), (1, 2)]:
+                expected = inds[key[0]]
+                for m in key[1:]:
+                    expected = expected.multiply(inds[m])
+                assert dict(cache.column_poly(key).terms) == dict(expected.terms)
+                assert (cache.cube(key) is None) == expected.is_zero
+                zero += expected.is_zero
+        assert zero
 
     def test_term_count_bound(self):
         rng = random.Random(34)
@@ -111,14 +130,6 @@ class TestColumnPoly:
             cache.column_poly((0, 1, 1))  # beyond max order and repeated
         with pytest.raises(ValueError):
             validate_key((0, 1, 2), 3, 2)
-
-    def test_functional_wrapper_checks_formula(self):
-        f = parse_dimacs("p cnf 2 1\n1 2 0")
-        g = parse_dimacs("p cnf 2 1\n1 2 0")
-        cache = IndicatorCache(f)
-        assert column_poly((0,), f, cache) is cache.column_poly((0,))
-        with pytest.raises(ValueError):
-            column_poly((0,), g, cache)
 
 
 class TestOrthogonality:
