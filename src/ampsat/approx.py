@@ -4,7 +4,10 @@ columns.
 The approximation is omega_tilde = sum_i a_i * column_i where column 0 is the
 constant 1 and the rest are clause indicators or pairwise indicator products,
 each the indicator of a sub-cube (see ampsat.indicator) and deduplicated
-exactly by it. The weights solve G a = e_0: the Gram matrix of normalized
+exactly by it. No column keeps a polynomial of its own: the state interns
+every distinct Fourier term once, records each column as flat arrays of term
+ids and +-2^-|V| coefficients, and assembles omega_tilde with one weighted
+bincount over them. The weights solve G a = e_0: the Gram matrix of normalized
 inner products against the right-hand side that encodes "the solution set
 overlaps the all-ones column and is orthogonal to every indicator column".
 The right-hand side's leading entry is fixed at exactly 1; bias decimation is
@@ -16,12 +19,15 @@ off packed uint64 sign masks, a bounded block of rows at a time; nothing is
 ever enumerated over 2^n.
 
 No Gram matrix is kept. The only K-squared state is the lower Cholesky factor
-L of Gram + lambda*I, stored as one row panel per batch of added columns. A
-batch of d columns appended at K = o costs O(K^2 d), not O(K^3): its raw Gram
-rows fill a new panel, which becomes factor rows in place by the block
-Cholesky update (Golub & Van Loan, Matrix Computations, section 4.2)
+L of Gram + lambda*I, stored as one column-major row panel per batch of added
+columns. A batch of d columns appended at K = o costs O(K^2 d), not O(K^3):
+its raw Gram rows fill a new panel, which becomes factor rows in place by the
+block Cholesky update (Golub & Van Loan, Matrix Computations, section 4.2)
 
-    L21 = G21 L11^-T,    L22 = chol(G22 - L21 L21^T).
+    L21 = G21 L11^-T,    L22 = chol(G22 - L21 L21^T),
+
+each step one BLAS or LAPACK call that overwrites its contiguous block of
+the panel (gemm, trsm, syrk, potrf), so no d x d temporary is made.
 
 When that fails (the Schur complement is not positive definite, or the solve
 misses the residual check), the ridge ladder rebuilds the Gram matrix and
@@ -30,10 +36,12 @@ re-factors it whole, lambda = 0 first.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from .cnf import Formula
 from .fourier import PRUNE_EPSILON, SparsePoly
@@ -66,24 +74,32 @@ class ApproxState:
 
     Column j's cube is `_masks[:, :, j]`: its (variables fixed to +1,
     variables fixed to -1) masks as ceil(n/64) uint64 words each; the Gram
-    matrix is never stored. `_panels` holds the lower Cholesky factor of
-    Gram + ridge_lambda * I by row panels: a panel of shape (d, o + d) holds
-    factor rows [o, o + d), columns [0, o + d). Panels starting at or past
-    row `_factored` still hold raw Gram rows written by `_append`;
-    solve_weights factors them in place.
+    matrix is never stored. Its Fourier expansion is the j-th run of
+    `_term_ids`/`_term_coeffs`, `_term_counts[j]` = 2^|V| entries long, in
+    column_poly's order; ids index `_term_sets`, the interned term variable
+    sets, and `_term_index` maps a term to its id.
+    `_panels` holds the lower Cholesky factor of Gram + ridge_lambda * I by
+    column-major row panels: a panel of shape (d, o + d) holds factor rows
+    [o, o + d), columns [0, o + d). Panels starting at or past row
+    `_factored` still hold raw Gram rows written by `_append`; solve_weights
+    factors them in place.
     """
 
     def __init__(self, formula: Formula, cache: IndicatorCache | None = None):
         self.formula = formula
         self.cache = cache if cache is not None else IndicatorCache(formula)
         self.keys: list[ColumnKey] = []
-        self.polys: list[SparsePoly] = []
         self.weights = np.zeros(0)
         self.omega_tilde = SparsePoly.zero(formula.num_vars)
         self.signatures: set[Cube | None] = set()
         self.seen_keys: set[ColumnKey] = set()
         self.ridge_lambda = 0.0
         self._masks = np.zeros((2, -(-formula.num_vars // 64), 0), dtype=np.uint64)
+        self._term_index: dict[frozenset[int], int] = {}
+        self._term_sets: list[frozenset[int]] = []
+        self._term_ids = np.zeros(0, dtype=np.intp)
+        self._term_coeffs = np.zeros(0)
+        self._term_counts = np.zeros(0, dtype=np.intp)
         self._panels: list[np.ndarray] = []
         self._factored = 0
 
@@ -107,16 +123,30 @@ class ApproxState:
             lines.append(f"{','.join(str(m) for m in key) or '-'} {w:.12g}")
         return "\n".join(lines) + "\n"
 
-    def _append(self, columns: Sequence[tuple[ColumnKey, Cube, SparsePoly]]) -> None:
-        """Append (key, cube, expansion) columns past deduplication and write
-        their raw Gram rows as a new panel."""
+    def _append(self, columns: Iterable[tuple[ColumnKey, Cube, SparsePoly]]) -> None:
+        """Append (key, cube, expansion) columns past deduplication, intern
+        their Fourier terms and write their raw Gram rows as a new panel.
+
+        columns is consumed once, so a lazy caller holds one expansion at a
+        time; none is kept once its terms are interned."""
         start = self.num_columns
-        for key, _, poly in columns:
-            self.keys.append(key)
-            self.polys.append(poly)
         words = self._masks.shape[1]
-        raw = b"".join(m.to_bytes(8 * words, "little") for _, cube, _ in columns for m in cube)
-        packed = np.frombuffer(raw, dtype="<u8").reshape(len(columns), 2, words)
+        index = self._term_index
+        raw: list[bytes] = []
+        ids: list[int] = []
+        coeffs: list[float] = []
+        counts: list[int] = []
+        for key, cube, poly in columns:
+            self.keys.append(key)
+            raw += [m.to_bytes(8 * words, "little") for m in cube]
+            ids += [index.setdefault(term, len(index)) for term in poly.terms]
+            coeffs += poly.terms.values()
+            counts.append(len(poly.terms))
+        packed = np.frombuffer(b"".join(raw), dtype="<u8").reshape(len(counts), 2, words)
+        self._term_sets += islice(index, len(self._term_sets), None)
+        self._term_ids = np.concatenate([self._term_ids, ids])
+        self._term_coeffs = np.concatenate([self._term_coeffs, coeffs])
+        self._term_counts = np.concatenate([self._term_counts, counts])
         self._masks = np.concatenate([self._masks, packed.transpose(1, 2, 0)], axis=2)
         self._panels.append(self._gram_rows(start))
 
@@ -145,8 +175,8 @@ class ApproxState:
         return block
 
     def _gram_rows(self, start: int) -> np.ndarray:
-        """Dense Gram rows [start, K) against columns [0, K)."""
-        out = np.empty((self.num_columns - start, self.num_columns))
+        """Dense Gram rows [start, K) against columns [0, K), column-major."""
+        out = np.empty((self.num_columns - start, self.num_columns), order="F")
         for lo, hi in self._row_blocks(start):
             out[lo - start : hi - start] = self._gram_block(lo, hi)
         return out
@@ -191,7 +221,7 @@ def add_columns(state: ApproxState, new_keys: Iterable[ColumnKey]) -> int:
             accepted.append((key, sig))
     if not accepted:
         return 0
-    state._append([(key, cube, state.cache.column_poly(key)) for key, cube in accepted])
+    state._append((key, cube, state.cache.column_poly(key)) for key, cube in accepted)
     solve_weights(state)
     _assemble_omega_tilde(state)
     return len(accepted)
@@ -236,27 +266,34 @@ def solve_weights(state: ApproxState) -> np.ndarray:
 
 def _factor_and_solve(state: ApproxState, rhs: np.ndarray, lam: float) -> np.ndarray | None:
     """Factor the pending panels, solve, and check the residual against
-    (G + lam*I) a = rhs, with G the closed-form Gram matrix. None on failure."""
-    try:
-        for q, panel in enumerate(state._panels):
-            if panel.shape[1] > state._factored:
-                _factor_panel(state._panels, q)
-                state._factored = panel.shape[1]
-    except scipy.linalg.LinAlgError:
-        return None
+    (G + lam*I) a = rhs, with G the closed-form Gram matrix. None on failure.
+
+    rhs has unit norm, so at lam = 0 the residual bound is absolute: a solve
+    that meets it only relative to huge weights (a singular G whose null
+    space meets rhs) fails, and the ridge ladder takes over. A ridge rung's
+    weights are ~1/lam on such a G by design and G a is rounded relative to
+    them, so for lam > 0 the bound scales with max |a|."""
+    for q, panel in enumerate(state._panels):
+        if panel.shape[1] > state._factored:
+            if not _factor_panel(state._panels, q):
+                return None
+            state._factored = panel.shape[1]
     a = _solve_factored(state._panels, rhs)
     if not np.all(np.isfinite(a)):
         return None
     residual = np.abs(state._gram_times(a) + lam * a - rhs).max()
-    if residual <= _RESIDUAL_TOL * max(1.0, np.abs(a).max()):
-        return a
-    return None
+    scale = 1.0 if lam == 0.0 else max(1.0, np.abs(a).max())
+    return a if residual <= _RESIDUAL_TOL * scale else None
 
 
-def _factor_panel(panels: list[np.ndarray], q: int) -> None:
+def _factor_panel(panels: list[np.ndarray], q: int) -> bool:
     """Turn panel q's raw Gram rows into factor rows, in place, given the
     factored panels before it: X = G21 L11^-T by block forward substitution,
-    then L22 = chol(G22 - X X^T)."""
+    then L22 = chol(G22 - X X^T). False when G22 - X X^T is not positive
+    definite.
+
+    Every block updated is a contiguous column range of a column-major
+    panel, so each BLAS/LAPACK call overwrites it instead of a copy."""
     new = panels[q]
     d, width = new.shape
     o = width - d
@@ -265,14 +302,13 @@ def _factor_panel(panels: list[np.ndarray], q: int) -> None:
         op = wp - dp
         block = new[:, op:wp]
         if op:
-            block -= new[:, :op] @ panel[:, :op].T
-        block[...] = scipy.linalg.solve_triangular(
-            panel[:, op:], block.T, lower=True, check_finite=False
-        ).T
+            blas.dgemm(-1.0, new[:, :op], panel[:, :op], 1.0, block, trans_b=1, overwrite_c=1)
+        blas.dtrsm(1.0, panel[:, op:], block, side=1, lower=1, trans_a=1, overwrite_b=1)
     schur = new[:, o:]
     if o:
-        schur -= new[:, :o] @ new[:, :o].T
-    schur[...] = scipy.linalg.cholesky(schur, lower=True, check_finite=False)
+        blas.dsyrk(-1.0, new[:, :o], 1.0, schur, lower=1, overwrite_c=1)
+    _, info = lapack.dpotrf(schur, lower=1, clean=1, overwrite_a=1)
+    return info == 0
 
 
 def _solve_factored(panels: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
@@ -298,12 +334,17 @@ def _solve_factored(panels: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
 
 
 def _assemble_omega_tilde(state: ApproxState) -> None:
-    acc: dict[frozenset, float] = {}
+    """omega_tilde = sum_i a_i * column_i, term by term.
+
+    bincount adds in input order, so every coefficient is the column-order
+    sum of a_i * coeff; terms are listed in order of first appearance."""
+    acc = np.bincount(
+        state._term_ids,
+        weights=np.repeat(state.weights, state._term_counts) * state._term_coeffs,
+        minlength=len(state._term_sets),
+    )
+    keep = np.flatnonzero(np.abs(acc) > PRUNE_EPSILON)
+    terms = state._term_sets
     # .tolist() so downstream polynomial algebra works on plain floats
-    for w, poly in zip(state.weights.tolist(), state.polys):
-        if w == 0.0:
-            continue
-        for key, coeff in poly.terms.items():
-            acc[key] = acc.get(key, 0.0) + w * coeff
-    pruned = {k: v for k, v in acc.items() if abs(v) > PRUNE_EPSILON}
+    pruned = dict(zip([terms[i] for i in keep.tolist()], acc[keep].tolist()))
     state.omega_tilde = SparsePoly._raw(state.formula.num_vars, pruned)

@@ -170,8 +170,15 @@ def cmd_solve(args) -> int:
 
 
 def run_one(instance: str, solver_id: str, seed: int, timeout: float) -> dict:
-    """Run one solver on one instance and return its CSV record."""
-    formula = _load_formula(instance)
+    """Run one solver on one instance and return its CSV record.
+
+    An instance holding the empty clause is recorded as UNKNOWN, with a
+    diagnostic on stderr, so it does not stop the other runs."""
+    try:
+        formula = _load_formula(instance)
+    except EmptyClauseError as exc:
+        print(f"c diagnostic: {instance}: {exc}: recorded as UNKNOWN", file=sys.stderr)
+        return _record(instance, solver_id, seed, Status.UNKNOWN.value, 0.0, 0, 0, 0, None)
     if solver_id == "sa":
         schedule = default_schedule(max(1, formula.num_vars))
         rng = random.Random(seed)

@@ -1,6 +1,8 @@
 """Approximation state: Gram assembly, weight solving, incremental growth."""
 
 import random
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,14 +10,17 @@ import scipy.linalg
 
 from ampsat import SparsePoly, measure_bias, parse_dimacs, refine
 from ampsat.approx import (
+    RIDGE_LADDER,
     ApproxState,
     WeightSolveError,
+    _assemble_omega_tilde,
     add_columns,
     column_signature,
     init_first_order,
     solve_weights,
 )
 from ampsat.bias import BiasKind
+from ampsat.fourier import PRUNE_EPSILON
 from ampsat.indicator import cube_poly
 from ampsat.oracle import dense_evaluate, dense_omega, exact_lstsq
 from ampsat.refine import RefinementSaturated, plan_refinement
@@ -23,6 +28,7 @@ from ampsat.refine import RefinementSaturated, plan_refinement
 from helpers import random_assignment, random_formula
 
 TOL = 1e-9
+UF50_001 = Path(__file__).resolve().parents[1] / "instances" / "uf50" / "uf50-001.cnf"
 
 
 def _unit_rhs(k):
@@ -60,6 +66,25 @@ def _rounded_fourier_signature(poly):
     return tuple(
         sorted((tuple(sorted(key)), round(coeff, 10)) for key, coeff in poly.terms.items())
     )
+
+
+def _random_batch_runs():
+    """25 random formulas (random.Random(47)), each fitted to first order and
+    grown by up to four random batches of pair columns. Yields (state, None)
+    after the first-order fit and (state, panels before the batch) after
+    every batch that added columns."""
+    rng = random.Random(47)
+    for _ in range(25):
+        f = random_formula(rng, rng.randrange(3, 8), rng.randrange(3, 10))
+        state = init_first_order(f)
+        yield state, None
+        pairs = [(i, j) for i in range(f.num_clauses) for j in range(i + 1, f.num_clauses)]
+        rng.shuffle(pairs)
+        cuts = sorted(rng.sample(range(1, len(pairs)), min(3, len(pairs) - 1)))
+        for lo, hi in zip([0] + cuts, cuts + [len(pairs)]):
+            panels_before = len(state._panels)
+            if add_columns(state, pairs[lo:hi]):
+                yield state, panels_before
 
 
 def _dense_factor(state):
@@ -121,7 +146,7 @@ class TestInitFirstOrder:
             refs = [_fourier_column(f, key) for key in state.keys]
             gram = state.gram
             for i, ref in enumerate(refs):
-                assert dict(state.polys[i].terms) == dict(ref.terms)
+                assert dict(state.cache.column_poly(state.keys[i]).terms) == dict(ref.terms)
                 for j in range(state.num_columns):
                     assert gram[i, j] == pytest.approx(ref.inner_product(refs[j]), abs=TOL)
         assert states[-2].keys == [(), (0,), (2,), (3,), (4,), (0, 4)]
@@ -175,7 +200,9 @@ class TestIncrementalFactor:
         # determined, so only the fitted function is compared.
         k = state.num_columns
         m = state.gram + state.ridge_lambda * np.eye(k)
-        cols = np.stack([dense_evaluate(p).values for p in state.polys], axis=1)
+        cols = np.stack(
+            [dense_evaluate(state.cache.column_poly(key)).values for key in state.keys], axis=1
+        )
         full_rank = np.linalg.matrix_rank(cols) == k
         if full_rank:
             ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(m, lower=True), _unit_rhs(k))
@@ -189,40 +216,67 @@ class TestIncrementalFactor:
         return full_rank
 
     def test_matches_full_refactor_over_random_batches(self):
-        rng = random.Random(47)
         ridged = incremental = dependent = 0
-        for _ in range(25):
-            f = random_formula(rng, rng.randrange(3, 8), rng.randrange(3, 10))
-            state = init_first_order(f)
-            self._check_against_full_refactor(state)
-            pairs = [
-                (i, j)
-                for i in range(f.num_clauses)
-                for j in range(i + 1, f.num_clauses)
-            ]
-            rng.shuffle(pairs)
-            cuts = sorted(rng.sample(range(1, len(pairs)), min(3, len(pairs) - 1)))
-            for lo, hi in zip([0] + cuts, cuts + [len(pairs)]):
-                panels_before = len(state._panels)
-                if not add_columns(state, pairs[lo:hi]):
-                    continue
-                if len(state._panels) == panels_before + 1:
-                    incremental += 1
-                    assert state.ridge_lambda == 0.0
-                else:
-                    # the ladder re-factored the whole Gram matrix
-                    assert len(state._panels) == 1
-                    ridged += state.ridge_lambda > 0.0
-                if not self._check_against_full_refactor(state):
-                    dependent += 1
+        for state, panels_before in _random_batch_runs():
+            if panels_before is None:
+                self._check_against_full_refactor(state)
+                continue
+            if len(state._panels) == panels_before + 1:
+                incremental += 1
+                assert state.ridge_lambda == 0.0
+            else:
+                # the ladder re-factored the whole Gram matrix
+                assert len(state._panels) == 1
+                ridged += state.ridge_lambda > 0.0
+            if not self._check_against_full_refactor(state):
+                dependent += 1
         assert ridged and incremental and dependent  # every path is exercised
 
+    def test_singular_gram_never_yields_runaway_weights(self):
+        # A singular Gram matrix whose null space meets e_0 has lambda = 0
+        # "solutions" of ~1e16 that pass a residual bound relative to the
+        # weights; the absolute bound sends them to the ridge ladder. Every
+        # accepted solve fits the minimum-norm least-squares function.
+        singular = 0
+        for state, _ in _random_batch_runs():
+            assert np.abs(state.weights).max() <= 1e12
+            gram = state.gram
+            k = state.num_columns
+            if np.linalg.matrix_rank(gram) == k:
+                continue
+            singular += 1
+            cols = np.stack(
+                [dense_evaluate(state.cache.column_poly(key)).values for key in state.keys],
+                axis=1,
+            )
+            min_norm_fit = cols @ np.linalg.pinv(gram)[:, 0]
+            assert np.abs(dense_evaluate(state.omega_tilde).values - min_norm_fit).max() < 1e-4
+        assert singular
+
+    def test_rank_deficient_hundreds_of_columns_take_the_first_ridge_rung(self):
+        # n = 7 leaves a 128-dimensional function space for ~500 columns. The
+        # lam = 1e-10 weights are ~1e10 and G a is rounded relative to them
+        # (residual ~3e-6), so only a bound scaled by max |a| accepts the rung.
+        rng = random.Random(2)
+        f = random_formula(rng, 7, 60)
+        state = init_first_order(f)
+        pairs = [(i, j) for i in range(f.num_clauses) for j in range(i + 1, f.num_clauses)]
+        rng.shuffle(pairs)
+        for lo in range(0, len(pairs), 200):
+            add_columns(state, pairs[lo : lo + 200])
+            assert state.ridge_lambda == RIDGE_LADDER[1]
+        assert state.num_columns > 400
+        a = state.weights
+        residual = state.gram @ a + state.ridge_lambda * a - _unit_rhs(len(a))
+        assert np.abs(residual).max() <= 1e-6 * np.abs(a).max()
+
     def test_forced_ridge_fallback_then_more_batches(self):
-        f = parse_dimacs("p cnf 6 3\n1 2 0\n3 4 0\n5 6 0")
+        # clause 3 repeats clause 0, so (1, 3) is the column (0, 1) again
+        f = parse_dimacs("p cnf 6 4\n1 2 0\n3 4 0\n5 6 0\n2 1 0")
         state = init_first_order(f)
         add_columns(state, [(0, 1)])
         assert state.ridge_lambda == 0.0 and len(state._panels) == 2
-        _append_raw(state, [((9,), column_signature(state.cache, (0, 1)))])  # duplicate
+        _append_raw(state, [((1, 3), column_signature(state.cache, (0, 1)))])  # duplicate
         solve_weights(state)
         assert state.ridge_lambda > 0.0 and len(state._panels) == 1
         assert add_columns(state, [(0, 2), (1, 2)]) == 2
@@ -243,6 +297,38 @@ class TestIncrementalFactor:
         assert np.array_equal(factor, np.tril(factor))
         assert np.allclose(factor @ factor.T, state.gram, atol=TOL)
 
+    def test_incremental_round_factors_the_pending_panel_in_place(self):
+        # A round of d new columns on uf50-001: the factor lands in the panel
+        # that held the raw Gram rows, and no d x d temporary is made.
+        f = parse_dimacs(UF50_001.read_text())
+        state = init_first_order(f)
+        pairs = [(i, j) for i in range(f.num_clauses) for j in range(i + 1, f.num_clauses)]
+        random.Random(50).shuffle(pairs)
+        assert add_columns(state, pairs[:200]) > 0
+        columns = {}
+        for key in pairs[200:]:
+            cube = column_signature(state.cache, key)
+            if cube is not None and cube not in state.signatures:
+                columns.setdefault(cube, key)
+            if len(columns) == 1000:
+                break
+        _append_raw(state, [(key, cube) for cube, key in columns.items()])
+        pending = state._panels[-1]
+        d, width = pending.shape
+        raw = pending.copy()
+        tracemalloc.start()
+        try:
+            solve_weights(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.ridge_lambda == 0.0
+        assert np.shares_memory(state._panels[-1], pending)
+        factor = _dense_factor(state)
+        assert np.allclose(pending @ factor[:width].T, raw, atol=TOL)
+        assert not np.allclose(pending, raw)
+        assert peak < d * d * 8
+
     def test_incremental_solve_never_rebuilds_the_whole_gram(self, monkeypatch):
         f = parse_dimacs("p cnf 6 3\n1 2 0\n3 4 0\n5 6 0")
         state = init_first_order(f)
@@ -258,6 +344,62 @@ class TestIncrementalFactor:
         add_columns(state, [(0, 2), (1, 2)])
         assert state.ridge_lambda == 0.0
         assert starts == [(4, 5), (5, 7)]  # only the new rows, once per batch
+
+
+class TestTermTable:
+    @staticmethod
+    def _check(state):
+        # each column's run of the table is its expansion, in its order
+        ends = np.cumsum(state._term_counts)
+        for key, lo, hi in zip(state.keys, ends - state._term_counts, ends):
+            ref = state.cache.column_poly(key).terms
+            assert [state._term_sets[i] for i in state._term_ids[lo:hi]] == list(ref)
+            assert state._term_coeffs[lo:hi].tolist() == list(ref.values())
+        assert len(set(state._term_sets)) == len(state._term_sets)
+        # omega_tilde is the column-order sum of the weighted expansions
+        acc = {}
+        for w, key in zip(state.weights.tolist(), state.keys):
+            for term, coeff in state.cache.column_poly(key).terms.items():
+                acc[term] = acc.get(term, 0.0) + w * coeff
+        expected = {term: v for term, v in acc.items() if abs(v) > PRUNE_EPSILON}
+        assert dict(state.omega_tilde.terms) == expected
+
+    def test_omega_tilde_is_the_column_order_sum(self):
+        rng = random.Random(51)
+        formulas = [
+            random_formula(rng, rng.randrange(2, 9), rng.randrange(2, 14)) for _ in range(20)
+        ]
+        formulas += [
+            # duplicate clause 1, clashing pairs (0, 2) and (2, 4)
+            parse_dimacs("p cnf 3 5\n1 2 0\n1 2 0\n-1 3 0\n1 0\n2 -3 0"),
+            # n = 72: cubes on x63..x66 straddle the bit-64 word boundary
+            parse_dimacs(
+                "p cnf 72 5\n63 64 65 0\n-64 66 0\n-65 -66 0\n1 64 72 0\n-63 70 0"
+            ),
+        ]
+        zeroed = 0
+        for f in formulas:
+            state = init_first_order(f)
+            self._check(state)
+            plan_rng = random.Random(rng.randrange(1 << 30))
+            for _ in range(6):
+                try:
+                    plan = plan_refinement(
+                        f, random_assignment(rng, f.num_vars), state, plan_rng
+                    )
+                except RefinementSaturated:
+                    break
+                if add_columns(state, plan.keys):
+                    self._check(state)
+            # a column weighing exactly 0.0 contributes nothing, and its own
+            # terms are pruned
+            j = int(np.argmax(state._term_counts))
+            if j:
+                state.weights[j] = 0.0
+                _assemble_omega_tilde(state)
+                self._check(state)
+                zeroed += 1
+        assert zeroed
 
 
 class TestAddColumns:
@@ -348,7 +490,7 @@ class TestApproximationQuality:
             state = init_first_order(f)
             weights = exact_lstsq(f, state.keys)
             cols = np.stack(
-                [dense_evaluate(p).values for p in state.polys], axis=1
+                [dense_evaluate(state.cache.column_poly(k)).values for k in state.keys], axis=1
             )
             best = np.linalg.norm(omega - cols @ weights)
             for _ in range(100):
@@ -370,9 +512,9 @@ class TestApproximationQuality:
             total += 1
             state = init_first_order(f)
             true_weights = exact_lstsq(f, state.keys)
-            omega_true = state.polys[0].add_scaled(state.polys[0], -1.0)
-            for w, poly in zip(true_weights, state.polys):
-                omega_true = omega_true.add_scaled(poly, float(w))
+            omega_true = SparsePoly.zero(n)
+            for w, key in zip(true_weights, state.keys):
+                omega_true = omega_true.add_scaled(state.cache.column_poly(key), float(w))
             for kind in agree:
                 if measure_bias(state.omega_tilde, kind) == measure_bias(
                     omega_true, kind

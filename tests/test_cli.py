@@ -194,6 +194,22 @@ class TestBench:
         for solver in ("amp-bias1", "amp-bias2", "sa"):
             assert f"{solver}: solved 3/3 (100.0%)" in summary
 
+    def test_empty_clause_instance_is_unknown_and_run_goes_on(self, tmp_path, capsys):
+        d = tmp_path / "instances"
+        d.mkdir()
+        corpus = Path(__file__).resolve().parents[1] / "instances" / "uf20"
+        (d / "uf20-001.cnf").write_text((corpus / "uf20-001.cnf").read_text())
+        (d / "empty_clause.cnf").write_text("p cnf 2 2\n1 2 0\n0\n")
+        out_csv = tmp_path / "bench.csv"
+        code = main(["bench", str(d), "--solvers", "amp-bias1", "--timeout", "10",
+                     "--csv", str(out_csv)])
+        assert code == 0
+        rows = {Path(r["instance"]).name: r for r in self._read(out_csv)}
+        assert set(rows) == {"uf20-001.cnf", "empty_clause.cnf"}
+        assert rows["uf20-001.cnf"]["status"] == "SAT"
+        assert rows["empty_clause.cnf"]["status"] == "UNKNOWN"
+        assert "line 3: empty clause" in capsys.readouterr().err
+
     def test_bench_deterministic_modulo_wall_time(self, cnf_dir, tmp_path, capsys):
         a_csv, b_csv = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a_csv, b_csv):
