@@ -19,19 +19,22 @@ off packed uint64 sign masks, a bounded block of rows at a time; nothing is
 ever enumerated over 2^n.
 
 No Gram matrix is kept. The only K-squared state is the lower Cholesky factor
-L of Gram + lambda*I, stored as one column-major row panel per batch of added
-columns. A batch of d columns appended at K = o costs O(K^2 d), not O(K^3):
-its raw Gram rows fill a new panel, which becomes factor rows in place by the
-block Cholesky update (Golub & Van Loan, Matrix Computations, section 4.2)
+L of Gram + lambda*I, stored as row panels of at most _PANEL_ROWS rows: a
+panel holds L's rows from its first row up to the diagonal, so beyond the
+lower triangle only the diagonal blocks' upper halves are stored. A batch
+of d columns appended at K = o costs O(K^2 d), not O(K^3): its raw Gram rows
+fill new panels, which become factor rows in place by the block Cholesky
+update (Golub & Van Loan, Matrix Computations, section 4.2)
 
     L21 = G21 L11^-T,    L22 = chol(G22 - L21 L21^T),
 
-each step one BLAS or LAPACK call that overwrites its contiguous block of
-the panel (gemm, trsm, syrk, potrf), so no d x d temporary is made.
+one bounded block at a time, with numpy's matrix product and Cholesky. Each
+diagonal block is kept as its inverse, so both triangular solves, in the
+update and in the weight solve, are matrix products too.
 
 When that fails (the Schur complement is not positive definite, or the solve
-misses the residual check), the ridge ladder rebuilds the Gram matrix and
-re-factors it whole, lambda = 0 first.
+misses the residual check), the ridge ladder rebuilds the Gram panels with
+lambda on the diagonal and factors them all, lambda = 0 first.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas, lapack
 
 from .cnf import Formula
 from .fourier import PRUNE_EPSILON, SparsePoly
@@ -53,6 +54,9 @@ _RESIDUAL_TOL = 1e-6
 # extension or a Gram-vector product however many columns there are, and
 # keeps each temporary (512 KiB) cache-sized.
 _GRAM_BLOCK_ENTRIES = 1 << 16
+# Rows per factor panel: bounds every block the factor updates, factors or
+# inverts, and the unused upper half of each panel's diagonal block.
+_PANEL_ROWS = 256
 
 
 class WeightSolveError(RuntimeError):
@@ -78,11 +82,12 @@ class ApproxState:
     `_term_ids`/`_term_coeffs`, `_term_counts[j]` = 2^|V| entries long, in
     column_poly's order; ids index `_term_sets`, the interned term variable
     sets, and `_term_index` maps a term to its id.
-    `_panels` holds the lower Cholesky factor of Gram + ridge_lambda * I by
-    column-major row panels: a panel of shape (d, o + d) holds factor rows
-    [o, o + d), columns [0, o + d). Panels starting at or past row
-    `_factored` still hold raw Gram rows written by `_append`; solve_weights
-    factors them in place.
+    `_panels` holds the lower Cholesky factor L of Gram + ridge_lambda * I
+    by row panels of d <= _PANEL_ROWS rows: a panel of shape (d, o + d)
+    holds L's rows [o, o + d), columns [0, o), and then the inverse of its
+    diagonal block L[o:o+d, o:o+d], which is lower triangular too. Panels
+    starting at or past row `_factored` still hold raw Gram rows written by
+    `_append`; solve_weights factors them in place.
     """
 
     def __init__(self, formula: Formula, cache: IndicatorCache | None = None):
@@ -111,10 +116,9 @@ class ApproxState:
     def gram(self) -> np.ndarray:
         """The (K x K) Gram matrix, rebuilt from the column cubes.
 
-        A reference for tests and debugging; the solve path never builds it
-        outside the ridge ladder.
+        A reference for tests and debugging; the solve path never builds it.
         """
-        return self._gram_rows(0)
+        return self._gram_rows(0, self.num_columns)
 
     def dump(self) -> str:
         """Debug text dump of keys and weights for refinement-trace analysis."""
@@ -125,7 +129,7 @@ class ApproxState:
 
     def _append(self, columns: Iterable[tuple[ColumnKey, Cube, SparsePoly]]) -> None:
         """Append (key, cube, expansion) columns past deduplication, intern
-        their Fourier terms and write their raw Gram rows as a new panel.
+        their Fourier terms and write their raw Gram rows as new panels.
 
         columns is consumed once, so a lazy caller holds one expansion at a
         time; none is kept once its terms are interned."""
@@ -148,24 +152,32 @@ class ApproxState:
         self._term_coeffs = np.concatenate([self._term_coeffs, coeffs])
         self._term_counts = np.concatenate([self._term_counts, counts])
         self._masks = np.concatenate([self._masks, packed.transpose(1, 2, 0)], axis=2)
-        self._panels.append(self._gram_rows(start))
+        self._panels += self._gram_panels(start)
 
-    def _row_blocks(self, start: int) -> Iterator[tuple[int, int]]:
-        """Row ranges [lo, hi) covering [start, K), each a bounded block."""
+    def _gram_panels(self, start: int) -> list[np.ndarray]:
+        """Raw Gram rows [start, K) as factor-shaped panels of at most
+        _PANEL_ROWS rows, each against the columns up to its last row."""
         k = self.num_columns
-        step = max(1, _GRAM_BLOCK_ENTRIES // max(1, k))
-        for lo in range(start, k, step):
-            yield lo, min(lo + step, k)
+        return [
+            self._gram_rows(lo, min(lo + _PANEL_ROWS, k)) for lo in range(start, k, _PANEL_ROWS)
+        ]
 
-    def _gram_block(self, lo: int, hi: int) -> np.ndarray:
-        """Gram rows [lo, hi) against columns [0, K), in closed form: the
+    @staticmethod
+    def _row_blocks(lo: int, hi: int, width: int) -> Iterator[tuple[int, int]]:
+        """Row ranges covering [lo, hi), each a bounded block of `width`
+        columns."""
+        step = max(1, _GRAM_BLOCK_ENTRIES // max(1, width))
+        for r in range(lo, hi, step):
+            yield r, min(r + step, hi)
+
+    def _gram_block(self, lo: int, hi: int, width: int) -> np.ndarray:
+        """Gram rows [lo, hi) against columns [0, width), in closed form: the
         intersection of two cubes fixes the union of their variables, and is
         empty when one variable is fixed to +1 by one cube and to -1 by the
         other."""
-        k = self.num_columns
-        union = np.zeros((hi - lo, k), dtype=np.int32)
-        consistent = np.ones((hi - lo, k), dtype=bool)
-        for p, q in zip(*self._masks):
+        union = np.zeros((hi - lo, width), dtype=np.int32)
+        consistent = np.ones((hi - lo, width), dtype=bool)
+        for p, q in zip(*self._masks[:, :, :width]):
             fixed_plus = p[lo:hi, None] | p
             fixed_minus = q[lo:hi, None] | q
             union += np.bitwise_count(fixed_plus | fixed_minus)
@@ -174,18 +186,19 @@ class ApproxState:
         block *= consistent
         return block
 
-    def _gram_rows(self, start: int) -> np.ndarray:
-        """Dense Gram rows [start, K) against columns [0, K), column-major."""
-        out = np.empty((self.num_columns - start, self.num_columns), order="F")
-        for lo, hi in self._row_blocks(start):
-            out[lo - start : hi - start] = self._gram_block(lo, hi)
+    def _gram_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Dense Gram rows [lo, hi) against columns [0, hi)."""
+        out = np.empty((hi - lo, hi))
+        for r0, r1 in self._row_blocks(lo, hi, hi):
+            out[r0 - lo : r1 - lo] = self._gram_block(r0, r1, hi)
         return out
 
     def _gram_times(self, a: np.ndarray) -> np.ndarray:
         """G a, without holding more than one block of G."""
-        out = np.empty(self.num_columns)
-        for lo, hi in self._row_blocks(0):
-            out[lo:hi] = self._gram_block(lo, hi) @ a
+        k = self.num_columns
+        out = np.empty(k)
+        for lo, hi in self._row_blocks(0, k, k):
+            out[lo:hi] = self._gram_block(lo, hi, k) @ a
         return out
 
 
@@ -203,7 +216,7 @@ def add_columns(state: ApproxState, new_keys: Iterable[ColumnKey]) -> int:
 
     Identically-zero products are recorded as exhausted but never added.
     Returns the number of columns actually appended; when nonzero their Gram
-    rows are appended as a new factor panel, weights re-solved, and
+    rows are appended as new factor panels, weights re-solved, and
     omega_tilde rebuilt.
     """
     accepted: list[tuple[ColumnKey, Cube]] = []
@@ -232,7 +245,7 @@ def solve_weights(state: ApproxState) -> np.ndarray:
 
     While the factor carries no ridge, the panels appended since the last
     solve are factored onto it incrementally. If that fails, or a ridge is
-    in use, the ridge ladder re-factors the whole Gram matrix from
+    in use, the ridge ladder rebuilds and factors all the Gram panels from
     lambda = 0 up. Stores the result and the ridge value used on the state
     and returns the weight vector.
     """
@@ -250,10 +263,11 @@ def solve_weights(state: ApproxState) -> np.ndarray:
     for lam in RIDGE_LADDER:
         state._panels = []  # drop the old factor before building its successor
         state._factored = 0
-        gram = state._gram_rows(0)
-        if lam:
-            gram.flat[:: k + 1] += lam
-        state._panels = [gram]
+        state._panels = state._gram_panels(0)
+        for panel in state._panels:
+            d, width = panel.shape
+            diag = np.arange(d)
+            panel[diag, width - d + diag] += lam
         a = _factor_and_solve(state, rhs, lam)
         if a is not None:
             state.weights = a
@@ -289,11 +303,11 @@ def _factor_and_solve(state: ApproxState, rhs: np.ndarray, lam: float) -> np.nda
 def _factor_panel(panels: list[np.ndarray], q: int) -> bool:
     """Turn panel q's raw Gram rows into factor rows, in place, given the
     factored panels before it: X = G21 L11^-T by block forward substitution,
-    then L22 = chol(G22 - X X^T). False when G22 - X X^T is not positive
-    definite.
+    then L22 = chol(G22 - X X^T), stored as its inverse. False when
+    G22 - X X^T is not positive definite.
 
-    Every block updated is a contiguous column range of a column-major
-    panel, so each BLAS/LAPACK call overwrites it instead of a copy."""
+    Every product, and so every temporary, is at most _PANEL_ROWS
+    square."""
     new = panels[q]
     d, width = new.shape
     o = width - d
@@ -301,14 +315,33 @@ def _factor_panel(panels: list[np.ndarray], q: int) -> bool:
         dp, wp = panel.shape
         op = wp - dp
         block = new[:, op:wp]
-        if op:
-            blas.dgemm(-1.0, new[:, :op], panel[:, :op], 1.0, block, trans_b=1, overwrite_c=1)
-        blas.dtrsm(1.0, panel[:, op:], block, side=1, lower=1, trans_a=1, overwrite_b=1)
+        block -= new[:, :op] @ panel[:, :op].T
+        block[...] = block @ panel[:, op:].T
     schur = new[:, o:]
-    if o:
-        blas.dsyrk(-1.0, new[:, :o], 1.0, schur, lower=1, overwrite_c=1)
-    _, info = lapack.dpotrf(schur, lower=1, clean=1, overwrite_a=1)
-    return info == 0
+    schur -= new[:, :o] @ new[:, :o].T
+    try:
+        schur[...] = np.linalg.cholesky(schur)
+    except np.linalg.LinAlgError:
+        return False
+    _invert_lower(schur)
+    return True
+
+
+def _invert_lower(block: np.ndarray) -> None:
+    """Overwrite a lower triangular block with its inverse, by halves:
+
+        [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]],
+
+    so beyond blocks of at most 32 rows the work is matrix products, and
+    the zero triangle is never factored as an LU-based inverse would."""
+    n = len(block)
+    if n <= 32:
+        block[...] = np.tril(np.linalg.inv(block))
+        return
+    h = n // 2
+    _invert_lower(block[:h, :h])
+    _invert_lower(block[h:, h:])
+    block[h:, :h] = -(block[h:, h:] @ block[h:, :h]) @ block[:h, :h]
 
 
 def _solve_factored(panels: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
@@ -317,19 +350,12 @@ def _solve_factored(panels: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
     for panel in panels:
         d, width = panel.shape
         o = width - d
-        if o:
-            a[o:width] -= panel[:, :o] @ a[:o]
-        a[o:width] = scipy.linalg.solve_triangular(
-            panel[:, o:], a[o:width], lower=True, check_finite=False
-        )
+        a[o:width] = panel[:, o:] @ (a[o:width] - panel[:, :o] @ a[:o])
     for panel in reversed(panels):
         d, width = panel.shape
         o = width - d
-        a[o:width] = scipy.linalg.solve_triangular(
-            panel[:, o:], a[o:width], lower=True, trans="T", check_finite=False
-        )
-        if o:
-            a[:o] -= panel[:, :o].T @ a[o:width]
+        a[o:width] = panel[:, o:].T @ a[o:width]
+        a[:o] -= panel[:, :o].T @ a[o:width]
     return a
 
 

@@ -69,7 +69,8 @@ def all_assignments(n: int):
 def _var_signs(n: int) -> np.ndarray:
     """(n, 2^n) array of s_i values per table index."""
     idx = np.arange(2 ** n, dtype=np.uint32)
-    return np.stack([1 - 2 * ((idx >> i) & 1).astype(np.int8) for i in range(n)])
+    bits = (idx >> np.arange(n, dtype=np.uint32)[:, None]) & 1
+    return 1 - 2 * bits.astype(np.int8)
 
 
 def _violated_mask(formula: Formula, m: int, signs: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ import scipy.linalg
 
 from ampsat import SparsePoly, measure_bias, parse_dimacs, refine
 from ampsat.approx import (
+    _PANEL_ROWS,
     RIDGE_LADDER,
     ApproxState,
     WeightSolveError,
@@ -47,7 +48,9 @@ def _append_raw(state, columns):
 def _serve_gram(monkeypatch, matrix):
     """Make the state read its Gram entries from `matrix` instead of the
     closed form, for systems no set of cubes has."""
-    monkeypatch.setattr(ApproxState, "_gram_block", lambda self, lo, hi: matrix[lo:hi].copy())
+    monkeypatch.setattr(
+        ApproxState, "_gram_block", lambda self, lo, hi, width: matrix[lo:hi, :width].copy()
+    )
 
 
 def _fourier_column(formula, key):
@@ -88,13 +91,35 @@ def _random_batch_runs():
 
 
 def _dense_factor(state):
-    """The factor panels laid out as one dense lower-triangular matrix."""
+    """The factor panels laid out as one dense lower-triangular matrix; each
+    panel keeps its diagonal block inverted, which is inverted back."""
     k = state.num_columns
     out = np.zeros((k, k))
     for panel in state._panels:
         d, width = panel.shape
-        out[width - d : width, :width] = panel
+        o = width - d
+        out[o:width, :o] = panel[:, :o]
+        out[o:width, o:width] = np.tril(np.linalg.inv(panel[:, o:]))
     return out
+
+
+def _panel_rows(state):
+    """The row range [o, o + d) of every panel, checking that each is at
+    most _PANEL_ROWS tall and reaches the diagonal."""
+    ranges = []
+    for panel in state._panels:
+        d, width = panel.shape
+        assert 0 < d <= _PANEL_ROWS
+        ranges.append((width - d, width))
+    return ranges
+
+
+def _disjoint_formula(num_clauses):
+    """Two-literal clauses on disjoint variables: every product of clauses is
+    a distinct cube, and the columns stay linearly independent."""
+    lines = [f"p cnf {2 * num_clauses} {num_clauses}"]
+    lines += [f"{2 * m + 1} {-(2 * m + 2) if m % 3 else 2 * m + 2} 0" for m in range(num_clauses)]
+    return parse_dimacs("\n".join(lines))
 
 
 class TestInitFirstOrder:
@@ -194,25 +219,30 @@ class TestSolveWeights:
 class TestIncrementalFactor:
     @staticmethod
     def _check_against_full_refactor(state):
-        # Reference: the parent's method, one Cholesky of the whole rebuilt
-        # Gram matrix at the ridge the state settled on. With linearly
-        # dependent columns the split of weight between them is not
-        # determined, so only the fitted function is compared.
+        # Full rank: the weights against one Cholesky of the whole rebuilt
+        # Gram matrix at the ridge the state settled on. Linearly dependent
+        # columns leave the split of weight between them open, and a ridge
+        # rung's weights are ~1/lambda there, so only the fitted function and
+        # omega_tilde are compared, at an absolute bound, with the
+        # minimum-norm least-squares fit.
         k = state.num_columns
-        m = state.gram + state.ridge_lambda * np.eye(k)
+        gram = state.gram
         cols = np.stack(
             [dense_evaluate(state.cache.column_poly(key)).values for key in state.keys], axis=1
         )
+        omega = dense_evaluate(state.omega_tilde).values
         full_rank = np.linalg.matrix_rank(cols) == k
         if full_rank:
+            m = gram + state.ridge_lambda * np.eye(k)
             ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(m, lower=True), _unit_rhs(k))
-        else:
-            ref = scipy.linalg.lstsq(m, _unit_rhs(k))[0]
-        scale = max(1.0, np.abs(ref).max(), np.abs(state.weights).max())
-        if full_rank:
+            scale = max(1.0, np.abs(ref).max())
             assert np.abs(state.weights - ref).max() <= TOL * scale
-        assert np.abs(cols @ state.weights - cols @ ref).max() <= TOL * scale
-        assert np.abs(dense_evaluate(state.omega_tilde).values - cols @ ref).max() <= TOL * scale
+            assert np.abs(cols @ state.weights - cols @ ref).max() <= TOL * scale
+            assert np.abs(omega - cols @ ref).max() <= TOL * scale
+        else:
+            min_norm_fit = cols @ np.linalg.pinv(gram)[:, 0]
+            assert np.abs(cols @ state.weights - min_norm_fit).max() < 1e-4
+            assert np.abs(omega - min_norm_fit).max() < 1e-4
         return full_rank
 
     def test_matches_full_refactor_over_random_batches(self):
@@ -284,22 +314,27 @@ class TestIncrementalFactor:
         self._check_against_full_refactor(state)
 
     def test_panels_hold_the_cholesky_factor(self):
-        # clauses on disjoint variables: every product is a distinct cube, so
-        # the columns stay independent and every batch extends the factor
-        f = parse_dimacs("p cnf 12 6\n1 2 0\n3 -4 0\n-5 6 7 0\n8 9 0\n-10 0\n11 12 0")
+        # 300 and 135 pair columns on 30 first-order ones: the first batch
+        # spans two panels
+        f = _disjoint_formula(30)
         state = init_first_order(f)
-        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        pairs = [(i, j) for i in range(30) for j in range(i + 1, 30)]
         random.Random(48).shuffle(pairs)
-        for lo in range(0, len(pairs), 4):
-            add_columns(state, pairs[lo : lo + 4])
-        assert state.ridge_lambda == 0.0 and len(state._panels) == 5
+        add_columns(state, pairs[:300])
+        add_columns(state, pairs[300:])
+        k = state.num_columns
+        assert state.ridge_lambda == 0.0 and k == 466
+        assert _panel_rows(state) == [(0, 31), (31, 287), (287, 331), (331, 466)]
+        for panel in state._panels:
+            d, width = panel.shape
+            inverse = panel[:, width - d :]  # of L's diagonal block
+            assert np.array_equal(inverse, np.tril(inverse))
         factor = _dense_factor(state)
-        assert np.array_equal(factor, np.tril(factor))
         assert np.allclose(factor @ factor.T, state.gram, atol=TOL)
 
     def test_incremental_round_factors_the_pending_panel_in_place(self):
-        # A round of d new columns on uf50-001: the factor lands in the panel
-        # that held the raw Gram rows, and no d x d temporary is made.
+        # A round of d new columns on uf50-001: the factor lands in the
+        # panels that held the raw Gram rows, and no d x d temporary is made.
         f = parse_dimacs(UF50_001.read_text())
         state = init_first_order(f)
         pairs = [(i, j) for i in range(f.num_clauses) for j in range(i + 1, f.num_clauses)]
@@ -312,10 +347,12 @@ class TestIncrementalFactor:
                 columns.setdefault(cube, key)
             if len(columns) == 1000:
                 break
+        before = len(state._panels)
         _append_raw(state, [(key, cube) for cube, key in columns.items()])
-        pending = state._panels[-1]
-        d, width = pending.shape
-        raw = pending.copy()
+        pending = state._panels[before:]
+        d = sum(panel.shape[0] for panel in pending)
+        assert d == 1000 and len(pending) == 4
+        raw = [panel.copy() for panel in pending]
         tracemalloc.start()
         try:
             solve_weights(state)
@@ -323,27 +360,65 @@ class TestIncrementalFactor:
         finally:
             tracemalloc.stop()
         assert state.ridge_lambda == 0.0
-        assert np.shares_memory(state._panels[-1], pending)
         factor = _dense_factor(state)
-        assert np.allclose(pending @ factor[:width].T, raw, atol=TOL)
-        assert not np.allclose(pending, raw)
+        for panel, held, rows in zip(pending, state._panels[before:], raw):
+            assert np.shares_memory(held, panel)
+            o, width = panel.shape[1] - panel.shape[0], panel.shape[1]
+            assert np.allclose(factor[o:width] @ factor[:width].T, rows, atol=TOL)
+            assert not np.allclose(panel, rows)
         assert peak < d * d * 8
 
-    def test_incremental_solve_never_rebuilds_the_whole_gram(self, monkeypatch):
-        f = parse_dimacs("p cnf 6 3\n1 2 0\n3 4 0\n5 6 0")
+    def test_ridge_ladder_holds_only_the_lower_triangle(self):
+        # A second constant column at K > 1000 on uf50-001: e_0 then meets
+        # the null space of G, so G a = e_0 has no solution and the solve
+        # takes the ridge ladder, which rebuilds the Gram rows as bounded
+        # panels: its peak stays below one dense K x K matrix.
+        f = parse_dimacs(UF50_001.read_text())
         state = init_first_order(f)
-        starts = []
+        pairs = [(i, j) for i in range(f.num_clauses) for j in range(i + 1, f.num_clauses)]
+        random.Random(52).shuffle(pairs)
+        for lo in range(0, len(pairs), 400):
+            add_columns(state, pairs[lo : lo + 400])
+            if state.num_columns >= 1000:
+                break
+        assert state.ridge_lambda == 0.0
+        _append_raw(state, [((), column_signature(state.cache, ()))])
+        k = state.num_columns
+        tracemalloc.start()
+        try:
+            solve_weights(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.ridge_lambda > 0.0 and k > 1000
+        panels = [(lo, min(lo + _PANEL_ROWS, k)) for lo in range(0, k, _PANEL_ROWS)]
+        assert _panel_rows(state) == panels
+        assert peak < k * k * 8
+        a = state.weights
+        residual = state.gram @ a + state.ridge_lambda * a - _unit_rhs(k)
+        assert np.abs(residual).max() <= 1e-6 * max(1.0, np.abs(a).max())
+
+    def test_incremental_solve_never_rebuilds_the_whole_gram(self, monkeypatch):
+        rows = []
         original = ApproxState._gram_rows
 
-        def recording(self, start):
-            starts.append((start, self.num_columns))
-            return original(self, start)
+        def recording(self, lo, hi):
+            rows.append((lo, hi))
+            return original(self, lo, hi)
 
         monkeypatch.setattr(ApproxState, "_gram_rows", recording)
+        f = parse_dimacs("p cnf 6 3\n1 2 0\n3 4 0\n5 6 0")
+        state = init_first_order(f)
         add_columns(state, [(0, 1)])
         add_columns(state, [(0, 2), (1, 2)])
         assert state.ridge_lambda == 0.0
-        assert starts == [(4, 5), (5, 7)]  # only the new rows, once per batch
+        assert rows == [(0, 4), (4, 5), (5, 7)]  # only the new rows, once per batch
+        # a batch taller than a panel: its rows once, in panels
+        rows.clear()
+        state = init_first_order(_disjoint_formula(30))
+        add_columns(state, [(i, j) for i in range(30) for j in range(i + 1, 30)][:300])
+        assert state.ridge_lambda == 0.0
+        assert rows == [(0, 31), (31, 287), (287, 331)] == _panel_rows(state)
 
 
 class TestTermTable:

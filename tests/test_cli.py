@@ -2,10 +2,16 @@
 
 import csv
 import os
+import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import ampsat
+from ampsat import parse_dimacs, verify
 from ampsat.cli import (
     CSV_FIELDS,
     SINGLE_THREAD_BLAS_ENV,
@@ -19,6 +25,7 @@ ONE_CLAUSE = "p cnf 2 1\n1 2 0\n"
 EMPTY = "p cnf 3 0\n"
 UNSAT = "p cnf 1 2\n1 0\n-1 0\n"
 TINY_SAT = "p cnf 4 3\n1 2 0\n-1 3 0\n2 -4 0\n"
+INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 
 
 def _report_worker_env(_):
@@ -118,6 +125,33 @@ class TestSolve:
         dump = tmp_path / "approx.txt"
         main(["solve", str(path), "--dump-approx", str(dump)])
         assert dump.read_text().startswith("columns ")
+
+    @pytest.mark.parametrize("instance, min_rounds", [("uf20/uf20-001.cnf", 1),
+                                                      ("uf50/uf50-005.cnf", 2)])
+    def test_solve_runs_without_scipy(self, instance, min_rounds):
+        # scipy blocked at import: the solve path, the incremental factor of
+        # later rounds included, needs numpy alone
+        script = textwrap.dedent(
+            """
+            import sys
+            sys.modules["scipy"] = None
+            from ampsat.cli import main
+            sys.exit(main(sys.argv[1:]))
+            """
+        )
+        path = INSTANCES / instance
+        env = dict(os.environ)
+        src = str(Path(ampsat.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "solve", str(path), "--max-rounds", "8"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 10, proc.stderr
+        assert int(re.search(r"^c rounds=(\d+)", proc.stdout, re.M)[1]) >= min_rounds
+        (v_line,) = [l for l in proc.stdout.splitlines() if l.startswith("v ")]
+        assignment = tuple(1 if int(lit) > 0 else -1 for lit in v_line.split()[1:-1])
+        assert verify(parse_dimacs(path.read_text()), assignment)
 
 
 class TestVerify:
