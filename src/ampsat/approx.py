@@ -4,10 +4,11 @@ columns.
 The approximation is omega_tilde = sum_i a_i * column_i where column 0 is the
 constant 1 and the rest are clause indicators or pairwise indicator products,
 each the indicator of a sub-cube (see ampsat.indicator) and deduplicated
-exactly by it. No column keeps a polynomial of its own: the state interns
-every distinct Fourier term once, records each column as flat arrays of term
-ids and +-2^-|V| coefficients, and assembles omega_tilde with one weighted
-bincount over them. The weights solve G a = e_0: the Gram matrix of normalized
+exactly by it. The fit is kept as the column cubes (packed sign masks) and
+their weights, and nothing else: no column keeps a Fourier expansion, and
+bias-1 decimation runs on the cubes and weights directly (ampsat.bias).
+omega_tilde as a polynomial is expanded on demand, for bias-2 decimation and
+as a reference. The weights solve G a = e_0: the Gram matrix of normalized
 inner products against the right-hand side that encodes "the solution set
 overlaps the all-ones column and is orthogonal to every indicator column".
 The right-hand side's leading entry is fixed at exactly 1; bias decimation is
@@ -39,7 +40,6 @@ lambda on the diagonal and factors them all, lambda = 0 first.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -70,18 +70,17 @@ def column_signature(cache: IndicatorCache, key: ColumnKey) -> Cube | None:
 
 
 class ApproxState:
-    """Columns, the factored Gram system, solved weights, and the assembled
-    approximation.
+    """Columns, the factored Gram system and the solved weights: the fit.
 
     Single-owner mutable: one solver run drives add_columns/solve_weights
     sequentially. keys[0] is always the empty key (constant-1 column).
 
-    Column j's cube is `_masks[:, :, j]`: its (variables fixed to +1,
-    variables fixed to -1) masks as ceil(n/64) uint64 words each; the Gram
-    matrix is never stored. Its Fourier expansion is the j-th run of
-    `_term_ids`/`_term_coeffs`, `_term_counts[j]` = 2^|V| entries long, in
-    column_poly's order; ids index `_term_sets`, the interned term variable
-    sets, and `_term_index` maps a term to its id.
+    Column j's cube is `masks[:, :, j]`: its (variables fixed to +1,
+    variables fixed to -1) masks as ceil(n/64) uint64 words each, bit v of
+    word w standing for s_(64w+v). The cubes and `weights` are the whole fit;
+    neither the Gram matrix nor any Fourier term is stored, and
+    `omega_tilde` is expanded from the keys when first read after the
+    weights change.
     `_panels` holds the lower Cholesky factor L of Gram + ridge_lambda * I
     by row panels of d <= _PANEL_ROWS rows: a panel of shape (d, o + d)
     holds L's rows [o, o + d), columns [0, o), and then the inverse of its
@@ -95,22 +94,41 @@ class ApproxState:
         self.cache = cache if cache is not None else IndicatorCache(formula)
         self.keys: list[ColumnKey] = []
         self.weights = np.zeros(0)
-        self.omega_tilde = SparsePoly.zero(formula.num_vars)
         self.signatures: set[Cube | None] = set()
         self.seen_keys: set[ColumnKey] = set()
         self.ridge_lambda = 0.0
-        self._masks = np.zeros((2, -(-formula.num_vars // 64), 0), dtype=np.uint64)
-        self._term_index: dict[frozenset[int], int] = {}
-        self._term_sets: list[frozenset[int]] = []
-        self._term_ids = np.zeros(0, dtype=np.intp)
-        self._term_coeffs = np.zeros(0)
-        self._term_counts = np.zeros(0, dtype=np.intp)
+        self.masks = np.zeros((2, -(-formula.num_vars // 64), 0), dtype=np.uint64)
+        self._omega_tilde: tuple[np.ndarray | None, SparsePoly | None] = (None, None)
         self._panels: list[np.ndarray] = []
         self._factored = 0
 
     @property
     def num_columns(self) -> int:
         return len(self.keys)
+
+    @property
+    def omega_tilde(self) -> SparsePoly:
+        """sum_i a_i * column_i as a polynomial, built from the columns'
+        expansions and kept until `weights` is next assigned.
+
+        Every coefficient is the column-order sum of a_i * coeff, terms are
+        listed in order of first appearance, and sums of magnitude at most
+        PRUNE_EPSILON are dropped."""
+        weights, poly = self._omega_tilde
+        if weights is not self.weights:
+            acc: dict[frozenset[int], float] = {}
+            for w, key in zip(self.weights.tolist(), self.keys):
+                for term, coeff in self.cache.column_poly(key).terms.items():
+                    acc[term] = acc.get(term, 0.0) + w * coeff
+            pruned = {term: c for term, c in acc.items() if abs(c) > PRUNE_EPSILON}
+            poly = SparsePoly._raw(self.formula.num_vars, pruned)
+            self._omega_tilde = (self.weights, poly)
+        return poly
+
+    @property
+    def terms(self):
+        """omega_tilde's terms (expanding it), to size a state like a polynomial."""
+        return self.omega_tilde.terms
 
     @property
     def gram(self) -> np.ndarray:
@@ -127,31 +145,15 @@ class ApproxState:
             lines.append(f"{','.join(str(m) for m in key) or '-'} {w:.12g}")
         return "\n".join(lines) + "\n"
 
-    def _append(self, columns: Iterable[tuple[ColumnKey, Cube, SparsePoly]]) -> None:
-        """Append (key, cube, expansion) columns past deduplication, intern
-        their Fourier terms and write their raw Gram rows as new panels.
-
-        columns is consumed once, so a lazy caller holds one expansion at a
-        time; none is kept once its terms are interned."""
+    def _append(self, columns: list[tuple[ColumnKey, Cube]]) -> None:
+        """Append (key, cube) columns past deduplication: pack their cubes
+        and write their raw Gram rows as new panels."""
         start = self.num_columns
-        words = self._masks.shape[1]
-        index = self._term_index
-        raw: list[bytes] = []
-        ids: list[int] = []
-        coeffs: list[float] = []
-        counts: list[int] = []
-        for key, cube, poly in columns:
-            self.keys.append(key)
-            raw += [m.to_bytes(8 * words, "little") for m in cube]
-            ids += [index.setdefault(term, len(index)) for term in poly.terms]
-            coeffs += poly.terms.values()
-            counts.append(len(poly.terms))
-        packed = np.frombuffer(b"".join(raw), dtype="<u8").reshape(len(counts), 2, words)
-        self._term_sets += islice(index, len(self._term_sets), None)
-        self._term_ids = np.concatenate([self._term_ids, ids])
-        self._term_coeffs = np.concatenate([self._term_coeffs, coeffs])
-        self._term_counts = np.concatenate([self._term_counts, counts])
-        self._masks = np.concatenate([self._masks, packed.transpose(1, 2, 0)], axis=2)
+        words = self.masks.shape[1]
+        raw = b"".join(m.to_bytes(8 * words, "little") for _, cube in columns for m in cube)
+        packed = np.frombuffer(raw, dtype="<u8").reshape(len(columns), 2, words)
+        self.keys += [key for key, _ in columns]
+        self.masks = np.concatenate([self.masks, packed.transpose(1, 2, 0)], axis=2)
         self._panels += self._gram_panels(start)
 
     def _gram_panels(self, start: int) -> list[np.ndarray]:
@@ -177,7 +179,7 @@ class ApproxState:
         other."""
         union = np.zeros((hi - lo, width), dtype=np.int32)
         consistent = np.ones((hi - lo, width), dtype=bool)
-        for p, q in zip(*self._masks[:, :, :width]):
+        for p, q in zip(*self.masks[:, :, :width]):
             fixed_plus = p[lo:hi, None] | p
             fixed_minus = q[lo:hi, None] | q
             union += np.bitwise_count(fixed_plus | fixed_minus)
@@ -216,8 +218,7 @@ def add_columns(state: ApproxState, new_keys: Iterable[ColumnKey]) -> int:
 
     Identically-zero products are recorded as exhausted but never added.
     Returns the number of columns actually appended; when nonzero their Gram
-    rows are appended as new factor panels, weights re-solved, and
-    omega_tilde rebuilt.
+    rows are appended as new factor panels and the weights re-solved.
     """
     accepted: list[tuple[ColumnKey, Cube]] = []
     for key in new_keys:
@@ -234,9 +235,8 @@ def add_columns(state: ApproxState, new_keys: Iterable[ColumnKey]) -> int:
             accepted.append((key, sig))
     if not accepted:
         return 0
-    state._append((key, cube, state.cache.column_poly(key)) for key, cube in accepted)
+    state._append(accepted)
     solve_weights(state)
-    _assemble_omega_tilde(state)
     return len(accepted)
 
 
@@ -358,19 +358,3 @@ def _solve_factored(panels: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
         a[:o] -= panel[:, :o].T @ a[o:width]
     return a
 
-
-def _assemble_omega_tilde(state: ApproxState) -> None:
-    """omega_tilde = sum_i a_i * column_i, term by term.
-
-    bincount adds in input order, so every coefficient is the column-order
-    sum of a_i * coeff; terms are listed in order of first appearance."""
-    acc = np.bincount(
-        state._term_ids,
-        weights=np.repeat(state.weights, state._term_counts) * state._term_coeffs,
-        minlength=len(state._term_sets),
-    )
-    keep = np.flatnonzero(np.abs(acc) > PRUNE_EPSILON)
-    terms = state._term_sets
-    # .tolist() so downstream polynomial algebra works on plain floats
-    pruned = dict(zip([terms[i] for i in keep.tolist()], acc[keep].tolist()))
-    state.omega_tilde = SparsePoly._raw(state.formula.num_vars, pruned)

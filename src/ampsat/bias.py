@@ -1,4 +1,4 @@
-"""Per-bit bias measures and the decimation that turns a polynomial into an
+"""Per-bit bias measures and the decimation that turns a fit into an
 assignment.
 
 BIAS1 reads the degree-1 coefficient of the current polynomial (how the
@@ -6,6 +6,13 @@ function's mass tilts across s_i = +/-1); BIAS2 compares the squared l2 norms
 of the two conditioned restrictions. Both are positive multiples of the raw
 enumeration-scale quantities, so argmax and sign are unaffected by the
 normalized coefficient convention.
+
+An ApproxState's BIAS1 decimation runs on its cubes and weights, with no
+Fourier expansion: conditioning the cube 2^-|V| prod_{j in V} (1 + sigma_j s_j)
+on s_j = b doubles its coefficient and drops j when sigma_j = b, and zeroes
+it when sigma_j = -b. After fixing the set F, bias1_j = sum_i w_i sigma_ij
+with w_i = a_i 2^-|V_i - F| for the surviving cubes: one product of w with
+the K x n sign matrix per step, and an O(K) update of w per fixed variable.
 """
 
 from __future__ import annotations
@@ -13,6 +20,9 @@ from __future__ import annotations
 import random
 from enum import Enum
 
+import numpy as np
+
+from .approx import ApproxState
 from .cnf import Assignment
 from .fourier import SparsePoly
 
@@ -59,12 +69,8 @@ def _bias2_all(p: SparsePoly, unfixed: list[int]) -> dict[int, float]:
     return out
 
 
-def _bias1_all(p: SparsePoly, unfixed: list[int]) -> dict[int, float]:
-    return {i: p.degree1_coefficient(i) for i in unfixed}
-
-
 def measure_bias(
-    p: SparsePoly,
+    p: SparsePoly | ApproxState,
     kind: BiasKind,
     tie_rng: random.Random | None = None,
 ) -> Assignment:
@@ -76,16 +82,23 @@ def measure_bias(
     conditions p on the choice. argmax and sign only compare biases, so the
     result is invariant to scaling p by any positive constant.
 
+    p is a polynomial or an ApproxState, decimated on its cubes by BIAS1
+    and through its omega_tilde by BIAS2.
+
     tie_rng, when given, randomizes tie and exact-zero resolution (used by the
     solver once refinement saturates).
     """
+    if isinstance(p, ApproxState):
+        if kind == BiasKind.BIAS1:
+            return _decimate_cubes(p, tie_rng)
+        p = p.omega_tilde
     n = p.num_vars
     out = [0] * n
     unfixed = list(range(n))
     current = p
     for _ in range(n):
         if kind == BiasKind.BIAS1:
-            biases = _bias1_all(current, unfixed)
+            biases = {i: current.degree1_coefficient(i) for i in unfixed}
         else:
             biases = _bias2_all(current, unfixed)
         # Snap numerically-dead biases to exact zero. Conditioning leaves
@@ -94,25 +107,53 @@ def measure_bias(
         # for the norm-difference bias), so the snap itself is not.
         scale = max((abs(c) for c in current.terms.values()), default=0.0)
         floor = TIE_REL_TOL * (scale if kind == BiasKind.BIAS1 else scale * scale)
-        biases = {i: (0.0 if abs(b) <= floor else b) for i, b in biases.items()}
-        rank = {i: abs(b) for i, b in biases.items()}
-        best = max(rank[i] for i in unfixed)
-        cutoff = best - abs(best) * TIE_REL_TOL
-        tied = [i for i in unfixed if rank[i] >= cutoff]
-        if tie_rng is None or len(tied) == 1:
-            i_star = tied[0]
-        else:
-            i_star = tie_rng.choice(tied)
-        b_star = biases[i_star]
-        if b_star > 0:
-            value = 1
-        elif b_star < 0:
-            value = -1
-        elif tie_rng is not None:
-            value = tie_rng.choice((1, -1))
-        else:
-            value = 1
+        i_star, value = _choose(unfixed, biases, floor, tie_rng)
         out[i_star] = value
-        unfixed.remove(i_star)
         current = current.condition(i_star, value)
     return tuple(out)
+
+
+def _decimate_cubes(state: ApproxState, tie_rng: random.Random | None) -> Assignment:
+    """BIAS1 decimation on the cubes (see the module docstring). The snap
+    floor is relative to the larger of the fit's constant term and its
+    largest bias, not to max |w_i|: a ridge fit's ~1/lambda weights cancel."""
+    n = state.formula.num_vars
+    bits = np.ascontiguousarray(state.masks.transpose(0, 2, 1), dtype="<u8").view(np.uint8)
+    plus, minus = np.unpackbits(bits, axis=2, count=n, bitorder="little")
+    signs = plus - minus.astype(float)  # (K, n): sigma_ij, 0 where cube i leaves j free
+    w = np.ldexp(state.weights, -np.count_nonzero(signs, axis=1))
+    out = [0] * n
+    unfixed = list(range(n))
+    for _ in range(n):
+        biases = w @ signs
+        floor = TIE_REL_TOL * max(abs(w.sum()), np.abs(biases).max(initial=0.0))
+        i_star, value = _choose(unfixed, biases.tolist(), floor, tie_rng)
+        out[i_star] = value
+        agree = signs[:, i_star] * value
+        w[agree < 0] = 0.0
+        w[agree > 0] *= 2.0
+        signs[:, i_star] = 0.0  # every surviving cube now leaves s_i* free
+    return tuple(out)
+
+
+def _choose(
+    unfixed: list[int], biases, floor: float, tie_rng: random.Random | None
+) -> tuple[int, int]:
+    """One decimation step: pick i* from `unfixed` (which it removes) and its
+    value, by the rules of measure_bias. biases[i] is B_i; biases at or below
+    floor count as exactly zero, so numerically dead biases resolve by the
+    deterministic tie and zero rules, not by rounding dust."""
+    snapped = {i: (0.0 if abs(biases[i]) <= floor else biases[i]) for i in unfixed}
+    best = max(abs(b) for b in snapped.values())
+    cutoff = best - best * TIE_REL_TOL
+    tied = [i for i in unfixed if abs(snapped[i]) >= cutoff]
+    if tie_rng is None or len(tied) == 1:
+        i_star = tied[0]
+    else:
+        i_star = tie_rng.choice(tied)
+    if snapped[i_star] == 0.0 and tie_rng is not None:
+        value = tie_rng.choice((1, -1))
+    else:
+        value = -1 if snapped[i_star] < 0 else 1
+    unfixed.remove(i_star)
+    return i_star, value

@@ -117,7 +117,7 @@ def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
     except WeightSolveError as exc:
         return finish(Status.UNKNOWN, None, 0, diagnostic=str(exc))
 
-    s_star = measure_bias(state.omega_tilde, config.bias_kind)
+    s_star = measure_bias(state, config.bias_kind)
     candidates.append(s_star)
     s_final = local_search(formula, s_star, schedule, rng, deadline)
     rounds = 1
@@ -153,10 +153,10 @@ def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
                 )
             if plan.used_random:
                 randoms += 1
-            s_next = measure_bias(state.omega_tilde, config.bias_kind)
+            s_next = measure_bias(state, config.bias_kind)
         else:
             # Saturated, or nothing new to add this round: perturb ties only.
-            s_next = measure_bias(state.omega_tilde, config.bias_kind, tie_rng=rng)
+            s_next = measure_bias(state, config.bias_kind, tie_rng=rng)
 
         gaps.append(hamming_distance(s_star, s_next))
         s_star = s_next

@@ -14,7 +14,6 @@ from ampsat.approx import (
     RIDGE_LADDER,
     ApproxState,
     WeightSolveError,
-    _assemble_omega_tilde,
     add_columns,
     column_signature,
     init_first_order,
@@ -22,7 +21,6 @@ from ampsat.approx import (
 )
 from ampsat.bias import BiasKind
 from ampsat.fourier import PRUNE_EPSILON
-from ampsat.indicator import cube_poly
 from ampsat.oracle import dense_evaluate, dense_omega, exact_lstsq
 from ampsat.refine import RefinementSaturated, plan_refinement
 
@@ -36,13 +34,6 @@ def _unit_rhs(k):
     rhs = np.zeros(k)
     rhs[0] = 1.0
     return rhs
-
-
-def _append_raw(state, columns):
-    """Append (key, cube) columns past add_columns' deduplication and write
-    their Gram rows as a new panel, leaving it for solve_weights to factor."""
-    n = state.formula.num_vars
-    state._append([(key, cube, cube_poly(cube, n)) for key, cube in columns])
 
 
 def _serve_gram(monkeypatch, matrix):
@@ -175,7 +166,7 @@ class TestInitFirstOrder:
                 for j in range(state.num_columns):
                     assert gram[i, j] == pytest.approx(ref.inner_product(refs[j]), abs=TOL)
         assert states[-2].keys == [(), (0,), (2,), (3,), (4,), (0, 4)]
-        either = states[-1]._masks[0] | states[-1]._masks[1]
+        either = states[-1].masks[0] | states[-1].masks[1]
         assert np.any((either[0] != 0) & (either[1] != 0))  # cubes in both words
 
     def test_gram_positive_semidefinite(self):
@@ -193,7 +184,7 @@ class TestSolveWeights:
         # identity is served in place of the closed form.
         state = ApproxState(parse_dimacs("p cnf 2 0\n"))
         _serve_gram(monkeypatch, np.eye(3))
-        _append_raw(state, [((), (0, 0)), ((0,), (1, 0)), ((1,), (2, 0))])
+        state._append([((), (0, 0)), ((0,), (1, 0)), ((1,), (2, 0))])
         assert np.array_equal(state.gram, np.eye(3))
         weights = solve_weights(state)
         assert weights == pytest.approx(_unit_rhs(3))
@@ -202,7 +193,7 @@ class TestSolveWeights:
     def test_duplicated_column_triggers_ridge(self):
         f = parse_dimacs("p cnf 2 1\n1 2 0")
         state = init_first_order(f)
-        _append_raw(state, [((0,), column_signature(state.cache, (0,)))])
+        state._append([((0,), column_signature(state.cache, (0,)))])
         weights = solve_weights(state)
         assert state.ridge_lambda > 0.0
         m = state.gram + state.ridge_lambda * np.eye(3)
@@ -211,7 +202,7 @@ class TestSolveWeights:
     def test_unsolvable_raises(self, monkeypatch):
         state = ApproxState(parse_dimacs("p cnf 1 0\n"))
         _serve_gram(monkeypatch, np.full((2, 2), np.nan))
-        _append_raw(state, [((), (0, 0)), ((0,), (1, 0))])
+        state._append([((), (0, 0)), ((0,), (1, 0))])
         with pytest.raises(WeightSolveError):
             solve_weights(state)
 
@@ -306,7 +297,7 @@ class TestIncrementalFactor:
         state = init_first_order(f)
         add_columns(state, [(0, 1)])
         assert state.ridge_lambda == 0.0 and len(state._panels) == 2
-        _append_raw(state, [((1, 3), column_signature(state.cache, (0, 1)))])  # duplicate
+        state._append([((1, 3), column_signature(state.cache, (0, 1)))])  # duplicate
         solve_weights(state)
         assert state.ridge_lambda > 0.0 and len(state._panels) == 1
         assert add_columns(state, [(0, 2), (1, 2)]) == 2
@@ -348,7 +339,7 @@ class TestIncrementalFactor:
             if len(columns) == 1000:
                 break
         before = len(state._panels)
-        _append_raw(state, [(key, cube) for cube, key in columns.items()])
+        state._append([(key, cube) for cube, key in columns.items()])
         pending = state._panels[before:]
         d = sum(panel.shape[0] for panel in pending)
         assert d == 1000 and len(pending) == 4
@@ -382,7 +373,7 @@ class TestIncrementalFactor:
             if state.num_columns >= 1000:
                 break
         assert state.ridge_lambda == 0.0
-        _append_raw(state, [((), column_signature(state.cache, ()))])
+        state._append([((), column_signature(state.cache, ()))])
         k = state.num_columns
         tracemalloc.start()
         try:
@@ -421,16 +412,9 @@ class TestIncrementalFactor:
         assert rows == [(0, 31), (31, 287), (287, 331)] == _panel_rows(state)
 
 
-class TestTermTable:
+class TestOmegaTilde:
     @staticmethod
     def _check(state):
-        # each column's run of the table is its expansion, in its order
-        ends = np.cumsum(state._term_counts)
-        for key, lo, hi in zip(state.keys, ends - state._term_counts, ends):
-            ref = state.cache.column_poly(key).terms
-            assert [state._term_sets[i] for i in state._term_ids[lo:hi]] == list(ref)
-            assert state._term_coeffs[lo:hi].tolist() == list(ref.values())
-        assert len(set(state._term_sets)) == len(state._term_sets)
         # omega_tilde is the column-order sum of the weighted expansions
         acc = {}
         for w, key in zip(state.weights.tolist(), state.keys):
@@ -438,6 +422,7 @@ class TestTermTable:
                 acc[term] = acc.get(term, 0.0) + w * coeff
         expected = {term: v for term, v in acc.items() if abs(v) > PRUNE_EPSILON}
         assert dict(state.omega_tilde.terms) == expected
+        assert list(state.omega_tilde.terms) == list(expected)
 
     def test_omega_tilde_is_the_column_order_sum(self):
         rng = random.Random(51)
@@ -468,13 +453,34 @@ class TestTermTable:
                     self._check(state)
             # a column weighing exactly 0.0 contributes nothing, and its own
             # terms are pruned
-            j = int(np.argmax(state._term_counts))
+            j = int(np.argmax(np.bitwise_count(state.masks[0] | state.masks[1]).sum(axis=0)))
             if j:
-                state.weights[j] = 0.0
-                _assemble_omega_tilde(state)
+                weights = state.weights.copy()
+                weights[j] = 0.0
+                state.weights = weights
                 self._check(state)
                 zeroed += 1
         assert zeroed
+
+    def test_solve_weights_renews_the_cached_omega_tilde(self):
+        # clause 3 repeats clause 0, so (1, 3) is the column (0, 1) again
+        f = parse_dimacs("p cnf 6 4\n1 2 0\n3 4 0\n5 6 0\n2 1 0")
+        state = init_first_order(f)
+        first = state.omega_tilde
+        assert state.omega_tilde is first  # kept while the weights stand
+        # an incremental solve
+        state._append([((0, 1), column_signature(state.cache, (0, 1)))])
+        solve_weights(state)
+        assert state.ridge_lambda == 0.0
+        incremental = state.omega_tilde
+        assert incremental is not first
+        self._check(state)
+        # a ridge-ladder re-solve
+        state._append([((1, 3), column_signature(state.cache, (0, 1)))])
+        solve_weights(state)
+        assert state.ridge_lambda > 0.0
+        assert state.omega_tilde is not incremental
+        self._check(state)
 
 
 class TestAddColumns:

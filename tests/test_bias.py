@@ -2,15 +2,19 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ampsat import SparsePoly, measure_bias, parse_dimacs
-from ampsat.approx import init_first_order
+from ampsat import SparsePoly, bias, measure_bias, parse_dimacs
+from ampsat.approx import add_columns, init_first_order
 from ampsat.bias import BiasKind, _bias2_all, bias1, bias2
 from ampsat.indicator import clause_indicator
 from ampsat.oracle import dense_evaluate, dense_omega, dense_transform, exact_bias
+from ampsat.refine import RefinementSaturated, plan_refinement
 
-from helpers import random_poly
+from helpers import random_assignment, random_formula, random_poly
 
 TOL = 1e-9
 
@@ -141,3 +145,140 @@ class TestMeasureBias:
         p = SparsePoly(3, {(0,): 1.0, (1,): -0.5, (2,): 0.25})
         rng = random.Random(0)
         assert measure_bias(p, BiasKind.BIAS1, tie_rng=rng) == (1, -1, 1)
+
+
+# Steps whose top two |biases| lie within this band, relative to the fit's
+# coefficient scale, may resolve differently on the cube and the polynomial
+# route: the routes sum in different orders and only the polynomial prunes
+# at PRUNE_EPSILON. On a ridge fit the weights are ~1/lambda and cancel, so
+# a bias that is exactly 0 comes out as rounding dust of ~1e-7 on either
+# route.
+NEAR_TIE = 1e-6
+N72 = "p cnf 72 5\n63 64 65 0\n-64 66 0\n-65 -66 0\n1 64 72 0\n-63 70 0"
+
+
+def _refined_state(rng, formula, rounds):
+    """formula fitted to first order and grown by up to `rounds` refinement
+    plans from random candidates."""
+    state = init_first_order(formula)
+    plan_rng = random.Random(rng.randrange(1 << 30))
+    for _ in range(rounds):
+        try:
+            plan = plan_refinement(
+                formula, random_assignment(rng, formula.num_vars), state, plan_rng
+            )
+        except RefinementSaturated:
+            break
+        add_columns(state, plan.keys)
+    return state
+
+
+def _zero_a_weight(state, rng):
+    """Set one non-constant column's weight to exactly 0."""
+    if state.num_columns > 1:
+        weights = state.weights.copy()
+        weights[rng.randrange(1, state.num_columns)] = 0.0
+        state.weights = weights
+
+
+def _steps(monkeypatch, fit, seed):
+    """Decimate fit by BIAS1, recording every step as (choice, tied set,
+    near tie): near when the top two snapped |biases| (the second 0 at the
+    last step) lie within NEAR_TIE of the step's scale, the snap floor over
+    TIE_REL_TOL (at least the top |bias| on both routes)."""
+    steps = []
+    choose = bias._choose
+
+    def recording(unfixed, biases, floor, tie_rng):
+        ranked = sorted((abs(biases[i]) if abs(biases[i]) > floor else 0.0 for i in unfixed),
+                        reverse=True) + [0.0]
+        tied = tuple(i for i in unfixed if abs(biases[i]) > floor
+                     and abs(biases[i]) >= ranked[0] * (1 - bias.TIE_REL_TOL))
+        choice = choose(unfixed, biases, floor, tie_rng)
+        scale = floor / bias.TIE_REL_TOL
+        steps.append((choice, tied, ranked[0] - ranked[1] <= NEAR_TIE * scale))
+        return choice
+
+    rng = None if seed is None else random.Random(seed)
+    with monkeypatch.context() as m:
+        m.setattr(bias, "_choose", recording)
+        assignment = measure_bias(fit, BiasKind.BIAS1, tie_rng=rng)
+    return assignment, steps
+
+
+def _compare_routes(monkeypatch, state, seed=None):
+    """Cube decimation of the state against measure_bias of its omega_tilde.
+    Returns False when the routes agree on every step, True when they first
+    part at a near-tied step; fails when they part anywhere else."""
+    cube, cube_steps = _steps(monkeypatch, state, seed)
+    poly, poly_steps = _steps(monkeypatch, state.omega_tilde, seed)
+    for (c_choice, c_tied, c_near), (p_choice, p_tied, p_near) in zip(cube_steps, poly_steps):
+        if (c_choice, c_tied) != (p_choice, p_tied):
+            assert c_near or p_near, (c_choice, p_choice)
+            return True
+    assert cube == poly
+    return False
+
+
+class TestCubeDecimation:
+    def test_matches_the_polynomial_route_on_refined_states(self, monkeypatch):
+        rng = random.Random(57)
+        cases = [random_formula(rng, rng.randrange(2, 13), rng.randrange(2, 30))
+                 for _ in range(60)]
+        cases += [parse_dimacs(N72)] * 3
+        cases += [random_formula(rng, 72, rng.randrange(20, 60)) for _ in range(5)]
+        parted = zeroed = 0
+        for k, f in enumerate(cases):
+            state = _refined_state(rng, f, rng.randrange(0, 6))
+            if k % 3 == 0:
+                _zero_a_weight(state, rng)
+                zeroed += state.num_columns > 1
+            parted += _compare_routes(monkeypatch, state)
+            parted += _compare_routes(monkeypatch, state, seed=rng.randrange(1 << 30))
+        assert zeroed > 10
+        assert parted <= 0.05 * 2 * len(cases)
+
+    def test_two_mask_words(self, monkeypatch):
+        state = _refined_state(random.Random(58), parse_dimacs(N72), 4)
+        either = state.masks[0] | state.masks[1]
+        assert np.any(either[0]) and np.any(either[1])
+        assert not _compare_routes(monkeypatch, state)
+
+    def test_tie_rng_copies_give_the_same_assignment(self):
+        # x1 and x2 are symmetric: every decimation starts from a tie
+        state = _refined_state(random.Random(59), parse_dimacs("p cnf 3 2\n1 2 0\n-1 -2 3 0"), 2)
+        seen = set()
+        for seed in range(20):
+            cube = measure_bias(state, BiasKind.BIAS1, tie_rng=random.Random(seed))
+            poly = measure_bias(state.omega_tilde, BiasKind.BIAS1, tie_rng=random.Random(seed))
+            assert cube == poly
+            seen.add(cube)
+        assert len(seen) > 1  # the rng resolved ties both ways
+
+    def test_scale_invariance(self):
+        rng = random.Random(60)
+        for _ in range(20):
+            state = _refined_state(rng, random_formula(rng, rng.randrange(3, 10), 12), 3)
+            base = measure_bias(state, BiasKind.BIAS1)
+            weights = state.weights
+            for alpha in (1e-6, 1e6):
+                state.weights = alpha * weights
+                assert measure_bias(state, BiasKind.BIAS1) == base
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    st.integers(1, 72),
+    st.integers(1, 40),
+    st.integers(0, 5),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(0, 1 << 16)),
+    st.integers(0, 1 << 30),
+)
+def test_cube_decimation_matches_polynomial_route(n, m, rounds, zero, tie_seed, seed):
+    rng = random.Random(seed)
+    state = _refined_state(rng, random_formula(rng, n, m), rounds)
+    if zero:
+        _zero_a_weight(state, rng)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _compare_routes(monkeypatch, state, tie_seed)

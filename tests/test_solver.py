@@ -11,12 +11,15 @@ from pathlib import Path
 import pytest
 
 import ampsat.solver as solver_module
-from ampsat import parse_dimacs, solve, verify
+from ampsat import indicator, parse_dimacs, solve, verify
 from ampsat.bias import BiasKind
+from ampsat.indicator import IndicatorCache
 from ampsat.oracle import solution_count
 from ampsat.solver import SolverConfig, SolverStats, Status
 
 from helpers import random_formula
+
+UF50_005 = Path(__file__).resolve().parents[1] / "instances" / "uf50" / "uf50-005.cnf"
 
 
 def _random_satisfiable(rng, n_range, m_of_n, widths=(1, 2, 3)):
@@ -214,3 +217,23 @@ class TestSoundnessSweep:
                 sat_seen += 1
                 assert verify(f, stats.assignment)
         assert sat_seen > 0
+
+
+class TestDecimationPath:
+    def test_bias1_solve_expands_no_column(self, monkeypatch):
+        # Bias-1 decimation runs on the cubes and weights: no column is ever
+        # expanded into Fourier terms.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a column was expanded on the bias-1 path")
+
+        monkeypatch.setattr(IndicatorCache, "column_poly", refuse)
+        monkeypatch.setattr(indicator, "cube_poly", refuse)
+        stats = solve(parse_dimacs(UF50_005.read_text()), _cfg(timeout=600.0, max_rounds=8))
+        assert (stats.status, stats.rounds, stats.columns_final) == (Status.SAT, 3, 1487)
+
+    def test_bias2_solve_outcome(self):
+        # Bias-2 decimates the expanded omega_tilde; the same outcome as
+        # when every round assembled it.
+        config = _cfg(timeout=600.0, max_rounds=8, bias_kind=BiasKind.BIAS2)
+        stats = solve(parse_dimacs(UF50_005.read_text()), config)
+        assert (stats.status, stats.rounds, stats.columns_final) == (Status.UNKNOWN, 8, 1182)
