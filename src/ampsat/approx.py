@@ -33,9 +33,22 @@ one bounded block at a time, with numpy's matrix product and Cholesky. Each
 diagonal block is kept as its inverse, so both triangular solves, in the
 update and in the weight solve, are matrix products too.
 
+Precision: the panels of the first-order fit are float64 and every later
+panel is float32, which halves the factor. The weights, the right-hand
+side, the residuals and the Gram entries stay float64, and the solve reaches
+float64 accuracy by iterative refinement (Langou et al., SC'06): from a = 0
+and r = e_0, repeat a += L^-T L^-1 r, r = e_0 - (G + lambda*I) a, with G a in
+closed form, until r is well under the residual check or stops halving. The
+Gram matrices are well conditioned (cond(G) of 3e3 to 5e3 on the uf50 fits,
+up to K ~ 5000), so each step shrinks r by about u_32 * cond(G) ~ 3e-4, and
+two G a products per solve usually suffice. G a is evaluated from the lower triangle alone: each
+bounded row block is built once and gives its own rows and, transposed, its
+columns' share of the rows above it.
+
 When that fails (the Schur complement is not positive definite, or the solve
-misses the residual check), the ridge ladder rebuilds the Gram panels with
-lambda on the diagonal and factors them all, lambda = 0 first.
+misses the residual check), the ridge ladder rebuilds the Gram panels in
+float64 with lambda on the diagonal and factors them all, lambda = 0 first;
+a state that took the ladder keeps float64 panels from then on.
 """
 
 from __future__ import annotations
@@ -57,6 +70,10 @@ _GRAM_BLOCK_ENTRIES = 1 << 16
 # Rows per factor panel: bounds every block the factor updates, factors or
 # inverts, and the unused upper half of each panel's diagonal block.
 _PANEL_ROWS = 256
+# Iterative refinement stops once max |r| is at most this much relative to
+# max(1, max |a|), far under _RESIDUAL_TOL, or after _REFINE_STEPS solves.
+_REFINE_TARGET = 1e-10
+_REFINE_STEPS = 8
 
 
 class WeightSolveError(RuntimeError):
@@ -86,7 +103,12 @@ class ApproxState:
     holds L's rows [o, o + d), columns [0, o), and then the inverse of its
     diagonal block L[o:o+d, o:o+d], which is lower triangular too. Panels
     starting at or past row `_factored` still hold raw Gram rows written by
-    `_append`; solve_weights factors them in place.
+    `_append`; solve_weights factors them in place. The first `_append`
+    (the first-order fit) writes float64 panels and later ones float32,
+    until the ridge ladder rebuilds every panel in float64 and clears
+    `_float32_panels`. Either way solve_weights refines the weights to
+    float64 accuracy against the closed-form G a of `_gram_times`, which
+    reads only G's lower triangle.
     """
 
     def __init__(self, formula: Formula, cache: IndicatorCache | None = None):
@@ -101,6 +123,7 @@ class ApproxState:
         self._omega_tilde: tuple[np.ndarray | None, SparsePoly | None] = (None, None)
         self._panels: list[np.ndarray] = []
         self._factored = 0
+        self._float32_panels = True
 
     @property
     def num_columns(self) -> int:
@@ -147,21 +170,24 @@ class ApproxState:
 
     def _append(self, columns: list[tuple[ColumnKey, Cube]]) -> None:
         """Append (key, cube) columns past deduplication: pack their cubes
-        and write their raw Gram rows as new panels."""
+        and write their raw Gram rows as new panels, float64 for the first
+        batch and float32 after it (see the class docstring)."""
         start = self.num_columns
         words = self.masks.shape[1]
         raw = b"".join(m.to_bytes(8 * words, "little") for _, cube in columns for m in cube)
         packed = np.frombuffer(raw, dtype="<u8").reshape(len(columns), 2, words)
         self.keys += [key for key, _ in columns]
         self.masks = np.concatenate([self.masks, packed.transpose(1, 2, 0)], axis=2)
-        self._panels += self._gram_panels(start)
+        single = start > 0 and self._float32_panels
+        self._panels += self._gram_panels(start, np.float32 if single else np.float64)
 
-    def _gram_panels(self, start: int) -> list[np.ndarray]:
+    def _gram_panels(self, start: int, dtype=np.float64) -> list[np.ndarray]:
         """Raw Gram rows [start, K) as factor-shaped panels of at most
         _PANEL_ROWS rows, each against the columns up to its last row."""
         k = self.num_columns
         return [
-            self._gram_rows(lo, min(lo + _PANEL_ROWS, k)) for lo in range(start, k, _PANEL_ROWS)
+            self._gram_rows(lo, min(lo + _PANEL_ROWS, k), dtype)
+            for lo in range(start, k, _PANEL_ROWS)
         ]
 
     @staticmethod
@@ -188,19 +214,24 @@ class ApproxState:
         block *= consistent
         return block
 
-    def _gram_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Dense Gram rows [lo, hi) against columns [0, hi)."""
-        out = np.empty((hi - lo, hi))
+    def _gram_rows(self, lo: int, hi: int, dtype=np.float64) -> np.ndarray:
+        """Dense Gram rows [lo, hi) against columns [0, hi), stored as dtype."""
+        out = np.empty((hi - lo, hi), dtype)
         for r0, r1 in self._row_blocks(lo, hi, hi):
             out[r0 - lo : r1 - lo] = self._gram_block(r0, r1, hi)
         return out
 
     def _gram_times(self, a: np.ndarray) -> np.ndarray:
-        """G a, without holding more than one block of G."""
+        """G a from G's lower triangle, without holding more than one block
+        of G: the block of rows [lo, hi) and columns [0, hi) gives rows
+        [lo, hi) of G a up to column hi and, transposed, the share of
+        columns [lo, hi) in rows [0, lo)."""
         k = self.num_columns
-        out = np.empty(k)
+        out = np.zeros(k)
         for lo, hi in self._row_blocks(0, k, k):
-            out[lo:hi] = self._gram_block(lo, hi, k) @ a
+            block = self._gram_block(lo, hi, hi)
+            out[lo:hi] += block @ a[:hi]
+            out[:lo] += block[:, :lo].T @ a[lo:hi]
         return out
 
 
@@ -260,6 +291,7 @@ def solve_weights(state: ApproxState) -> np.ndarray:
         if a is not None:
             state.weights = a
             return a
+    state._float32_panels = False
     for lam in RIDGE_LADDER:
         state._panels = []  # drop the old factor before building its successor
         state._factored = 0
@@ -279,8 +311,14 @@ def solve_weights(state: ApproxState) -> np.ndarray:
 
 
 def _factor_and_solve(state: ApproxState, rhs: np.ndarray, lam: float) -> np.ndarray | None:
-    """Factor the pending panels, solve, and check the residual against
-    (G + lam*I) a = rhs, with G the closed-form Gram matrix. None on failure.
+    """Factor the pending panels, solve by iterative refinement, and check
+    the residual against (G + lam*I) a = rhs, with G the closed-form Gram
+    matrix. None on failure.
+
+    Each refinement step solves with the factor for the correction and takes
+    the residual in float64. It stops at _REFINE_TARGET, when a step fails
+    to halve max |r| (the best iterate is kept), or after _REFINE_STEPS; a
+    float64 factor usually meets the target in one step.
 
     rhs has unit norm, so at lam = 0 the residual bound is absolute: a solve
     that meets it only relative to huge weights (a singular G whose null
@@ -292,12 +330,23 @@ def _factor_and_solve(state: ApproxState, rhs: np.ndarray, lam: float) -> np.nda
             if not _factor_panel(state._panels, q):
                 return None
             state._factored = panel.shape[1]
-    a = _solve_factored(state._panels, rhs)
-    if not np.all(np.isfinite(a)):
+    best, best_norm = None, np.inf
+    a, r = np.zeros_like(rhs), rhs
+    for _ in range(_REFINE_STEPS):
+        a = a + _solve_factored(state._panels, r)
+        if not np.all(np.isfinite(a)):
+            break
+        r = rhs - lam * a - state._gram_times(a)
+        norm = np.abs(r).max()
+        halved = norm <= best_norm / 2
+        if norm < best_norm:
+            best, best_norm = a, norm
+        if not halved or norm <= _REFINE_TARGET * max(1.0, np.abs(a).max()):
+            break
+    if best is None:
         return None
-    residual = np.abs(state._gram_times(a) + lam * a - rhs).max()
-    scale = 1.0 if lam == 0.0 else max(1.0, np.abs(a).max())
-    return a if residual <= _RESIDUAL_TOL * scale else None
+    scale = 1.0 if lam == 0.0 else max(1.0, np.abs(best).max())
+    return best if best_norm <= _RESIDUAL_TOL * scale else None
 
 
 def _factor_panel(panels: list[np.ndarray], q: int) -> bool:
@@ -345,16 +394,20 @@ def _invert_lower(block: np.ndarray) -> None:
 
 
 def _solve_factored(panels: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """Solve L L^T a = rhs by panel-wise forward then back substitution."""
+    """Solve L L^T a = rhs by panel-wise forward then back substitution, each
+    panel's products in its own precision: the vector segments are cast to
+    the panel's dtype, never a panel to the vector's."""
     a = rhs.copy()
     for panel in panels:
         d, width = panel.shape
         o = width - d
-        a[o:width] = panel[:, o:] @ (a[o:width] - panel[:, :o] @ a[:o])
+        dtype = panel.dtype
+        x = a[o:width].astype(dtype, copy=False) - panel[:, :o] @ a[:o].astype(dtype, copy=False)
+        a[o:width] = panel[:, o:] @ x
     for panel in reversed(panels):
         d, width = panel.shape
         o = width - d
-        a[o:width] = panel[:, o:].T @ a[o:width]
-        a[:o] -= panel[:, :o].T @ a[o:width]
+        x = panel[:, o:].T @ a[o:width].astype(panel.dtype, copy=False)
+        a[o:width] = x
+        a[:o] -= panel[:, :o].T @ x
     return a
-

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import ampsat.approx as approx_module
 from ampsat import SparsePoly, measure_bias, parse_dimacs, refine
 from ampsat.approx import (
     _PANEL_ROWS,
@@ -326,6 +327,12 @@ class TestIncrementalFactor:
     def test_incremental_round_factors_the_pending_panel_in_place(self):
         # A round of d new columns on uf50-001: the factor lands in the
         # panels that held the raw Gram rows, and no d x d temporary is made.
+        # The panels are float32, so L L^T reproduces the raw rows to
+        # Cholesky's backward error (Higham, Accuracy and Stability of
+        # Numerical Algorithms, Thm 10.3): |L L^T - G| <= gamma_(K+1) |L| |L^T|
+        # entrywise, and (|L| |L^T|)_ij <= |L_i| |L_j| = sqrt(G_ii G_jj) <=
+        # max |G|, so the bound is (K + 1) u_32 max |G| with u_32 = 2^-24.
+        # The weights are refined to float64 accuracy all the same.
         f = parse_dimacs(UF50_001.read_text())
         state = init_first_order(f)
         pairs = [(i, j) for i in range(f.num_clauses) for j in range(i + 1, f.num_clauses)]
@@ -343,6 +350,7 @@ class TestIncrementalFactor:
         pending = state._panels[before:]
         d = sum(panel.shape[0] for panel in pending)
         assert d == 1000 and len(pending) == 4
+        assert all(panel.dtype == np.float32 for panel in pending)
         raw = [panel.copy() for panel in pending]
         tracemalloc.start()
         try:
@@ -351,13 +359,75 @@ class TestIncrementalFactor:
         finally:
             tracemalloc.stop()
         assert state.ridge_lambda == 0.0
+        k = state.num_columns
+        gram = state.gram
+        bound = (k + 1) * 2.0**-24 * np.abs(gram).max()
         factor = _dense_factor(state)
         for panel, held, rows in zip(pending, state._panels[before:], raw):
             assert np.shares_memory(held, panel)
             o, width = panel.shape[1] - panel.shape[0], panel.shape[1]
-            assert np.allclose(factor[o:width] @ factor[:width].T, rows, atol=TOL)
+            assert np.abs(factor[o:width] @ factor[:width].T - rows).max() <= bound
             assert not np.allclose(panel, rows)
         assert peak < d * d * 8
+        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram, lower=True), _unit_rhs(k))
+        assert np.abs(state.weights - ref).max() <= TOL * max(1.0, np.abs(ref).max())
+
+    def test_refinement_panels_are_float32(self):
+        # uf50-001 grown past K = 2000: every panel after the float64
+        # first-order block is float32, so the factor takes about half the
+        # bytes of a float64 one and no ridge was needed on the way.
+        f = parse_dimacs(UF50_001.read_text())
+        state = init_first_order(f)
+        first_order = state.num_columns
+        pairs = [(i, j) for i in range(f.num_clauses) for j in range(i + 1, f.num_clauses)]
+        random.Random(53).shuffle(pairs)
+        for lo in range(0, len(pairs), 500):
+            add_columns(state, pairs[lo : lo + 500])
+            if state.num_columns > 2000:
+                break
+        k = state.num_columns
+        assert k > 2000 and state.ridge_lambda == 0.0
+        assert [(0, first_order)] == _panel_rows(state)[:1]
+        assert state._panels[0].dtype == np.float64
+        assert all(panel.dtype == np.float32 for panel in state._panels[1:])
+        stored = sum(panel.nbytes for panel in state._panels)
+        assert stored <= 4 * k * (k + _PANEL_ROWS) / 2 + 8 * first_order**2
+
+    def test_a_state_that_took_the_ladder_keeps_float64_panels(self, monkeypatch):
+        # A float32 Schur block that fails lands on the float64 lambda = 0
+        # rung, and every later batch is factored in float64 too.
+        f = _disjoint_formula(30)
+        state = init_first_order(f)
+        pairs = [(i, j) for i in range(30) for j in range(i + 1, 30)]
+        factor_panel = approx_module._factor_panel
+        with monkeypatch.context() as m:
+            m.setattr(
+                approx_module,
+                "_factor_panel",
+                lambda panels, q: panels[q].dtype == np.float64 and factor_panel(panels, q),
+            )
+            add_columns(state, pairs[:100])
+        assert state.ridge_lambda == 0.0
+        add_columns(state, pairs[100:200])
+        assert state.ridge_lambda == 0.0 and state.num_columns == 231
+        assert all(panel.dtype == np.float64 for panel in state._panels)
+        k = state.num_columns
+        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(state.gram, lower=True), _unit_rhs(k))
+        assert np.abs(state.weights - ref).max() <= TOL * max(1.0, np.abs(ref).max())
+
+    def test_gram_times_reads_the_lower_triangle_only(self):
+        # K = 466 makes four row blocks of G a, the last one short.
+        f = _disjoint_formula(30)
+        state = init_first_order(f)
+        add_columns(state, [(i, j) for i in range(30) for j in range(i + 1, 30)])
+        k = state.num_columns
+        blocks = list(ApproxState._row_blocks(0, k, k))
+        assert len(blocks) > 2 and blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
+        gram = state.gram
+        rng = np.random.default_rng(54)
+        for x in (state.weights, rng.standard_normal(k), rng.uniform(0, 1e3, k)):
+            bound = k * np.finfo(float).eps * (np.abs(gram) @ np.abs(x))
+            assert np.all(np.abs(state._gram_times(x) - gram @ x) <= bound)
 
     def test_ridge_ladder_holds_only_the_lower_triangle(self):
         # A second constant column at K > 1000 on uf50-001: e_0 then meets
@@ -393,9 +463,9 @@ class TestIncrementalFactor:
         rows = []
         original = ApproxState._gram_rows
 
-        def recording(self, lo, hi):
+        def recording(self, lo, hi, dtype=np.float64):
             rows.append((lo, hi))
-            return original(self, lo, hi)
+            return original(self, lo, hi, dtype)
 
         monkeypatch.setattr(ApproxState, "_gram_rows", recording)
         f = parse_dimacs("p cnf 6 3\n1 2 0\n3 4 0\n5 6 0")

@@ -1,12 +1,16 @@
-"""Property tests: the DIMACS round trip, and the soundness of solve against
-the brute-force oracle on small random formulas."""
+"""Property tests: the DIMACS round trip, the soundness of solve against
+the brute-force oracle on small random formulas, and the fit's closed-form
+Gram matrix and mixed-precision weight solve against dense references."""
 
+import numpy as np
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ampsat import Formula, SolverConfig, Status, parse_dimacs, solve, to_dimacs, verify
+from ampsat.approx import add_columns, init_first_order
 from ampsat.cnf import make_clause
-from ampsat.oracle import solution_count
+from ampsat.oracle import dense_evaluate, solution_count
 
 # derandomized: the same examples on every run, and no example database
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
@@ -61,3 +65,65 @@ def test_solve_is_sound(formula, seed):
         assert verify(formula, stats.assignment)
     else:
         assert stats.assignment is None
+
+
+@st.composite
+def grown_fits(draw):
+    """(formula of 3-literal clauses, or n-literal ones when n < 3, with
+    1 <= n <= 10; batches of pair-column keys): up to four consecutive
+    batches of the formula's clause pairs in a drawn order."""
+    n = draw(st.integers(1, 10))
+    clause = st.lists(st.integers(1, n), min_size=min(n, 3), max_size=3, unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs))
+    )
+    codes = draw(st.lists(clause, min_size=n, max_size=3 * n))
+    clauses = tuple(c for c in map(make_clause, codes) if c is not None)
+    m = len(clauses)
+    pairs = draw(st.permutations([(i, j) for i in range(m) for j in range(i + 1, m)]))
+    cuts = np.cumsum([0] + draw(st.lists(st.integers(1, 100), max_size=4))).tolist()
+    batches = [pairs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    return Formula(num_vars=n, clauses=clauses), batches
+
+
+def _dense_columns(state):
+    """The columns' values on all 2^n assignments, one column each."""
+    return np.stack(
+        [dense_evaluate(state.cache.column_poly(key)).values for key in state.keys], axis=1
+    )
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(grown_fits())
+def test_closed_form_gram_is_the_dense_gram(fit):
+    formula, batches = fit
+    state = init_first_order(formula)
+    for batch in batches:
+        add_columns(state, batch)
+    cols = _dense_columns(state)
+    dense = cols.T @ cols / len(cols)  # <f, g> = 2^-n sum over assignments
+    assert np.abs(state.gram - dense).max() <= 1e-12
+
+
+def _check_full_rank_weights(state):
+    """A full-rank state's weights against a float64 dense Cholesky solve."""
+    k = state.num_columns
+    if np.linalg.matrix_rank(_dense_columns(state)) < k:
+        return
+    rhs = np.zeros(k)
+    rhs[0] = 1.0
+    m = state.gram + state.ridge_lambda * np.eye(k)
+    ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(m, lower=True), rhs)
+    assert np.abs(state.weights - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(grown_fits())
+def test_full_rank_weights_match_a_dense_cholesky_solve(fit):
+    # After the first-order fit a batch appends float32 factor panels; the
+    # refined weights keep float64 accuracy whichever panels are float32.
+    formula, batches = fit
+    state = init_first_order(formula)
+    _check_full_rank_weights(state)
+    for batch in batches:
+        add_columns(state, batch)
+        _check_full_rank_weights(state)
