@@ -94,10 +94,11 @@ class ApproxState:
 
     Column j's cube is `masks[:, :, j]`: its (variables fixed to +1,
     variables fixed to -1) masks as ceil(n/64) uint64 words each, bit v of
-    word w standing for s_(64w+v). The cubes and `weights` are the whole fit;
-    neither the Gram matrix nor any Fourier term is stored, and
-    `omega_tilde` is expanded from the keys when first read after the
-    weights change.
+    word w standing for s_(64w+v); no other module of the package reads this
+    layout, and `signs()` unpacks it for decimation. The cubes and `weights`
+    are the whole fit; neither the Gram matrix nor any Fourier term is
+    stored, and `omega_tilde` is expanded from the keys when first read
+    after the weights change.
     `_panels` holds the lower Cholesky factor L of Gram + ridge_lambda * I
     by row panels of d <= _PANEL_ROWS rows: a panel of shape (d, o + d)
     holds L's rows [o, o + d), columns [0, o), and then the inverse of its
@@ -111,9 +112,9 @@ class ApproxState:
     reads only G's lower triangle.
     """
 
-    def __init__(self, formula: Formula, cache: IndicatorCache | None = None):
+    def __init__(self, formula: Formula):
         self.formula = formula
-        self.cache = cache if cache is not None else IndicatorCache(formula)
+        self.cache = IndicatorCache(formula)
         self.keys: list[ColumnKey] = []
         self.weights = np.zeros(0)
         self.signatures: set[Cube | None] = set()
@@ -161,12 +162,15 @@ class ApproxState:
         """
         return self._gram_rows(0, self.num_columns)
 
-    def dump(self) -> str:
-        """Debug text dump of keys and weights for refinement-trace analysis."""
-        lines = [f"columns {self.num_columns} ridge {self.ridge_lambda:g}"]
-        for key, w in zip(self.keys, self.weights):
-            lines.append(f"{','.join(str(m) for m in key) or '-'} {w:.12g}")
-        return "\n".join(lines) + "\n"
+    def signs(self) -> np.ndarray:
+        """A new (K x n) float matrix of the cubes' signs: entry (i, j) is
+        +1 or -1 where cube i fixes s_j to that value, 0 where it leaves s_j
+        free."""
+        words = np.ascontiguousarray(self.masks.transpose(0, 2, 1), dtype="<u8")
+        plus, minus = np.unpackbits(
+            words.view(np.uint8), axis=2, count=self.formula.num_vars, bitorder="little"
+        )
+        return plus - minus.astype(float)
 
     def _append(self, columns: list[tuple[ColumnKey, Cube]]) -> None:
         """Append (key, cube) columns past deduplication: pack their cubes
@@ -235,9 +239,9 @@ class ApproxState:
         return out
 
 
-def init_first_order(formula: Formula, cache: IndicatorCache | None = None) -> ApproxState:
+def init_first_order(formula: Formula) -> ApproxState:
     """Constant column plus one column per distinct clause, solved and assembled."""
-    state = ApproxState(formula, cache)
+    state = ApproxState(formula)
     keys: list[ColumnKey] = [()]
     keys.extend((m,) for m in range(formula.num_clauses))
     add_columns(state, keys)
@@ -256,7 +260,7 @@ def add_columns(state: ApproxState, new_keys: Iterable[ColumnKey]) -> int:
         key = tuple(key)
         if key in state.seen_keys:
             continue
-        validate_key(key, state.formula.num_clauses, state.cache.max_order)
+        validate_key(key, state.formula.num_clauses)
         state.seen_keys.add(key)
         sig = column_signature(state.cache, key)
         if sig in state.signatures:

@@ -118,9 +118,7 @@ def _decimate_cubes(state: ApproxState, tie_rng: random.Random | None) -> Assign
     floor is relative to the larger of the fit's constant term and its
     largest bias, not to max |w_i|: a ridge fit's ~1/lambda weights cancel."""
     n = state.formula.num_vars
-    bits = np.ascontiguousarray(state.masks.transpose(0, 2, 1), dtype="<u8").view(np.uint8)
-    plus, minus = np.unpackbits(bits, axis=2, count=n, bitorder="little")
-    signs = plus - minus.astype(float)  # (K, n): sigma_ij, 0 where cube i leaves j free
+    signs = state.signs()  # (K, n): sigma_ij, 0 where cube i leaves j free
     w = np.ldexp(state.weights, -np.count_nonzero(signs, axis=1))
     out = [0] * n
     unfixed = list(range(n))

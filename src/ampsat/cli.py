@@ -143,7 +143,6 @@ def cmd_solve(args) -> int:
         schedule=_schedule_from_args(args, formula.num_vars),
         enable_random_refinement=not args.no_random_refine,
         max_rounds=args.max_rounds,
-        debug_state=args.dump_approx is not None,
     )
     stats = solve(formula, config)
     print(f"c {args.cnf}: n={formula.num_vars} m={formula.num_clauses}")
@@ -154,8 +153,6 @@ def cmd_solve(args) -> int:
     )
     if stats.diagnostic:
         print(f"c diagnostic: {stats.diagnostic}")
-    if args.dump_approx is not None and stats.state_dump is not None:
-        Path(args.dump_approx).write_text(stats.state_dump)
     if stats.status == Status.SAT:
         print("s SATISFIABLE")
         _print_v_line(stats.assignment)
@@ -346,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--no-random-refine", action="store_true")
     p_solve.add_argument("--max-rounds", type=int, default=None)
     p_solve.add_argument("--stats", metavar="FILE.csv", default=None)
-    p_solve.add_argument("--dump-approx", metavar="FILE", default=None,
-                         help="write the final column keys and weights to FILE")
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="run solvers over a directory of .cnf files")

@@ -22,7 +22,9 @@ ColumnKey = tuple[int, ...]
 # The empty cube (0, 0) is the constant all-ones column.
 Cube = tuple[int, int]
 
-DEFAULT_MAX_ORDER = 2
+# Columns are products of at most this many clause indicators: the
+# first-order fit's single clauses and refinement's pairs.
+MAX_ORDER = 2
 
 
 def clause_cube(clause: Clause) -> Cube:
@@ -55,11 +57,11 @@ def clause_indicator(clause: Clause, num_vars: int) -> SparsePoly:
     return cube_poly(clause_cube(clause), num_vars)
 
 
-def validate_key(key: ColumnKey, num_clauses: int, max_order: int) -> None:
+def validate_key(key: ColumnKey, num_clauses: int) -> None:
     if list(key) != sorted(set(key)):
         raise ValueError(f"column key must be sorted and distinct: {key!r}")
-    if len(key) > max_order:
-        raise ValueError(f"column key {key!r} exceeds max order {max_order}")
+    if len(key) > MAX_ORDER:
+        raise ValueError(f"column key {key!r} exceeds max order {MAX_ORDER}")
     for m in key:
         if not 0 <= m < num_clauses:
             raise ValueError(f"column key {key!r} references missing clause {m}")
@@ -69,14 +71,12 @@ class IndicatorCache:
     """The clause cubes of one formula, and the columns built from them.
 
     cube(key) intersects clause cubes and is all the solve path needs to
-    identify a column; column_poly(key) builds its Fourier expansion afresh.
+    identify a column; column_poly(key) validates the key (at most MAX_ORDER
+    clauses) and builds its Fourier expansion afresh.
     """
 
-    def __init__(self, formula: Formula, max_order: int = DEFAULT_MAX_ORDER):
-        if max_order < 1:
-            raise ValueError("max_order must be >= 1")
+    def __init__(self, formula: Formula):
         self.formula = formula
-        self.max_order = max_order
         self.clause_cubes = [clause_cube(clause) for clause in formula.clauses]
 
     def cube(self, key: ColumnKey) -> Cube | None:
@@ -91,7 +91,7 @@ class IndicatorCache:
 
     def column_poly(self, key: ColumnKey) -> SparsePoly:
         """() -> constant 1; (m,) -> k_m; (m, n) -> k_m * k_n."""
-        validate_key(key, self.formula.num_clauses, self.max_order)
+        validate_key(key, self.formula.num_clauses)
         cube = self.cube(key)
         if cube is None:
             return SparsePoly.zero(self.formula.num_vars)

@@ -144,9 +144,7 @@ def exact_lstsq(formula: Formula, keys: Sequence[ColumnKey]) -> np.ndarray:
     """
     n = formula.num_vars
     _check_cap(n, MAX_LSTSQ_VARS, "exact_lstsq")
-    cache = IndicatorCache(
-        formula, max_order=max(1, max((len(k) for k in keys), default=1))
-    )
+    cache = IndicatorCache(formula)
     omega = dense_omega(formula).values
     cols = [dense_evaluate(cache.column_poly(tuple(k))).values for k in keys]
     a = np.stack(cols, axis=1)

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .approx import ApproxState, column_signature
-from .cnf import Assignment, Formula, clause_satisfied
+from .cnf import Assignment, Formula
 from .indicator import ColumnKey
 
 
@@ -24,38 +24,36 @@ class RefinementSaturated(Exception):
 
 @dataclass
 class RefinementPlan:
+    """One round's batch of order-2 column keys. random_clause is the clause
+    a random plan pairs with every other clause, None for a heuristic plan."""
+
     keys: list[ColumnKey] = field(default_factory=list)
-    used_random: bool = False
     random_clause: int | None = None
 
-    def __post_init__(self):
-        if self.used_random != (self.random_clause is not None):
-            raise ValueError("used_random must match presence of random_clause")
+    @property
+    def used_random(self) -> bool:
+        return self.random_clause is not None
 
 
 def clause_neighbors(formula: Formula, s: Assignment) -> set[int]:
     """Unsatisfied clauses at s, plus every clause unsatisfied at any
-    single-variable flip of a variable occurring in an unsatisfied clause."""
+    single-variable flip of a variable occurring in an unsatisfied clause.
+
+    A flip of v leaves a satisfied clause unsatisfied exactly when v carries
+    the clause's only true literal, so each clause's true literals are
+    counted once rather than every clause re-evaluated per flip."""
     if len(s) != formula.num_vars:
         raise ValueError("assignment length mismatch")
-    unsat = {
-        m
-        for m, clause in enumerate(formula.clauses)
-        if not clause_satisfied(clause, s)
-    }
-    neighbors = set(unsat)
-    flipped_vars: set[int] = set()
-    for m in unsat:
-        for var in formula.clauses[m].variables():
-            if var in flipped_vars:
-                continue
-            flipped_vars.add(var)
-            v = list(s)
-            v[var] = -v[var]
-            for j, clause in enumerate(formula.clauses):
-                if not clause_satisfied(clause, v):
-                    neighbors.add(j)
-    return neighbors
+    unsat: set[int] = set()
+    sole_true: list[tuple[int, int]] = []  # (variable, clause) per single-true clause
+    for m, clause in enumerate(formula.clauses):
+        true_vars = [lit.var for lit in clause.literals if s[lit.var] == lit.polarity]
+        if not true_vars:
+            unsat.add(m)
+        elif len(true_vars) == 1:
+            sole_true.append((true_vars[0], m))
+    flipped = {var for m in unsat for var in formula.clauses[m].variables()}
+    return unsat | {m for var, m in sole_true if var in flipped}
 
 
 def _is_new(state: ApproxState, key: ColumnKey) -> bool:
@@ -110,9 +108,9 @@ def plan_refinement(
         p = rng.randrange(m_total)
         keys = [key for key in _pairs_with(p, m_total) if _is_new(state, key)]
         if keys:
-            return RefinementPlan(keys=keys, used_random=True, random_clause=p)
+            return RefinementPlan(keys=keys, random_clause=p)
     for p in range(m_total):
         keys = [key for key in _pairs_with(p, m_total) if _is_new(state, key)]
         if keys:
-            return RefinementPlan(keys=keys, used_random=True, random_clause=p)
+            return RefinementPlan(keys=keys, random_clause=p)
     raise RefinementSaturated()

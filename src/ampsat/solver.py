@@ -19,7 +19,6 @@ from .anneal import AnnealSchedule, default_schedule, local_search
 from .approx import WeightSolveError, add_columns, init_first_order
 from .bias import BiasKind, measure_bias
 from .cnf import Assignment, Formula, count_unsat, hamming_distance
-from .indicator import IndicatorCache
 from .refine import RefinementSaturated, plan_refinement
 
 
@@ -30,42 +29,49 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The settable values of one solve. Columns are always the first-order
+    fit plus refinement's pairwise products (indicator.MAX_ORDER)."""
+
     bias_kind: BiasKind = BiasKind.BIAS1
     timeout: float = 60.0
     seed: int = 0
     schedule: AnnealSchedule | None = None  # None: default_schedule(num_vars)
-    max_order: int = 2
     enable_random_refinement: bool = True
     max_rounds: int | None = None  # round budget; None = timeout-bound only
-    debug_state: bool = False  # attach a text dump of the final column set
 
     def __post_init__(self):
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
-        if self.max_order not in (1, 2):
-            raise ValueError("max_order must be 1 or 2")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
 
 
 @dataclass
 class SolverStats:
+    """The outcome of one solve. candidate_history holds each round's
+    decimated candidate, before annealing; hamming_gaps is derived from it."""
+
     status: Status
     assignment: Assignment | None
     rounds: int
     columns_final: int
     random_refinements: int
     candidate_history: list[Assignment] = field(default_factory=list)
-    hamming_gaps: list[int] = field(default_factory=list)
     wall_time: float = 0.0
     diagnostic: str | None = None
-    state_dump: str | None = None
+
+    @property
+    def hamming_gaps(self) -> list[int]:
+        """Hamming distance between each pair of successive candidates."""
+        history = self.candidate_history
+        return [hamming_distance(a, b) for a, b in zip(history, history[1:])]
 
     @property
     def mean_hamming_gap(self) -> float | None:
-        if not self.hamming_gaps:
+        gaps = self.hamming_gaps
+        if not gaps:
             return None
-        return sum(self.hamming_gaps) / len(self.hamming_gaps)
+        return sum(gaps) / len(gaps)
 
 
 def verify(formula: Formula, s: Assignment) -> bool:
@@ -86,12 +92,11 @@ def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
     schedule = config.schedule or default_schedule(max(1, formula.num_vars))
 
     candidates: list[Assignment] = []
-    gaps: list[int] = []
     randoms = 0
     rounds = 0
 
     def finish(status: Status, assignment: Assignment | None, columns: int,
-               diagnostic: str | None = None, dump: str | None = None) -> SolverStats:
+               diagnostic: str | None = None) -> SolverStats:
         # The soundness gate: an explicit check, so it also runs under -O.
         if status == Status.SAT and (
             assignment is None or not verify(formula, assignment)
@@ -105,15 +110,12 @@ def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
             columns_final=columns,
             random_refinements=randoms,
             candidate_history=candidates,
-            hamming_gaps=gaps,
             wall_time=time.monotonic() - t_start,
             diagnostic=diagnostic,
-            state_dump=dump,
         )
 
-    cache = IndicatorCache(formula, max_order=config.max_order)
     try:
-        state = init_first_order(formula, cache)
+        state = init_first_order(formula)
     except WeightSolveError as exc:
         return finish(Status.UNKNOWN, None, 0, diagnostic=str(exc))
 
@@ -124,7 +126,7 @@ def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
     # Saturated: no order-2 columns can ever be added again; the solver keeps
     # restarting annealing from tie-perturbed decimations of the final
     # approximation until the timeout.
-    saturated = config.max_order < 2
+    saturated = False
 
     while (
         count_unsat(formula, s_final) > 0
@@ -153,18 +155,15 @@ def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
                 )
             if plan.used_random:
                 randoms += 1
-            s_next = measure_bias(state, config.bias_kind)
+            s_star = measure_bias(state, config.bias_kind)
         else:
             # Saturated, or nothing new to add this round: perturb ties only.
-            s_next = measure_bias(state, config.bias_kind, tie_rng=rng)
+            s_star = measure_bias(state, config.bias_kind, tie_rng=rng)
 
-        gaps.append(hamming_distance(s_star, s_next))
-        s_star = s_next
         candidates.append(s_star)
         s_final = local_search(formula, s_star, schedule, rng, deadline)
         rounds += 1
 
-    dump = state.dump() if config.debug_state else None
     if count_unsat(formula, s_final) == 0:
-        return finish(Status.SAT, s_final, state.num_columns, dump=dump)
-    return finish(Status.UNKNOWN, None, state.num_columns, dump=dump)
+        return finish(Status.SAT, s_final, state.num_columns)
+    return finish(Status.UNKNOWN, None, state.num_columns)

@@ -724,12 +724,6 @@ class TestSignature:
             collided += len(state.seen_keys) > state.num_columns + 1
         assert zero and collided
 
-    def test_dump_lists_columns(self):
-        state = init_first_order(parse_dimacs("p cnf 2 1\n1 2 0"))
-        text = state.dump()
-        assert text.startswith("columns 2")
-        assert "-" in text  # the constant column prints as '-'
-
 
 class _RoundedFourierDedup:
     """add_columns' and _is_new's deduplication by rounded Fourier signatures

@@ -1,5 +1,6 @@
 """Command-line interface: output contracts, exit codes, CSV schema."""
 
+import argparse
 import csv
 import os
 import re
@@ -15,6 +16,7 @@ from ampsat import parse_dimacs, verify
 from ampsat.cli import (
     CSV_FIELDS,
     SINGLE_THREAD_BLAS_ENV,
+    build_parser,
     derive_seed,
     main,
     parse_assignment_file,
@@ -22,6 +24,8 @@ from ampsat.cli import (
 )
 
 ONE_CLAUSE = "p cnf 2 1\n1 2 0\n"
+EMPTY_CLAUSE = "p cnf 2 2\n1 2 0\n0\n"
+README = Path(__file__).resolve().parents[1] / "README.md"
 EMPTY = "p cnf 3 0\n"
 UNSAT = "p cnf 1 2\n1 0\n-1 0\n"
 TINY_SAT = "p cnf 4 3\n1 2 0\n-1 3 0\n2 -4 0\n"
@@ -90,7 +94,7 @@ class TestSolve:
 
     def test_empty_clause_is_unknown_not_unsat(self, tmp_path, capsys):
         path = tmp_path / "empty_clause.cnf"
-        path.write_text("p cnf 2 2\n1 2 0\n0\n")
+        path.write_text(EMPTY_CLAUSE)
         code = main(["solve", str(path)])
         out = capsys.readouterr().out
         assert code == 0
@@ -106,6 +110,24 @@ class TestSolve:
         path.write_text(ONE_CLAUSE)
         assert main(["solve", str(path), "--bias", "bias9"]) == 1
 
+    def test_readme_options_list_every_solve_flag(self):
+        lines = README.read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("# Options:"))
+        block = [lines[start]]
+        for line in lines[start + 1:]:
+            if not line.startswith("#  "):
+                break
+            block.append(line)
+        documented = set(re.findall(r"--[a-z-]+", " ".join(block)))
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {
+            opt
+            for action in sub.choices["solve"]._actions
+            for opt in action.option_strings
+            if opt.startswith("--") and opt != "--help"
+        }
+        assert documented == flags
+
     def test_stats_csv_appended(self, tmp_path, capsys):
         path = tmp_path / "one.cnf"
         path.write_text(ONE_CLAUSE)
@@ -118,13 +140,6 @@ class TestSolve:
         assert rows[0]["solver"] == "amp-bias1"
         assert rows[1]["solver"] == "amp-bias2"
         assert set(rows[0]) == set(CSV_FIELDS)
-
-    def test_dump_approx(self, tmp_path, capsys):
-        path = tmp_path / "one.cnf"
-        path.write_text(ONE_CLAUSE)
-        dump = tmp_path / "approx.txt"
-        main(["solve", str(path), "--dump-approx", str(dump)])
-        assert dump.read_text().startswith("columns ")
 
     @pytest.mark.parametrize("instance, min_rounds", [("uf20/uf20-001.cnf", 1),
                                                       ("uf50/uf50-005.cnf", 2)])
@@ -182,6 +197,15 @@ class TestVerify:
         sol.write_text("v 1 0\n")
         assert main(["verify", str(cnf), str(sol)]) == 1
 
+    def test_empty_clause_is_an_error(self, tmp_path, capsys):
+        # verify needs a Formula, which cannot hold the empty clause
+        cnf = tmp_path / "empty_clause.cnf"
+        cnf.write_text(EMPTY_CLAUSE)
+        sol = tmp_path / "solution.txt"
+        sol.write_text("v 1 2 0\n")
+        assert main(["verify", str(cnf), str(sol)]) == 1
+        assert capsys.readouterr().err == "error: line 3: empty clause\n"
+
 
 class TestOracle:
     def test_solution_count_and_biases(self, tmp_path, capsys):
@@ -198,6 +222,14 @@ class TestOracle:
         cnf.write_text("p cnf 30 1\n1 2 0\n")
         assert main(["oracle", str(cnf)]) == 1
         assert "at most" in capsys.readouterr().err
+
+    def test_empty_clause_is_an_error(self, tmp_path, capsys):
+        cnf = tmp_path / "empty_clause.cnf"
+        cnf.write_text(EMPTY_CLAUSE)
+        assert main(["oracle", str(cnf)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 3: empty clause\n"
+        assert captured.out == ""
 
 
 class TestBench:
@@ -233,7 +265,7 @@ class TestBench:
         d.mkdir()
         corpus = Path(__file__).resolve().parents[1] / "instances" / "uf20"
         (d / "uf20-001.cnf").write_text((corpus / "uf20-001.cnf").read_text())
-        (d / "empty_clause.cnf").write_text("p cnf 2 2\n1 2 0\n0\n")
+        (d / "empty_clause.cnf").write_text(EMPTY_CLAUSE)
         out_csv = tmp_path / "bench.csv"
         code = main(["bench", str(d), "--solvers", "amp-bias1", "--timeout", "10",
                      "--csv", str(out_csv)])

@@ -129,7 +129,7 @@ class TestColumnPoly:
         with pytest.raises(ValueError):
             cache.column_poly((0, 1, 1))  # beyond max order and repeated
         with pytest.raises(ValueError):
-            validate_key((0, 1, 2), 3, 2)
+            validate_key((0, 1, 2), 3)
 
 
 class TestOrthogonality:

@@ -6,14 +6,33 @@ import pytest
 
 from ampsat import parse_dimacs
 from ampsat.approx import add_columns, init_first_order
-from ampsat.refine import (
-    RefinementPlan,
-    RefinementSaturated,
-    clause_neighbors,
-    plan_refinement,
-)
+from ampsat.cnf import clause_satisfied
+from ampsat.refine import RefinementSaturated, clause_neighbors, plan_refinement
 
-from helpers import random_formula
+from helpers import random_assignment, random_formula
+
+
+def _clause_neighbors_by_flips(formula, s):
+    """Reference: every clause re-evaluated at each single-variable flip of
+    a variable occurring in an unsatisfied clause."""
+    unsat = {
+        m
+        for m, clause in enumerate(formula.clauses)
+        if not clause_satisfied(clause, s)
+    }
+    neighbors = set(unsat)
+    flipped_vars: set[int] = set()
+    for m in unsat:
+        for var in formula.clauses[m].variables():
+            if var in flipped_vars:
+                continue
+            flipped_vars.add(var)
+            v = list(s)
+            v[var] = -v[var]
+            for j, clause in enumerate(formula.clauses):
+                if not clause_satisfied(clause, v):
+                    neighbors.add(j)
+    return neighbors
 
 
 class TestClauseNeighbors:
@@ -47,6 +66,14 @@ class TestClauseNeighbors:
             )
             u_rev = clause_neighbors(reordered, s)
             assert {f.num_clauses - 1 - m for m in u_rev} == u
+
+    def test_matches_the_flip_by_flip_reference(self):
+        rng = random.Random(62)
+        for _ in range(3000):
+            n = rng.randrange(1, 12)
+            f = random_formula(rng, n, rng.randrange(0, 41), widths=(1, 2, 3, 4))
+            s = random_assignment(rng, n)
+            assert clause_neighbors(f, s) == _clause_neighbors_by_flips(f, s)
 
     def test_length_mismatch(self):
         f = parse_dimacs("p cnf 2 1\n1 2 0")
@@ -135,11 +162,3 @@ class TestPlanRefinement:
                 assert len(key) == 2
                 assert key not in state.keys
                 assert all(0 <= m < f.num_clauses for m in key)
-
-
-class TestRefinementPlanValidation:
-    def test_flag_consistency(self):
-        with pytest.raises(ValueError):
-            RefinementPlan(keys=[(0, 1)], used_random=True, random_clause=None)
-        with pytest.raises(ValueError):
-            RefinementPlan(keys=[], used_random=False, random_clause=2)
