@@ -170,7 +170,7 @@ class ApproxState:
         plus, minus = np.unpackbits(
             words.view(np.uint8), axis=2, count=self.formula.num_vars, bitorder="little"
         )
-        return plus - minus.astype(float)
+        return np.subtract(plus, minus, dtype=float)
 
     def _append(self, columns: list[tuple[ColumnKey, Cube]]) -> None:
         """Append (key, cube) columns past deduplication: pack their cubes

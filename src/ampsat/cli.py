@@ -48,11 +48,15 @@ CSV_FIELDS = (
 
 
 def _load_formula(path: str) -> Formula:
+    """Parse a DIMACS file. Bytes that are not UTF-8 (a Latin-1 comment,
+    say) decode to lone surrogates, so a comment may hold any bytes and line
+    numbers count only the file's own line breaks; such a byte outside a
+    comment is a non-integer token."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise DimacsError(f"cannot read {path}: {exc}") from exc
-    return parse_dimacs(text)
+    return parse_dimacs(data.decode("utf-8", "surrogateescape"))
 
 
 def derive_seed(master_seed: int, instance: str) -> int:

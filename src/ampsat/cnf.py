@@ -3,6 +3,17 @@
 Variables are 0-based internally; all DIMACS I/O is 1-based. Assignments use
 the +/-1 convention with s_i = +1 meaning variable i is true, so a positive
 literal on variable i is satisfied exactly when s_i == +1.
+
+Literal, Clause and Formula are frozen dataclasses with slots. A Clause or
+Formula built directly validates itself in __post_init__. parse_dimacs
+builds a formula in one pass over the text: it canonicalizes each clause as
+plain ints and takes the clause's literals from a per-formula table, so
+equal literals of one formula are one object (at most 2n of them), and it
+checks each clause once, skipping the constructors' re-validation.
+
+parse_dimacs takes str. The command line decodes a file as UTF-8 with
+undecodable bytes escaped (surrogateescape), so a comment may hold any bytes
+and line numbers count only the file's own line breaks.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ class EmptyClauseError(DimacsError):
     """Otherwise valid input holding the empty clause, which nothing satisfies."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """A variable occurrence: polarity +1 for x_var, -1 for its negation."""
 
@@ -41,7 +52,7 @@ class Literal:
             raise ValueError(f"variable index must be >= 0, got {self.var}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """Disjunction of literals, sorted by variable, one literal per variable."""
 
@@ -62,7 +73,7 @@ class Clause:
         return tuple(lit.var for lit in self.literals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Formula:
     """A CNF formula. Clause order is stable: index m is the clause identity.
 
@@ -87,50 +98,86 @@ class Formula:
         return len(self.clauses)
 
 
+class _LiteralTable(dict):
+    """Signed DIMACS code -> the one Literal object standing for it, made
+    on first use."""
+
+    def __missing__(self, code: int) -> Literal:
+        lit = self[code] = Literal(abs(code) - 1, 1 if code > 0 else -1)
+        return lit
+
+
+def _canonical_codes(codes: list[int]) -> list[int] | None:
+    """One clause's distinct nonzero codes sorted by variable, or None for
+    a tautology (both polarities of one variable present)."""
+    distinct_vars = len(set(map(abs, codes)))
+    if distinct_vars < len(codes):
+        codes = list(set(codes))
+        if distinct_vars < len(codes):
+            return None
+    return sorted(codes, key=abs)
+
+
 def make_clause(signed_literals: Iterable[int]) -> Clause | None:
     """Canonicalize DIMACS-style signed literal codes (+/-(var+1)) into a Clause.
 
     Duplicate literals are merged; returns None for a tautology (both
     polarities of one variable present).
     """
-    by_var: dict[int, int] = {}
-    for code in signed_literals:
-        if code == 0:
-            raise ValueError("literal code 0 is not a literal")
-        var = abs(code) - 1
-        pol = 1 if code > 0 else -1
-        seen = by_var.get(var)
-        if seen is None:
-            by_var[var] = pol
-        elif seen != pol:
-            return None
-    lits = tuple(Literal(var, pol) for var, pol in sorted(by_var.items()))
-    return Clause(lits)
+    codes = list(signed_literals)
+    if 0 in codes:
+        raise ValueError("literal code 0 is not a literal")
+    canonical = _canonical_codes(codes)
+    if canonical is None:
+        return None
+    return Clause(tuple(map(_LiteralTable().__getitem__, canonical)))
+
+
+def _is_integer(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
 
 
 def parse_dimacs(text: str) -> Formula:
-    """Parse DIMACS CNF text into a canonicalized Formula.
+    """Parse DIMACS CNF text into a canonicalized Formula, in one pass.
 
     Comment lines start with 'c'; the header is 'p cnf <num_vars> <num_clauses>'.
     Clauses are whitespace-separated nonzero integers terminated by 0 and may
     span lines. SATLIB-style trailing '%' (and anything after it) is ignored.
     Duplicate literals within a clause are merged; tautological clauses are
-    dropped and counted in Formula.tautology_count. An empty clause (a bare
-    0) raises EmptyClauseError unless the input has another error.
+    dropped and counted in Formula.tautology_count. Every clause of the
+    result takes its literals from one table, so equal literals are the same
+    object and the formula holds at most 2 * num_vars Literal objects.
+
+    Errors are DimacsError with the line number. A header error or a
+    non-integer token anywhere in the text wins over an out-of-range
+    literal, which wins over an unterminated last clause, which wins over
+    an empty clause (a bare 0, EmptyClauseError); within one kind the first
+    in the text wins.
     """
     num_vars: int | None = None
     declared_clauses = 0  # validated for shape only; the count is not enforced
-    tokens: list[tuple[int, int]] = []  # (literal code, line number)
+    table = _LiteralTable()
+    clauses: list[Clause] = []
+    tautologies = 0
+    pending: list[int] = []  # codes of a clause not yet terminated by 0
+    pending_line = 0
+    empty_line: int | None = None
+    out_of_range: DimacsError | None = None  # raised once no earlier-ranked error can follow
 
-    lines = text.splitlines()
-    header_line = None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c"):
+        if not line:
             continue
-        if line.startswith("%"):
+        lead = line[0]
+        if lead == "c":
+            continue
+        if lead == "%":
             break
-        if line.startswith("p"):
+        if lead == "p":
             if num_vars is not None:
                 raise DimacsError("duplicate header", lineno)
             parts = line.split()
@@ -143,49 +190,57 @@ def parse_dimacs(text: str) -> Formula:
                 raise DimacsError(f"malformed header {line!r}", lineno) from None
             if num_vars < 0 or declared_clauses < 0:
                 raise DimacsError(f"malformed header {line!r}", lineno)
-            header_line = lineno
             continue
         if num_vars is None:
             raise DimacsError(f"clause data before header: {line!r}", lineno)
-        for tok in line.split():
-            try:
-                code = int(tok)
-            except ValueError:
-                raise DimacsError(f"non-integer token {tok!r}", lineno) from None
-            tokens.append((code, lineno))
+        tokens = line.split()
+        try:
+            codes = list(map(int, tokens))
+        except ValueError:
+            bad = next(tok for tok in tokens if not _is_integer(tok))
+            raise DimacsError(f"non-integer token {bad!r}", lineno) from None
+        if out_of_range is not None:
+            continue
+        if max(codes) > num_vars or min(codes) < -num_vars:
+            code = next(c for c in codes if abs(c) > num_vars)
+            out_of_range = DimacsError(
+                f"literal {code} out of range for {num_vars} variables", lineno
+            )
+            continue
+        start = 0
+        for _ in range(codes.count(0)):
+            end = codes.index(0, start)
+            clause_codes = pending + codes[start:end]
+            pending = []
+            start = end + 1
+            if not clause_codes:
+                empty_line = empty_line or lineno
+                continue
+            canonical = _canonical_codes(clause_codes)
+            if canonical is None:
+                tautologies += 1
+            else:
+                # canonical and in range already: skip Clause.__post_init__
+                clause = object.__new__(Clause)
+                object.__setattr__(clause, "literals", tuple(map(table.__getitem__, canonical)))
+                clauses.append(clause)
+        if start < len(codes):
+            pending += codes[start:]
+            pending_line = lineno
 
     if num_vars is None:
         raise DimacsError("empty input: no 'p cnf' header found")
-
-    clauses: list[Clause] = []
-    tautologies = 0
-    pending: list[int] = []
-    pending_line = header_line or 1
-    empty_line: int | None = None
-    for code, lineno in tokens:
-        if code == 0:
-            if not pending:
-                empty_line = empty_line or lineno
-                continue
-            clause = make_clause(pending)
-            if clause is None:
-                tautologies += 1
-            else:
-                clauses.append(clause)
-            pending = []
-            continue
-        if abs(code) > num_vars:
-            raise DimacsError(
-                f"literal {code} out of range for {num_vars} variables", lineno
-            )
-        pending.append(code)
-        pending_line = lineno
+    if out_of_range is not None:
+        raise out_of_range
     if pending:
         raise DimacsError("unterminated clause at end of input", pending_line)
     if empty_line is not None:
         raise EmptyClauseError("empty clause", empty_line)
-
-    return Formula(num_vars=num_vars, clauses=tuple(clauses), tautology_count=tautologies)
+    formula = object.__new__(Formula)  # in range already: skip Formula.__post_init__
+    object.__setattr__(formula, "num_vars", num_vars)
+    object.__setattr__(formula, "clauses", tuple(clauses))
+    object.__setattr__(formula, "tautology_count", tautologies)
+    return formula
 
 
 def to_dimacs(formula: Formula) -> str:

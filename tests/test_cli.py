@@ -105,6 +105,16 @@ class TestSolve:
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/really.cnf"]) == 1
 
+    def test_comment_may_hold_any_bytes(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cnf"
+        path.write_bytes(b"c caf\xe9\n" + ONE_CLAUSE.encode())
+        assert main(["solve", str(path), "--seed", "7"]) == 10
+        assert "v 1 2 0" in capsys.readouterr().out
+        # 0x85 is a line break to str.splitlines once decoded as Latin-1
+        path.write_bytes(b"c \x85 \xff\xfe\np cnf 2 1\n1 caf\xe9 0\n")
+        assert main(["solve", str(path)]) == 1
+        assert "error: line 3: non-integer token 'caf\\udce9'" in capsys.readouterr().err
+
     def test_bad_flag_usage(self, tmp_path, capsys):
         path = tmp_path / "one.cnf"
         path.write_text(ONE_CLAUSE)
@@ -275,6 +285,19 @@ class TestBench:
         assert rows["uf20-001.cnf"]["status"] == "SAT"
         assert rows["empty_clause.cnf"]["status"] == "UNKNOWN"
         assert "line 3: empty clause" in capsys.readouterr().err
+
+    def test_comment_may_hold_any_bytes(self, tmp_path, capsys):
+        d = tmp_path / "instances"
+        d.mkdir()
+        (d / "a.cnf").write_text(ONE_CLAUSE)
+        (d / "latin1.cnf").write_bytes(b"c caf\xe9\n" + TINY_SAT.encode())
+        out_csv = tmp_path / "bench.csv"
+        code = main(["bench", str(d), "--solvers", "amp-bias1,sa", "--timeout", "10",
+                     "--csv", str(out_csv)])
+        assert code == 0
+        rows = self._read(out_csv)
+        assert len(rows) == 4
+        assert all(r["status"] == "SAT" for r in rows)
 
     def test_bench_deterministic_modulo_wall_time(self, cnf_dir, tmp_path, capsys):
         a_csv, b_csv = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,9 +1,17 @@
 """DIMACS parsing, canonicalization, and formula evaluation."""
 
+import dataclasses
+import gc
+import pickle
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference_cnf
 from ampsat import (
     DimacsError,
     Formula,
@@ -12,10 +20,18 @@ from ampsat import (
     parse_dimacs,
     to_dimacs,
 )
-from ampsat.cnf import Literal, hamming_distance, make_clause
+from ampsat.cnf import Clause, Literal, hamming_distance, make_clause
 from ampsat.indicator import clause_indicator
 
 from helpers import all_assignments, random_formula
+
+INSTANCES = Path(__file__).resolve().parents[1] / "instances"
+
+
+def _committed_instances():
+    paths = sorted(INSTANCES.glob("*/*.cnf"))
+    assert len(paths) == 90  # uf20-001…060 and uf50-001…030
+    return paths
 
 
 class TestParse:
@@ -139,3 +155,168 @@ class TestClauseValidation:
     def test_formula_rejects_out_of_range_literal(self):
         with pytest.raises(ValueError):
             Formula(num_vars=1, clauses=(make_clause((2,)),))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Literal(0, 0),
+            lambda: Literal(-1, 1),
+            lambda: Clause(()),
+            lambda: Clause((Literal(1, 1), Literal(0, 1))),
+            lambda: Clause((Literal(0, 1), Literal(0, -1))),
+        ],
+    )
+    def test_direct_construction_validates(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+
+def _outcome(parse, text):
+    """("ok", formula, tautology_count) or ("error", type, message, line)."""
+    try:
+        formula = parse(text)
+    except DimacsError as exc:
+        return ("error", type(exc), str(exc), exc.line)
+    if isinstance(formula, reference_cnf.Formula):
+        formula = reference_cnf.as_current(formula)
+    return ("ok", formula, formula.tautology_count)
+
+
+def _assert_parses_like_reference(text):
+    expected = _outcome(reference_cnf.parse_dimacs, text)
+    got = _outcome(parse_dimacs, text)
+    assert got == expected
+    if got[0] == "ok":
+        assert type(got[1]) is Formula
+
+
+BAD_TOKENS = ("z", "1.5", "0x1", "--1", "2-", "caf\xe9", "1/2")
+INT_FORMS = ("+1", "-0", "007", "+0")
+MALFORMED_HEADERS = ("p", "p cnf", "p cnf x 1", "p dnf 2 1", "p cnf -1 1",
+                     "p cnf 2 1 1", "pcnf 2 1", "p cnf 2 -3")
+FILLER = ("c", "c comment 1 2 0", "cnf 3 0", "", "   ", "\t")
+
+
+@st.composite
+def dimacs_texts(draw):
+    """DIMACS text: a header, clauses laid out over lines at random, comments
+    and blank lines, and zero to three faults from the list below placed at
+    random lines, so that one text can hold several errors."""
+    n = draw(st.integers(0, 6))
+    clauses = []
+    if n:
+        literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+        clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=5), max_size=8))
+    tokens = [str(code) for clause in clauses for code in clause + [0]]
+    cuts = sorted(draw(st.lists(st.integers(0, len(tokens)), max_size=len(tokens))))
+    lines = [" ".join(tokens[a:b]) for a, b in zip([0, *cuts], [*cuts, len(tokens)])]
+    header = f"p cnf {n} {len(clauses)}"
+    lines.insert(0, header)
+
+    def at():  # a line index past the header's first place
+        return draw(st.integers(min(1, len(lines)), len(lines)))
+
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(at(), draw(st.sampled_from(FILLER)))
+    out_of_range = st.integers(n + 1, n + 3).flatmap(lambda v: st.sampled_from((v, -v)))
+    for fault in draw(st.lists(st.sampled_from((
+        "duplicate header", "late header", "no header", "malformed header",
+        "bad token", "int form", "out of range", "bare zero", "unterminated",
+        "percent trailer",
+    )), max_size=3)):
+        if fault == "duplicate header":
+            lines.insert(at(), f"p cnf {n} 0")
+        elif fault == "late header" and header in lines:
+            lines.remove(header)
+            lines.insert(at(), header)
+        elif fault == "no header":
+            lines = [line for line in lines if line != header]
+        elif fault == "malformed header" and header in lines:
+            lines[lines.index(header)] = draw(st.sampled_from(MALFORMED_HEADERS))
+        elif fault in ("bad token", "int form", "out of range"):
+            token = draw(
+                st.sampled_from(BAD_TOKENS) if fault == "bad token"
+                else st.sampled_from(INT_FORMS) if fault == "int form"
+                else out_of_range.map(str)
+            )
+            row = at()
+            if row < len(lines) and lines[row][:1] not in ("c", "p", "%"):
+                words = lines[row].split()
+                words.insert(draw(st.integers(0, len(words))), token)
+                lines[row] = " ".join(words)
+            else:
+                lines.insert(row, f"{token} 0")
+        elif fault == "bare zero":
+            lines.insert(at(), "0")
+        elif fault == "unterminated":
+            lines.append("1")
+        elif fault == "percent trailer":
+            lines.insert(at(), "%")
+    sep = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return sep.join(lines) + (sep if draw(st.booleans()) else "")
+
+
+class TestParseMatchesReference:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=600)
+    @given(dimacs_texts())
+    @example("p cnf 2 1\np cnf 2 1\n1 0\n")  # duplicate header
+    @example("1 2 0\np cnf 2 1\n")  # data before the header
+    @example("p cnf 2 1\n1 z 0\n")  # non-integer token
+    @example("p cnf 2 1\n1 3 0\n")  # out of range
+    @example("p cnf 2 1\n0\n")  # bare 0
+    @example("p cnf 2 1\n1 2\n")  # unterminated
+    @example("p cnf 2 2\n1 2 0\n%\n0\nz\n")  # SATLIB trailer
+    @example("p cnf 2 3\n0\n1 2\n5 0\n2 1")  # empty, out of range, unterminated
+    @example("p cnf 2 3\n0\n5 0\nx 0\np cnf 2 3\n")  # out of range, then token errors
+    @example("p cnf 2 2\n0\n1")  # unterminated beats the empty clause
+    @example("p cnf 3 3\n1 1 -2 0 2 -2 3 0\n3 -1 1 0\n")  # merge, tautologies
+    @example("")
+    def test_every_text(self, text):
+        _assert_parses_like_reference(text)
+
+    def test_committed_instances(self):
+        for path in _committed_instances():
+            _assert_parses_like_reference(path.read_text())
+
+
+class TestSlottedModel:
+    def test_pickle_hash_and_equality_round_trip(self):
+        formula = parse_dimacs((INSTANCES / "uf20" / "uf20-001.cnf").read_text())
+        direct = Formula(formula.num_vars, formula.clauses)
+        for obj in (formula, formula.clauses[0], formula.clauses[0].literals[0], direct):
+            copy = pickle.loads(pickle.dumps(obj))
+            assert copy == obj
+            assert hash(copy) == hash(obj)
+            assert repr(copy) == repr(obj)
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, dataclasses.fields(obj)[0].name, None)
+        assert direct == formula and hash(direct) == hash(formula)
+        tautological = parse_dimacs("p cnf 2 2\n1 -1 0\n2 0\n")
+        assert pickle.loads(pickle.dumps(tautological)).tautology_count == 1
+
+    def test_equal_literals_are_one_object(self):
+        for path in _committed_instances():
+            formula = parse_dimacs(path.read_text())
+            one = {}
+            for clause in formula.clauses:
+                for lit in clause.literals:
+                    assert one.setdefault(lit, lit) is lit
+            assert len(one) <= 2 * formula.num_vars
+
+    def test_uf20_formulas_hold_at_most_four_tenths_of_the_reference(self):
+        texts = [path.read_text() for path in sorted((INSTANCES / "uf20").glob("*.cnf"))]
+        assert len(texts) == 60  # the uf20-sweep benchmark corpus
+
+        def held_bytes(parse):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                formulas = [parse(text) for text in texts]
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+                del formulas
+
+        assert held_bytes(parse_dimacs) <= 0.4 * held_bytes(reference_cnf.parse_dimacs)

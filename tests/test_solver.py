@@ -100,9 +100,16 @@ class TestSolveBasics:
 class TestStatsInvariants:
     def test_candidate_and_gap_bookkeeping(self):
         rng = random.Random(81)
+        runs = []
         for _ in range(15):
             f = _random_satisfiable(rng, (2, 9), lambda n, r: r.randrange(1, 12))
-            stats = solve(f, _cfg(timeout=5.0, seed=rng.randrange(1000)))
+            runs.append((f, solve(f, _cfg(timeout=5.0, seed=rng.randrange(1000)))))
+        # the small formulas all end in round 1; these reach refinement rounds
+        for name in ("uf50-001.cnf", "uf50-005.cnf"):
+            f = parse_dimacs((UF50_005.parent / name).read_text())
+            runs.append((f, solve(f, _cfg(max_rounds=4))))
+        assert any(stats.rounds > 1 for _, stats in runs)
+        for f, stats in runs:
             assert len(stats.hamming_gaps) == max(stats.rounds - 1, 0)
             assert len(stats.candidate_history) == stats.rounds
             if stats.status == Status.SAT:
