@@ -20,18 +20,22 @@ off packed uint64 sign masks, a bounded block of rows at a time; nothing is
 ever enumerated over 2^n.
 
 No Gram matrix is kept. The only K-squared state is the lower Cholesky factor
-L of Gram + lambda*I, stored as row panels of at most _PANEL_ROWS rows: a
-panel holds L's rows from its first row up to the diagonal, so beyond the
-lower triangle only the diagonal blocks' upper halves are stored. A batch
-of d columns appended at K = o costs O(K^2 d), not O(K^3): its raw Gram rows
-fill new panels, which become factor rows in place by the block Cholesky
-update (Golub & Van Loan, Matrix Computations, section 4.2)
+L of Gram + lambda*I, stored with no wasted entry as row panels of at most
+_PANEL_ROWS rows: a panel holds L's rows left of its diagonal block, and the
+block's inverse as a lower triangle packed by rows, so the factor takes
+exactly K(K+1)/2 entries. A batch of d columns appended at K = o costs
+O(K^2 d), not O(K^3): its raw Gram rows fill new panels, which become factor
+rows in place by the block Cholesky update (Golub & Van Loan, Matrix
+Computations, section 4.2)
 
     L21 = G21 L11^-T,    L22 = chol(G22 - L21 L21^T),
 
 one bounded block at a time, with numpy's matrix product and Cholesky. Each
 diagonal block is kept as its inverse, so both triangular solves, in the
-update and in the weight solve, are matrix products too.
+update and in the weight solve, are matrix products too; a packed block is
+expanded for them into one reused scratch square of at most _PANEL_ROWS^2
+entries. Every other array that grows with K beyond O(K) is built one
+bounded block of _GRAM_BLOCK_ENTRIES entries at a time.
 
 Precision: the panels of the first-order fit are float64 and every later
 panel is float32, which halves the factor. The weights, the right-hand
@@ -53,7 +57,7 @@ a state that took the ladder keeps float64 panels from then on.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -63,13 +67,17 @@ from .indicator import ColumnKey, Cube, IndicatorCache, validate_key
 
 RIDGE_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 _RESIDUAL_TOL = 1e-6
-# Dense entries per block of Gram rows: bounds the temporaries of a Gram
-# extension or a Gram-vector product however many columns there are, and
-# keeps each temporary (512 KiB) cache-sized.
-_GRAM_BLOCK_ENTRIES = 1 << 16
+# Dense entries per block of Gram rows (or of the decimation's sign
+# matrix): bounds the temporaries of a Gram extension, a Gram-vector product
+# or a decimation step however many columns there are, to about 1.2 MiB
+# for a Gram block of 256 KiB.
+_GRAM_BLOCK_ENTRIES = 1 << 15
 # Rows per factor panel: bounds every block the factor updates, factors or
-# inverts, and the unused upper half of each panel's diagonal block.
+# inverts, and the scratch square a packed diagonal block is expanded into.
 _PANEL_ROWS = 256
+# A lower triangle of order d is _LOWER[:d, :d], in the row-major order its
+# packed entries follow.
+_LOWER = np.tri(_PANEL_ROWS, dtype=bool)
 # Iterative refinement stops once max |r| is at most this much relative to
 # max(1, max |a|), far under _RESIDUAL_TOL, or after _REFINE_STEPS solves.
 _REFINE_TARGET = 1e-10
@@ -78,6 +86,17 @@ _REFINE_STEPS = 8
 
 class WeightSolveError(RuntimeError):
     """The Gram system could not be solved even after ridge escalation."""
+
+
+class _Panel(NamedTuple):
+    """Rows [o, o + d) of the lower factor L: `rows` is the (d, o) block
+    L[o:o+d, :o] and `diag` the inverse of the diagonal block
+    L[o:o+d, o:o+d], a lower triangle packed by rows into d(d+1)/2 entries
+    of the same dtype. A pending panel holds the raw Gram entries G[o:o+d, :o]
+    and the lower triangle of G[o:o+d, o:o+d] in the same places."""
+
+    rows: np.ndarray
+    diag: np.ndarray
 
 
 def column_signature(cache: IndicatorCache, key: ColumnKey) -> Cube | None:
@@ -100,16 +119,17 @@ class ApproxState:
     stored, and `omega_tilde` is expanded from the keys when first read
     after the weights change.
     `_panels` holds the lower Cholesky factor L of Gram + ridge_lambda * I
-    by row panels of d <= _PANEL_ROWS rows: a panel of shape (d, o + d)
-    holds L's rows [o, o + d), columns [0, o), and then the inverse of its
-    diagonal block L[o:o+d, o:o+d], which is lower triangular too. Panels
-    starting at or past row `_factored` still hold raw Gram rows written by
-    `_append`; solve_weights factors them in place. The first `_append`
-    (the first-order fit) writes float64 panels and later ones float32,
-    until the ridge ladder rebuilds every panel in float64 and clears
-    `_float32_panels`. Either way solve_weights refines the weights to
-    float64 accuracy against the closed-form G a of `_gram_times`, which
-    reads only G's lower triangle.
+    as `_Panel`s of d <= _PANEL_ROWS rows each, with no d x d square stored:
+    L21 rows as a (d, o) array and the diagonal block's inverse packed, so
+    the factor holds exactly K(K+1)/2 entries. Panels from index `_factored`
+    on still hold raw Gram entries written by `_append`; solve_weights
+    factors them in place. The first `_append` (the first-order fit) writes
+    float64 panels and later ones float32, until the ridge ladder rebuilds
+    every panel in float64 and clears `_float32_panels`. Either way
+    solve_weights refines the weights to float64 accuracy against the
+    closed-form G a of `_gram_times`, which reads only G's lower triangle.
+    Apart from the panels, no array the fit builds grows faster than O(K)
+    beyond one block of _GRAM_BLOCK_ENTRIES entries.
     """
 
     def __init__(self, formula: Formula):
@@ -122,7 +142,7 @@ class ApproxState:
         self.ridge_lambda = 0.0
         self.masks = np.zeros((2, -(-formula.num_vars // 64), 0), dtype=np.uint64)
         self._omega_tilde: tuple[np.ndarray | None, SparsePoly | None] = (None, None)
-        self._panels: list[np.ndarray] = []
+        self._panels: list[_Panel] = []
         self._factored = 0
         self._float32_panels = True
 
@@ -160,17 +180,21 @@ class ApproxState:
 
         A reference for tests and debugging; the solve path never builds it.
         """
-        return self._gram_rows(0, self.num_columns)
+        k = self.num_columns
+        out = np.empty((k, k))
+        for lo, hi in self._row_blocks(0, k, k):
+            out[lo:hi] = self._gram_block(lo, hi, k)
+        return out
 
     def signs(self) -> np.ndarray:
-        """A new (K x n) float matrix of the cubes' signs: entry (i, j) is
+        """A new (K x n) int8 matrix of the cubes' signs: entry (i, j) is
         +1 or -1 where cube i fixes s_j to that value, 0 where it leaves s_j
         free."""
         words = np.ascontiguousarray(self.masks.transpose(0, 2, 1), dtype="<u8")
         plus, minus = np.unpackbits(
             words.view(np.uint8), axis=2, count=self.formula.num_vars, bitorder="little"
-        )
-        return np.subtract(plus, minus, dtype=float)
+        ).view(np.int8)
+        return plus - minus
 
     def _append(self, columns: list[tuple[ColumnKey, Cube]]) -> None:
         """Append (key, cube) columns past deduplication: pack their cubes
@@ -185,14 +209,23 @@ class ApproxState:
         single = start > 0 and self._float32_panels
         self._panels += self._gram_panels(start, np.float32 if single else np.float64)
 
-    def _gram_panels(self, start: int, dtype=np.float64) -> list[np.ndarray]:
-        """Raw Gram rows [start, K) as factor-shaped panels of at most
-        _PANEL_ROWS rows, each against the columns up to its last row."""
+    def _gram_panels(self, start: int, dtype=np.float64) -> list[_Panel]:
+        """Raw Gram rows [start, K) as pending panels of at most _PANEL_ROWS
+        rows, each against the columns before its first row, with its
+        diagonal block's lower triangle packed."""
         k = self.num_columns
-        return [
-            self._gram_rows(lo, min(lo + _PANEL_ROWS, k), dtype)
-            for lo in range(start, k, _PANEL_ROWS)
-        ]
+        panels = []
+        for lo in range(start, k, _PANEL_ROWS):
+            d = min(_PANEL_ROWS, k - lo)
+            panel = _Panel(np.empty((d, lo), dtype), np.empty(d * (d + 1) // 2, dtype))
+            lower = _LOWER[:d, :d]
+            for r0, r1 in self._row_blocks(lo, lo + d, lo + d):
+                block = self._gram_block(r0, r1, lo + d)
+                i0, i1 = r0 - lo, r1 - lo
+                panel.rows[i0:i1] = block[:, :lo]
+                panel.diag[i0 * (i0 + 1) // 2 : i1 * (i1 + 1) // 2] = block[:, lo:][lower[i0:i1]]
+            panels.append(panel)
+        return panels
 
     @staticmethod
     def _row_blocks(lo: int, hi: int, width: int) -> Iterator[tuple[int, int]]:
@@ -217,13 +250,6 @@ class ApproxState:
         block = np.ldexp(1.0, -union)
         block *= consistent
         return block
-
-    def _gram_rows(self, lo: int, hi: int, dtype=np.float64) -> np.ndarray:
-        """Dense Gram rows [lo, hi) against columns [0, hi), stored as dtype."""
-        out = np.empty((hi - lo, hi), dtype)
-        for r0, r1 in self._row_blocks(lo, hi, hi):
-            out[r0 - lo : r1 - lo] = self._gram_block(r0, r1, hi)
-        return out
 
     def _gram_times(self, a: np.ndarray) -> np.ndarray:
         """G a from G's lower triangle, without holding more than one block
@@ -289,7 +315,7 @@ def solve_weights(state: ApproxState) -> np.ndarray:
         raise WeightSolveError("no columns to solve")
     rhs = np.zeros(k)
     rhs[0] = 1.0
-    covered = sum(panel.shape[0] for panel in state._panels)
+    covered = sum(len(panel.rows) for panel in state._panels)
     if state.ridge_lambda == 0.0 and covered == k:
         a = _factor_and_solve(state, rhs, 0.0)
         if a is not None:
@@ -301,9 +327,8 @@ def solve_weights(state: ApproxState) -> np.ndarray:
         state._factored = 0
         state._panels = state._gram_panels(0)
         for panel in state._panels:
-            d, width = panel.shape
-            diag = np.arange(d)
-            panel[diag, width - d + diag] += lam
+            i = np.arange(len(panel.rows))
+            panel.diag[i * (i + 3) // 2] += lam  # the packed diagonal
         a = _factor_and_solve(state, rhs, lam)
         if a is not None:
             state.weights = a
@@ -329,11 +354,10 @@ def _factor_and_solve(state: ApproxState, rhs: np.ndarray, lam: float) -> np.nda
     space meets rhs) fails, and the ridge ladder takes over. A ridge rung's
     weights are ~1/lam on such a G by design and G a is rounded relative to
     them, so for lam > 0 the bound scales with max |a|."""
-    for q, panel in enumerate(state._panels):
-        if panel.shape[1] > state._factored:
-            if not _factor_panel(state._panels, q):
-                return None
-            state._factored = panel.shape[1]
+    for q in range(state._factored, len(state._panels)):
+        if not _factor_panel(state._panels, q):
+            return None
+        state._factored = q + 1
     best, best_norm = None, np.inf
     a, r = np.zeros_like(rhs), rhs
     for _ in range(_REFINE_STEPS):
@@ -353,30 +377,48 @@ def _factor_and_solve(state: ApproxState, rhs: np.ndarray, lam: float) -> np.nda
     return best if best_norm <= _RESIDUAL_TOL * scale else None
 
 
-def _factor_panel(panels: list[np.ndarray], q: int) -> bool:
-    """Turn panel q's raw Gram rows into factor rows, in place, given the
+def _scratch(panels: list[_Panel]) -> np.ndarray:
+    """A byte buffer that holds the largest diagonal block of `panels` as a
+    square: the one scratch that _unpack reuses for each of them."""
+    sizes = (len(p.rows) ** 2 * p.rows.itemsize for p in panels)
+    return np.empty(max(sizes, default=0), np.uint8)
+
+
+def _unpack(packed: np.ndarray, d: int, scratch: np.ndarray) -> np.ndarray:
+    """The lower triangle of order d packed by rows in `packed`, as a d x d
+    square over the start of `scratch`, in packed's dtype and zero above
+    the diagonal."""
+    square = scratch[: d * d * packed.itemsize].view(packed.dtype).reshape(d, d)
+    square.fill(0)
+    square[_LOWER[:d, :d]] = packed
+    return square
+
+
+def _factor_panel(panels: list[_Panel], q: int) -> bool:
+    """Turn panel q's raw Gram entries into factor rows, in place, given the
     factored panels before it: X = G21 L11^-T by block forward substitution,
-    then L22 = chol(G22 - X X^T), stored as its inverse. False when
+    then L22 = chol(G22 - X X^T), stored packed as its inverse. False when
     G22 - X X^T is not positive definite.
 
     Every product, and so every temporary, is at most _PANEL_ROWS
     square."""
-    new = panels[q]
-    d, width = new.shape
-    o = width - d
-    for panel in panels[:q]:
-        dp, wp = panel.shape
-        op = wp - dp
-        block = new[:, op:wp]
-        block -= new[:, :op] @ panel[:, :op].T
-        block[...] = block @ panel[:, op:].T
-    schur = new[:, o:]
-    schur -= new[:, :o] @ new[:, :o].T
+    rows, diag = panels[q]
+    scratch = _scratch(panels[:q])
+    for prior in panels[:q]:
+        dp, op = prior.rows.shape
+        block = rows[:, op : op + dp]
+        block -= rows[:, :op] @ prior.rows.T
+        block[...] = block @ _unpack(prior.diag, dp, scratch).T
+    del scratch  # before the Cholesky's own float64 temporaries
+    lower = _LOWER[: len(rows), : len(rows)]
+    schur = rows @ rows.T
+    schur[lower] = diag - schur[lower]  # the upper triangle is never read
     try:
-        schur[...] = np.linalg.cholesky(schur)
+        factor = np.linalg.cholesky(schur)
     except np.linalg.LinAlgError:
         return False
-    _invert_lower(schur)
+    _invert_lower(factor)
+    diag[...] = factor[lower]
     return True
 
 
@@ -397,21 +439,20 @@ def _invert_lower(block: np.ndarray) -> None:
     block[h:, :h] = -(block[h:, h:] @ block[h:, :h]) @ block[:h, :h]
 
 
-def _solve_factored(panels: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
+def _solve_factored(panels: list[_Panel], rhs: np.ndarray) -> np.ndarray:
     """Solve L L^T a = rhs by panel-wise forward then back substitution, each
     panel's products in its own precision: the vector segments are cast to
     the panel's dtype, never a panel to the vector's."""
+    scratch = _scratch(panels)
     a = rhs.copy()
-    for panel in panels:
-        d, width = panel.shape
-        o = width - d
-        dtype = panel.dtype
-        x = a[o:width].astype(dtype, copy=False) - panel[:, :o] @ a[:o].astype(dtype, copy=False)
-        a[o:width] = panel[:, o:] @ x
-    for panel in reversed(panels):
-        d, width = panel.shape
-        o = width - d
-        x = panel[:, o:].T @ a[o:width].astype(panel.dtype, copy=False)
-        a[o:width] = x
-        a[:o] -= panel[:, :o].T @ x
+    for rows, diag in panels:
+        d, o = rows.shape
+        dtype = rows.dtype
+        x = a[o : o + d].astype(dtype, copy=False) - rows @ a[:o].astype(dtype, copy=False)
+        a[o : o + d] = _unpack(diag, d, scratch) @ x
+    for rows, diag in reversed(panels):
+        d, o = rows.shape
+        x = _unpack(diag, d, scratch).T @ a[o : o + d].astype(rows.dtype, copy=False)
+        a[o : o + d] = x
+        a[:o] -= rows.T @ x
     return a

@@ -23,7 +23,15 @@ from pathlib import Path
 from . import oracle as oracle_mod
 from .anneal import AnnealSchedule, default_schedule, sa_solve
 from .bias import BiasKind
-from .cnf import Assignment, DimacsError, EmptyClauseError, Formula, count_unsat, parse_dimacs
+from .cnf import (
+    Assignment,
+    DimacsError,
+    EmptyClauseError,
+    Formula,
+    count_unsat,
+    parse_dimacs,
+    split_lines,
+)
 from .solver import SolverConfig, SolverStats, Status, solve
 
 EXIT_SAT = 10
@@ -47,16 +55,21 @@ CSV_FIELDS = (
 )
 
 
-def _load_formula(path: str) -> Formula:
-    """Parse a DIMACS file. Bytes that are not UTF-8 (a Latin-1 comment,
+def _read_text(path: str) -> str:
+    """A file's text as UTF-8. Bytes that are not UTF-8 (a Latin-1 comment,
     say) decode to lone surrogates, so a comment may hold any bytes and line
     numbers count only the file's own line breaks; such a byte outside a
     comment is a non-integer token."""
+    return Path(path).read_bytes().decode("utf-8", "surrogateescape")
+
+
+def _load_formula(path: str) -> Formula:
+    """Parse a DIMACS file, read by _read_text."""
     try:
-        data = Path(path).read_bytes()
+        text = _read_text(path)
     except OSError as exc:
         raise DimacsError(f"cannot read {path}: {exc}") from exc
-    return parse_dimacs(data.decode("utf-8", "surrogateescape"))
+    return parse_dimacs(text)
 
 
 def derive_seed(master_seed: int, instance: str) -> int:
@@ -266,10 +279,11 @@ def cmd_bench(args) -> int:
 
 
 def parse_assignment_file(text: str, num_vars: int) -> Assignment:
-    """Read a solution: 'v' lines or bare signed literals, 0-terminated."""
+    """Read a solution: 'v' lines or bare signed literals, 0-terminated.
+    A variable given with both signs is an error."""
     values: dict[int, int] = {}
     done = False
-    for raw in text.splitlines():
+    for raw in split_lines(text):
         line = raw.strip()
         if not line or line[0] in "cs":
             continue
@@ -283,7 +297,9 @@ def parse_assignment_file(text: str, num_vars: int) -> Assignment:
             var = abs(code) - 1
             if var >= num_vars:
                 raise ValueError(f"literal {code} out of range")
-            values[var] = 1 if code > 0 else -1
+            value = 1 if code > 0 else -1
+            if values.setdefault(var, value) != value:
+                raise ValueError(f"conflicting literals for variable {var + 1}")
         if done:
             break
     missing = [i + 1 for i in range(num_vars) if i not in values]
@@ -295,7 +311,7 @@ def parse_assignment_file(text: str, num_vars: int) -> Assignment:
 def cmd_verify(args) -> int:
     try:
         formula = _load_formula(args.cnf)
-        text = Path(args.assignment).read_text()
+        text = _read_text(args.assignment)
         assignment = parse_assignment_file(text, formula.num_vars)
     except (DimacsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""CNF data model, DIMACS parsing and serialization, formula evaluation.
+r"""CNF data model, DIMACS parsing and serialization, formula evaluation.
 
 Variables are 0-based internally; all DIMACS I/O is 1-based. Assignments use
 the +/-1 convention with s_i = +1 meaning variable i is true, so a positive
@@ -11,9 +11,11 @@ plain ints and takes the clause's literals from a per-formula table, so
 equal literals of one formula are one object (at most 2n of them), and it
 checks each clause once, skipping the constructors' re-validation.
 
-parse_dimacs takes str. The command line decodes a file as UTF-8 with
-undecodable bytes escaped (surrogateescape), so a comment may hold any bytes
-and line numbers count only the file's own line breaks.
+parse_dimacs takes str and breaks it into lines at \r\n, \r and \n only
+(split_lines), so a comment may hold a form feed or U+2028 and every line
+number is the one an editor shows. The command line decodes a file as UTF-8
+with undecodable bytes escaped (surrogateescape), so a comment may hold any
+bytes.
 """
 
 from __future__ import annotations
@@ -22,6 +24,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 Assignment = tuple[int, ...]
+
+
+def split_lines(text: str) -> list[str]:
+    r"""The lines of text, broken at \r\n, \r and \n only. str.splitlines
+    also breaks at \v, \f, \x1c-\x1e, U+0085, U+2028 and U+2029, which
+    would cut a comment holding one and shift every later line number."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 class DimacsError(ValueError):
@@ -168,7 +177,7 @@ def parse_dimacs(text: str) -> Formula:
     empty_line: int | None = None
     out_of_range: DimacsError | None = None  # raised once no earlier-ranked error can follow
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line:
             continue

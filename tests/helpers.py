@@ -4,8 +4,10 @@ assignment enumeration used by brute-force checks."""
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
-from ampsat import Formula, SparsePoly
+from ampsat import Formula, SparsePoly, parse_dimacs
+from ampsat.approx import ApproxState, add_columns, init_first_order
 from ampsat.cnf import make_clause
 from ampsat.oracle import all_assignments, assignment_to_index  # noqa: F401  (re-export)
 
@@ -57,3 +59,20 @@ def random_poly(
 
 def random_assignment(rng: random.Random, num_vars: int):
     return tuple(rng.choice((-1, 1)) for _ in range(num_vars))
+
+
+UF50_001 = Path(__file__).resolve().parents[1] / "instances" / "uf50" / "uf50-001.cnf"
+
+
+def grown_uf50_001() -> tuple[ApproxState, list[tuple[int, int]]]:
+    """uf50-001 fitted to first order and grown by batches of 500 shuffled
+    clause pairs (random.Random(53)) until K > 2000: the state and the
+    pairs not yet offered."""
+    f = parse_dimacs(UF50_001.read_text())
+    state = init_first_order(f)
+    pairs = [(i, j) for i in range(f.num_clauses) for j in range(i + 1, f.num_clauses)]
+    random.Random(53).shuffle(pairs)
+    while state.num_columns <= 2000:
+        add_columns(state, pairs[:500])
+        del pairs[:500]
+    return state, pairs

@@ -2,7 +2,6 @@
 
 import random
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,10 +24,9 @@ from ampsat.fourier import PRUNE_EPSILON
 from ampsat.oracle import dense_evaluate, dense_omega, exact_lstsq
 from ampsat.refine import RefinementSaturated, plan_refinement
 
-from helpers import random_assignment, random_formula
+from helpers import UF50_001, grown_uf50_001, random_assignment, random_formula
 
 TOL = 1e-9
-UF50_001 = Path(__file__).resolve().parents[1] / "instances" / "uf50" / "uf50-001.cnf"
 
 
 def _unit_rhs(k):
@@ -82,27 +80,37 @@ def _random_batch_runs():
                 yield state, panels_before
 
 
+def _unpacked(packed, d):
+    """A lower triangle of order d packed by rows, as a d x d square."""
+    square = np.zeros((d, d), packed.dtype)
+    square[np.tril_indices(d)] = packed
+    return square
+
+
 def _dense_factor(state):
     """The factor panels laid out as one dense lower-triangular matrix; each
-    panel keeps its diagonal block inverted, which is inverted back."""
+    panel keeps its diagonal block inverted and packed, which is unpacked
+    and inverted back."""
     k = state.num_columns
     out = np.zeros((k, k))
-    for panel in state._panels:
-        d, width = panel.shape
-        o = width - d
-        out[o:width, :o] = panel[:, :o]
-        out[o:width, o:width] = np.tril(np.linalg.inv(panel[:, o:]))
+    for rows, diag in state._panels:
+        d, o = rows.shape
+        out[o : o + d, :o] = rows
+        out[o : o + d, o : o + d] = np.tril(np.linalg.inv(_unpacked(diag, d)))
     return out
 
 
 def _panel_rows(state):
     """The row range [o, o + d) of every panel, checking that each is at
-    most _PANEL_ROWS tall and reaches the diagonal."""
+    most _PANEL_ROWS tall, holds its rows left of the diagonal and its
+    diagonal block's packed triangle in one dtype, and follows the last."""
     ranges = []
-    for panel in state._panels:
-        d, width = panel.shape
+    for rows, diag in state._panels:
+        d, o = rows.shape
         assert 0 < d <= _PANEL_ROWS
-        ranges.append((width - d, width))
+        assert diag.shape == (d * (d + 1) // 2,) and diag.dtype == rows.dtype
+        assert o == (ranges[-1][1] if ranges else 0)
+        ranges.append((o, o + d))
     return ranges
 
 
@@ -317,10 +325,13 @@ class TestIncrementalFactor:
         k = state.num_columns
         assert state.ridge_lambda == 0.0 and k == 466
         assert _panel_rows(state) == [(0, 31), (31, 287), (287, 331), (331, 466)]
-        for panel in state._panels:
-            d, width = panel.shape
-            inverse = panel[:, width - d :]  # of L's diagonal block
-            assert np.array_equal(inverse, np.tril(inverse))
+        # no square is stored: each panel holds its L21 rows and exactly the
+        # d(d+1)/2 entries of its diagonal block's inverse, K(K+1)/2 in all
+        diagonal = [panel.diag.size for panel in state._panels]
+        assert diagonal == [d * (d + 1) // 2 for d in (31, 256, 44, 135)]
+        below = [panel.rows.size for panel in state._panels]
+        assert below == [31 * 0, 256 * 31, 44 * 287, 135 * 331]
+        assert sum(diagonal) + sum(below) == k * (k + 1) // 2
         factor = _dense_factor(state)
         assert np.allclose(factor @ factor.T, state.gram, atol=TOL)
 
@@ -348,10 +359,10 @@ class TestIncrementalFactor:
         before = len(state._panels)
         state._append([(key, cube) for cube, key in columns.items()])
         pending = state._panels[before:]
-        d = sum(panel.shape[0] for panel in pending)
+        d = sum(len(panel.rows) for panel in pending)
         assert d == 1000 and len(pending) == 4
-        assert all(panel.dtype == np.float32 for panel in pending)
-        raw = [panel.copy() for panel in pending]
+        assert all(array.dtype == np.float32 for panel in pending for array in panel)
+        raw = [[array.copy() for array in panel] for panel in pending]
         tracemalloc.start()
         try:
             solve_weights(state)
@@ -363,11 +374,13 @@ class TestIncrementalFactor:
         gram = state.gram
         bound = (k + 1) * 2.0**-24 * np.abs(gram).max()
         factor = _dense_factor(state)
-        for panel, held, rows in zip(pending, state._panels[before:], raw):
-            assert np.shares_memory(held, panel)
-            o, width = panel.shape[1] - panel.shape[0], panel.shape[1]
-            assert np.abs(factor[o:width] @ factor[:width].T - rows).max() <= bound
-            assert not np.allclose(panel, rows)
+        for panel, held, (rows, diag) in zip(pending, state._panels[before:], raw):
+            assert all(map(np.shares_memory, held, panel))
+            p, o = rows.shape
+            product = factor[o : o + p] @ factor[: o + p].T
+            assert np.abs(product[:, :o] - rows).max() <= bound
+            assert np.abs(product[:, o:][np.tril_indices(p)] - diag).max() <= bound
+            assert not np.allclose(panel.rows, rows) and not np.allclose(panel.diag, diag)
         assert peak < d * d * 8
         ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram, lower=True), _unit_rhs(k))
         assert np.abs(state.weights - ref).max() <= TOL * max(1.0, np.abs(ref).max())
@@ -376,22 +389,41 @@ class TestIncrementalFactor:
         # uf50-001 grown past K = 2000: every panel after the float64
         # first-order block is float32, so the factor takes about half the
         # bytes of a float64 one and no ridge was needed on the way.
-        f = parse_dimacs(UF50_001.read_text())
-        state = init_first_order(f)
-        first_order = state.num_columns
-        pairs = [(i, j) for i in range(f.num_clauses) for j in range(i + 1, f.num_clauses)]
-        random.Random(53).shuffle(pairs)
-        for lo in range(0, len(pairs), 500):
-            add_columns(state, pairs[lo : lo + 500])
-            if state.num_columns > 2000:
-                break
+        state, _ = grown_uf50_001()
+        first_order = state.formula.num_clauses + 1  # no two clauses share a cube
         k = state.num_columns
         assert k > 2000 and state.ridge_lambda == 0.0
         assert [(0, first_order)] == _panel_rows(state)[:1]
-        assert state._panels[0].dtype == np.float64
-        assert all(panel.dtype == np.float32 for panel in state._panels[1:])
-        stored = sum(panel.nbytes for panel in state._panels)
-        assert stored <= 4 * k * (k + _PANEL_ROWS) / 2 + 8 * first_order**2
+        assert state._panels[0].rows.dtype == np.float64
+        assert all(panel.rows.dtype == np.float32 for panel in state._panels[1:])
+        stored = sum(array.nbytes for panel in state._panels for array in panel)
+        first = first_order * (first_order + 1) // 2
+        assert stored == 4 * (k * (k + 1) // 2 - first) + 8 * first
+
+    def test_a_round_holds_its_packed_panels_and_one_bounded_block(self):
+        # uf50-001 grown past K = 2000, then a round of 1000 columns: the
+        # round's peak is the packed float32 panels it adds, K(K+1)/2
+        # entries in all, plus at most 1.5 MiB for the one bounded block
+        # any step of the extension, factor or refined solve holds.
+        state, pairs = grown_uf50_001()
+        columns = {}
+        for key in pairs:
+            cube = column_signature(state.cache, key)
+            if cube is not None and cube not in state.signatures:
+                columns.setdefault(cube, key)
+            if len(columns) == 1000:
+                break
+        before = state.num_columns
+        tracemalloc.start()
+        try:
+            state._append([(key, cube) for cube, key in columns.items()])
+            solve_weights(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = state.num_columns
+        assert state.ridge_lambda == 0.0 and k == before + 1000
+        assert peak <= 4 * (k * (k + 1) // 2 - before * (before + 1) // 2) + 1.5 * 2**20
 
     def test_a_state_that_took_the_ladder_keeps_float64_panels(self, monkeypatch):
         # A float32 Schur block that fails lands on the float64 lambda = 0
@@ -404,19 +436,19 @@ class TestIncrementalFactor:
             m.setattr(
                 approx_module,
                 "_factor_panel",
-                lambda panels, q: panels[q].dtype == np.float64 and factor_panel(panels, q),
+                lambda panels, q: panels[q].rows.dtype == np.float64 and factor_panel(panels, q),
             )
             add_columns(state, pairs[:100])
         assert state.ridge_lambda == 0.0
         add_columns(state, pairs[100:200])
         assert state.ridge_lambda == 0.0 and state.num_columns == 231
-        assert all(panel.dtype == np.float64 for panel in state._panels)
+        assert all(array.dtype == np.float64 for panel in state._panels for array in panel)
         k = state.num_columns
         ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(state.gram, lower=True), _unit_rhs(k))
         assert np.abs(state.weights - ref).max() <= TOL * max(1.0, np.abs(ref).max())
 
     def test_gram_times_reads_the_lower_triangle_only(self):
-        # K = 466 makes four row blocks of G a, the last one short.
+        # K = 466 makes seven row blocks of G a, the last one short.
         f = _disjoint_formula(30)
         state = init_first_order(f)
         add_columns(state, [(i, j) for i in range(30) for j in range(i + 1, 30)])
@@ -461,13 +493,13 @@ class TestIncrementalFactor:
 
     def test_incremental_solve_never_rebuilds_the_whole_gram(self, monkeypatch):
         rows = []
-        original = ApproxState._gram_rows
+        original = ApproxState._gram_panels
 
-        def recording(self, lo, hi, dtype=np.float64):
-            rows.append((lo, hi))
-            return original(self, lo, hi, dtype)
+        def recording(self, start, dtype=np.float64):
+            rows.append((start, self.num_columns))
+            return original(self, start, dtype)
 
-        monkeypatch.setattr(ApproxState, "_gram_rows", recording)
+        monkeypatch.setattr(ApproxState, "_gram_panels", recording)
         f = parse_dimacs("p cnf 6 3\n1 2 0\n3 4 0\n5 6 0")
         state = init_first_order(f)
         add_columns(state, [(0, 1)])
@@ -479,7 +511,8 @@ class TestIncrementalFactor:
         state = init_first_order(_disjoint_formula(30))
         add_columns(state, [(i, j) for i in range(30) for j in range(i + 1, 30)][:300])
         assert state.ridge_lambda == 0.0
-        assert rows == [(0, 31), (31, 287), (287, 331)] == _panel_rows(state)
+        assert rows == [(0, 31), (31, 331)]
+        assert _panel_rows(state) == [(0, 31), (31, 287), (287, 331)]
 
 
 class TestOmegaTilde:

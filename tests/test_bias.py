@@ -1,22 +1,27 @@
 """Bias measures and decimation."""
 
 import random
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ampsat import SparsePoly, bias, measure_bias, parse_dimacs
-from ampsat.approx import add_columns, init_first_order
+import ampsat.solver
+from ampsat import SolverConfig, SparsePoly, bias, measure_bias, parse_dimacs, solve
+from ampsat.approx import _GRAM_BLOCK_ENTRIES, ApproxState, add_columns, init_first_order
 from ampsat.bias import BiasKind, _bias2_all, bias1, bias2
 from ampsat.indicator import clause_indicator
 from ampsat.oracle import dense_evaluate, dense_omega, dense_transform, exact_bias
 from ampsat.refine import RefinementSaturated, plan_refinement
 
-from helpers import random_assignment, random_formula, random_poly
+from helpers import grown_uf50_001, random_assignment, random_formula, random_poly
+from reference_bias import decimate_cubes
 
 TOL = 1e-9
+UF50 = Path(__file__).resolve().parents[1] / "instances" / "uf50"
 
 
 class TestBias1:
@@ -264,6 +269,50 @@ class TestCubeDecimation:
             for alpha in (1e-6, 1e6):
                 state.weights = alpha * weights
                 assert measure_bias(state, BiasKind.BIAS1) == base
+
+
+class TestBoundedDecimation:
+    """BIAS1 decimation holds its signs as int8 and casts them to float one
+    bounded block at a time."""
+
+    def test_matches_the_float_matrix_reference_on_refined_uf50_states(self, monkeypatch):
+        # Every fit three budget-exhausting uf50 solves decimate (24 fits,
+        # K up to 3039; 16 of them sum several blocks per step) gives the
+        # assignment of the float-matrix reference, with no tie rng and with
+        # two seeded ones.
+        fits = blocked = 0
+        original = ampsat.solver.measure_bias
+
+        def checked(p, kind, tie_rng=None):
+            nonlocal fits, blocked
+            assert isinstance(p, ApproxState) and kind == BiasKind.BIAS1
+            for seed in (None, 1, 2):
+                rng, ref_rng = (None, None) if seed is None else map(random.Random, (seed, seed))
+                assert measure_bias(p, kind, rng) == decimate_cubes(p, ref_rng)
+            fits += 1
+            blocked += p.num_columns * p.formula.num_vars > _GRAM_BLOCK_ENTRIES
+            return original(p, kind, tie_rng)
+
+        monkeypatch.setattr(ampsat.solver, "measure_bias", checked)
+        for name, seed in (("uf50-002", 11), ("uf50-009", 12), ("uf50-021", 13)):
+            formula = parse_dimacs((UF50 / f"{name}.cnf").read_text())
+            solve(formula, SolverConfig(seed=seed, max_rounds=8))
+        assert fits >= 20 and blocked >= 10
+
+    def test_no_k_by_n_float_matrix(self):
+        # uf50-001 grown past K = 2000: the decimation's peak stays under
+        # the bytes of one (K x n) float64 sign matrix.
+        state, _ = grown_uf50_001()
+        tracemalloc.start()
+        try:
+            assignment = measure_bias(state, BiasKind.BIAS1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k, n = state.num_columns, state.formula.num_vars
+        assert peak < k * n * 8
+        assert k * n > 3 * _GRAM_BLOCK_ENTRIES  # each step sums several blocks
+        assert assignment == decimate_cubes(state, None)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)

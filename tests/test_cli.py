@@ -217,6 +217,37 @@ class TestVerify:
         assert capsys.readouterr().err == "error: line 3: empty clause\n"
 
 
+    def test_conflicting_literals_are_an_error(self, tmp_path, capsys):
+        # x1 both ways would satisfy both clauses if the last literal won
+        cnf = tmp_path / "two.cnf"
+        cnf.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+        sol = tmp_path / "solution.txt"
+        sol.write_text("v 1 -1 2 0\n")
+        assert main(["verify", str(cnf), str(sol)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: conflicting literals for variable 1\n"
+        assert "SAT" not in captured.out
+        sol.write_text("v 1 1 2 0\n")  # a repeated literal is no conflict
+        assert main(["verify", str(cnf), str(sol)]) == 0
+
+    def test_solution_comment_may_hold_any_bytes(self, tmp_path, capsys):
+        cnf = tmp_path / "one.cnf"
+        cnf.write_text(ONE_CLAUSE)
+        sol = tmp_path / "solution.txt"
+        sol.write_bytes(b"c caf\xe9\nv 1 2 0\n")
+        assert main(["verify", str(cnf), str(sol)]) == 0
+        assert capsys.readouterr().out == "SAT\n"
+
+    def test_solution_comment_may_hold_a_line_separator(self, tmp_path, capsys):
+        # str.splitlines would read "-1 -2 0" after U+2028 as the solution
+        cnf = tmp_path / "one.cnf"
+        cnf.write_text(ONE_CLAUSE)
+        sol = tmp_path / "solution.txt"
+        sol.write_text("c was\u2028-1 -2 0\nv 1 2 0\n", encoding="utf-8")
+        assert main(["verify", str(cnf), str(sol)]) == 0
+        assert capsys.readouterr().out == "SAT\n"
+
+
 class TestOracle:
     def test_solution_count_and_biases(self, tmp_path, capsys):
         cnf = tmp_path / "one.cnf"
@@ -363,3 +394,5 @@ class TestHelpers:
             parse_assignment_file("v 1 0", 2)
         with pytest.raises(ValueError):
             parse_assignment_file("v 1 5 0", 2)
+        with pytest.raises(ValueError, match="conflicting literals for variable 2"):
+            parse_assignment_file("v 1 2\nv -2 0", 2)

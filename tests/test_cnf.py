@@ -182,8 +182,15 @@ def _outcome(parse, text):
     return ("ok", formula, formula.tautology_count)
 
 
+# Characters str.splitlines breaks at besides \r and \n. parse_dimacs keeps
+# them inside their line, where they are whitespace; the reference, which
+# splits with str.splitlines, reads them as spaces.
+OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+AS_SPACES = str.maketrans(OTHER_BREAKS, " " * len(OTHER_BREAKS))
+
+
 def _assert_parses_like_reference(text):
-    expected = _outcome(reference_cnf.parse_dimacs, text)
+    expected = _outcome(reference_cnf.parse_dimacs, text.translate(AS_SPACES))
     got = _outcome(parse_dimacs, text)
     assert got == expected
     if got[0] == "ok":
@@ -194,7 +201,8 @@ BAD_TOKENS = ("z", "1.5", "0x1", "--1", "2-", "caf\xe9", "1/2")
 INT_FORMS = ("+1", "-0", "007", "+0")
 MALFORMED_HEADERS = ("p", "p cnf", "p cnf x 1", "p dnf 2 1", "p cnf -1 1",
                      "p cnf 2 1 1", "pcnf 2 1", "p cnf 2 -3")
-FILLER = ("c", "c comment 1 2 0", "cnf 3 0", "", "   ", "\t")
+FILLER = ("c", "c comment 1 2 0", "cnf 3 0", "", "   ", "\t",
+          "c note\u2028 see above", "c \x0c1 0", "\x0bc " + OTHER_BREAKS + " 0")
 
 
 @st.composite
@@ -277,6 +285,23 @@ class TestParseMatchesReference:
     def test_committed_instances(self):
         for path in _committed_instances():
             _assert_parses_like_reference(path.read_text())
+
+
+class TestLineBreaks:
+    @pytest.mark.parametrize("char", OTHER_BREAKS)
+    def test_a_comment_holds_any_line_separator_character(self, char):
+        plain = parse_dimacs("c see below\np cnf 2 1\n1 -2 0\n")
+        assert parse_dimacs(f"c note{char} see above\np cnf 2 1\n1 -2 0\n") == plain
+        assert parse_dimacs(f"c{char}-1 0\np cnf 2 1\n1{char}-2 0\n") == plain
+
+    @pytest.mark.parametrize("char", OTHER_BREAKS)
+    def test_later_errors_keep_the_editor_line_number(self, char):
+        text = f"c note{char} see above\nc {char}{char}\r\np cnf 2 1\r1 3 0\n"
+        with pytest.raises(DimacsError) as err:
+            parse_dimacs(text)
+        assert str(err.value) == "line 4: literal 3 out of range for 2 variables"
+        with pytest.raises(DimacsError, match=r"^line 3: clause data before header: '1 0'$"):
+            parse_dimacs(f"c a{char}b\n\n1 0\np cnf 1 1\n")
 
 
 class TestSlottedModel:
