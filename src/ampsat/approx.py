@@ -33,9 +33,10 @@ Computations, section 4.2)
 one bounded block at a time, with numpy's matrix product and Cholesky. Each
 diagonal block is kept as its inverse, so both triangular solves, in the
 update and in the weight solve, are matrix products too; a packed block is
-expanded for them into one reused scratch square of at most _PANEL_ROWS^2
-entries. Every other array that grows with K beyond O(K) is built one
-bounded block of _GRAM_BLOCK_ENTRIES entries at a time.
+expanded for them into a square of at most _PANEL_ROWS^2 entries, one at a
+time. Every other array that grows with K beyond O(K) is built one bounded
+block of _GRAM_BLOCK_ENTRIES entries at a time, and `weighted_row_sum`
+applies the same rule to the decimation's sign matrix (ampsat.bias).
 
 Precision: the panels of the first-order fit are float64 and every later
 panel is float32, which halves the factor. The weights, the right-hand
@@ -73,8 +74,10 @@ _RESIDUAL_TOL = 1e-6
 # for a Gram block of 256 KiB.
 _GRAM_BLOCK_ENTRIES = 1 << 15
 # Rows per factor panel: bounds every block the factor updates, factors or
-# inverts, and the scratch square a packed diagonal block is expanded into.
-_PANEL_ROWS = 256
+# inverts, and the square a packed diagonal block is expanded into. At 64
+# rows the float64 copies np.linalg.cholesky makes of a block take 96 KiB
+# (about 1 MiB at 256), far under one Gram block.
+_PANEL_ROWS = 64
 # A lower triangle of order d is _LOWER[:d, :d], in the row-major order its
 # packed entries follow.
 _LOWER = np.tri(_PANEL_ROWS, dtype=bool)
@@ -265,6 +268,18 @@ class ApproxState:
         return out
 
 
+def weighted_row_sum(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """w @ rows in float64 for a (K x m) array of any numeric dtype, cast to
+    float one block of at most _GRAM_BLOCK_ENTRIES entries at a time. Rows
+    that fit in one block give exactly w @ rows.astype(float)."""
+    blocks = ApproxState._row_blocks(0, len(rows), rows.shape[1])
+    lo, hi = next(blocks)
+    out = w[lo:hi] @ rows[lo:hi].astype(float)
+    for lo, hi in blocks:
+        out += w[lo:hi] @ rows[lo:hi].astype(float)
+    return out
+
+
 def init_first_order(formula: Formula) -> ApproxState:
     """Constant column plus one column per distinct clause, solved and assembled."""
     state = ApproxState(formula)
@@ -377,19 +392,10 @@ def _factor_and_solve(state: ApproxState, rhs: np.ndarray, lam: float) -> np.nda
     return best if best_norm <= _RESIDUAL_TOL * scale else None
 
 
-def _scratch(panels: list[_Panel]) -> np.ndarray:
-    """A byte buffer that holds the largest diagonal block of `panels` as a
-    square: the one scratch that _unpack reuses for each of them."""
-    sizes = (len(p.rows) ** 2 * p.rows.itemsize for p in panels)
-    return np.empty(max(sizes, default=0), np.uint8)
-
-
-def _unpack(packed: np.ndarray, d: int, scratch: np.ndarray) -> np.ndarray:
-    """The lower triangle of order d packed by rows in `packed`, as a d x d
-    square over the start of `scratch`, in packed's dtype and zero above
-    the diagonal."""
-    square = scratch[: d * d * packed.itemsize].view(packed.dtype).reshape(d, d)
-    square.fill(0)
+def _unpack(packed: np.ndarray, d: int) -> np.ndarray:
+    """The lower triangle of order d packed by rows in `packed`, as a new
+    d x d square in packed's dtype, zero above the diagonal."""
+    square = np.zeros((d, d), packed.dtype)
     square[_LOWER[:d, :d]] = packed
     return square
 
@@ -403,13 +409,11 @@ def _factor_panel(panels: list[_Panel], q: int) -> bool:
     Every product, and so every temporary, is at most _PANEL_ROWS
     square."""
     rows, diag = panels[q]
-    scratch = _scratch(panels[:q])
     for prior in panels[:q]:
         dp, op = prior.rows.shape
         block = rows[:, op : op + dp]
         block -= rows[:, :op] @ prior.rows.T
-        block[...] = block @ _unpack(prior.diag, dp, scratch).T
-    del scratch  # before the Cholesky's own float64 temporaries
+        block[...] = block @ _unpack(prior.diag, dp).T
     lower = _LOWER[: len(rows), : len(rows)]
     schur = rows @ rows.T
     schur[lower] = diag - schur[lower]  # the upper triangle is never read
@@ -443,16 +447,19 @@ def _solve_factored(panels: list[_Panel], rhs: np.ndarray) -> np.ndarray:
     """Solve L L^T a = rhs by panel-wise forward then back substitution, each
     panel's products in its own precision: the vector segments are cast to
     the panel's dtype, never a panel to the vector's."""
-    scratch = _scratch(panels)
     a = rhs.copy()
     for rows, diag in panels:
         d, o = rows.shape
         dtype = rows.dtype
         x = a[o : o + d].astype(dtype, copy=False) - rows @ a[:o].astype(dtype, copy=False)
-        a[o : o + d] = _unpack(diag, d, scratch) @ x
-    for rows, diag in reversed(panels):
+        inverse = _unpack(diag, d)
+        a[o : o + d] = inverse @ x
+    for q in reversed(range(len(panels))):
+        rows, diag = panels[q]
         d, o = rows.shape
-        x = _unpack(diag, d, scratch).T @ a[o : o + d].astype(rows.dtype, copy=False)
+        if q < len(panels) - 1:  # the last panel's is still expanded from the forward pass
+            inverse = _unpack(diag, d)
+        x = inverse.T @ a[o : o + d].astype(rows.dtype, copy=False)
         a[o : o + d] = x
         a[:o] -= rows.T @ x
     return a

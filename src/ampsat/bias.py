@@ -13,9 +13,9 @@ on s_j = b doubles its coefficient and drops j when sigma_j = b, and zeroes
 it when sigma_j = -b. After fixing the set F, bias1_j = sum_i w_i sigma_ij
 with w_i = a_i 2^-|V_i - F| for the surviving cubes: one product of w with
 the K x n sign matrix per step, and an O(K) update of w per fixed variable.
-The signs are held as int8 and cast to float one bounded block of rows at a
-time, so a step's temporaries stay within _GRAM_BLOCK_ENTRIES entries
-however many columns the fit has; signs that fit in one block are cast once.
+The signs are held as int8, and each step's product casts them to float one
+bounded block of rows at a time (approx.weighted_row_sum), so its
+temporaries stay bounded however many columns the fit has.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .approx import _GRAM_BLOCK_ENTRIES, ApproxState
+from .approx import ApproxState, weighted_row_sum
 from .cnf import Assignment
 from .fourier import SparsePoly
 
@@ -122,14 +122,11 @@ def _decimate_cubes(state: ApproxState, tie_rng: random.Random | None) -> Assign
     largest bias, not to max |w_i|: a ridge fit's ~1/lambda weights cancel."""
     n = state.formula.num_vars
     signs = state.signs()  # (K, n) int8: sigma_ij, 0 where cube i leaves j free
-    blocked = signs.size > _GRAM_BLOCK_ENTRIES
-    if not blocked:
-        signs = signs.astype(float)  # one block: cast once, not at every step
     w = np.ldexp(state.weights, -np.count_nonzero(signs, axis=1))
     out = [0] * n
     unfixed = list(range(n))
     for _ in range(n):
-        biases = _weighted_signs(w, signs) if blocked else w @ signs
+        biases = weighted_row_sum(w, signs)
         floor = TIE_REL_TOL * max(abs(w.sum()), np.abs(biases).max(initial=0.0))
         i_star, value = _choose(unfixed, biases.tolist(), floor, tie_rng)
         out[i_star] = value
@@ -138,16 +135,6 @@ def _decimate_cubes(state: ApproxState, tie_rng: random.Random | None) -> Assign
         w[agree > 0] *= 2.0
         signs[:, i_star] = 0  # every surviving cube now leaves s_i* free
     return tuple(out)
-
-
-def _weighted_signs(w: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """w @ signs in float64, casting one block of at most _GRAM_BLOCK_ENTRIES
-    int8 signs at a time."""
-    step = max(1, _GRAM_BLOCK_ENTRIES // signs.shape[1])
-    out = w[:step] @ signs[:step].astype(float)
-    for lo in range(step, len(signs), step):
-        out += w[lo : lo + step] @ signs[lo : lo + step].astype(float)
-    return out
 
 
 def _choose(

@@ -114,6 +114,11 @@ def _panel_rows(state):
     return ranges
 
 
+def _tiles(lo, hi):
+    """The panel row ranges that a batch of rows [lo, hi) is cut into."""
+    return [(o, min(o + _PANEL_ROWS, hi)) for o in range(lo, hi, _PANEL_ROWS)]
+
+
 def _disjoint_formula(num_clauses):
     """Two-literal clauses on disjoint variables: every product of clauses is
     a distinct cube, and the columns stay linearly independent."""
@@ -314,8 +319,8 @@ class TestIncrementalFactor:
         self._check_against_full_refactor(state)
 
     def test_panels_hold_the_cholesky_factor(self):
-        # 300 and 135 pair columns on 30 first-order ones: the first batch
-        # spans two panels
+        # 300 and 135 pair columns on 30 first-order ones: each batch is
+        # cut into panels from its own first row, the first into several
         f = _disjoint_formula(30)
         state = init_first_order(f)
         pairs = [(i, j) for i in range(30) for j in range(i + 1, 30)]
@@ -324,13 +329,14 @@ class TestIncrementalFactor:
         add_columns(state, pairs[300:])
         k = state.num_columns
         assert state.ridge_lambda == 0.0 and k == 466
-        assert _panel_rows(state) == [(0, 31), (31, 287), (287, 331), (331, 466)]
+        ranges = [(0, 31)] + _tiles(31, 331) + _tiles(331, 466)
+        assert _panel_rows(state) == ranges and len(_tiles(31, 331)) > 1
         # no square is stored: each panel holds its L21 rows and exactly the
         # d(d+1)/2 entries of its diagonal block's inverse, K(K+1)/2 in all
         diagonal = [panel.diag.size for panel in state._panels]
-        assert diagonal == [d * (d + 1) // 2 for d in (31, 256, 44, 135)]
+        assert diagonal == [(hi - lo) * (hi - lo + 1) // 2 for lo, hi in ranges]
         below = [panel.rows.size for panel in state._panels]
-        assert below == [31 * 0, 256 * 31, 44 * 287, 135 * 331]
+        assert below == [(hi - lo) * lo for lo, hi in ranges]
         assert sum(diagonal) + sum(below) == k * (k + 1) // 2
         factor = _dense_factor(state)
         assert np.allclose(factor @ factor.T, state.gram, atol=TOL)
@@ -360,7 +366,7 @@ class TestIncrementalFactor:
         state._append([(key, cube) for cube, key in columns.items()])
         pending = state._panels[before:]
         d = sum(len(panel.rows) for panel in pending)
-        assert d == 1000 and len(pending) == 4
+        assert d == 1000 and len(pending) == len(_tiles(0, 1000)) > 1
         assert all(array.dtype == np.float32 for panel in pending for array in panel)
         raw = [[array.copy() for array in panel] for panel in pending]
         tracemalloc.start()
@@ -393,9 +399,10 @@ class TestIncrementalFactor:
         first_order = state.formula.num_clauses + 1  # no two clauses share a cube
         k = state.num_columns
         assert k > 2000 and state.ridge_lambda == 0.0
-        assert [(0, first_order)] == _panel_rows(state)[:1]
-        assert state._panels[0].rows.dtype == np.float64
-        assert all(panel.rows.dtype == np.float32 for panel in state._panels[1:])
+        ranges = _panel_rows(state)
+        assert ranges[: len(_tiles(0, first_order))] == _tiles(0, first_order)
+        for (lo, _), panel in zip(ranges, state._panels):
+            assert panel.rows.dtype == (np.float64 if lo < first_order else np.float32)
         stored = sum(array.nbytes for panel in state._panels for array in panel)
         first = first_order * (first_order + 1) // 2
         assert stored == 4 * (k * (k + 1) // 2 - first) + 8 * first
@@ -484,8 +491,7 @@ class TestIncrementalFactor:
         finally:
             tracemalloc.stop()
         assert state.ridge_lambda > 0.0 and k > 1000
-        panels = [(lo, min(lo + _PANEL_ROWS, k)) for lo in range(0, k, _PANEL_ROWS)]
-        assert _panel_rows(state) == panels
+        assert _panel_rows(state) == _tiles(0, k)
         assert peak < k * k * 8
         a = state.weights
         residual = state.gram @ a + state.ridge_lambda * a - _unit_rhs(k)
@@ -512,7 +518,7 @@ class TestIncrementalFactor:
         add_columns(state, [(i, j) for i in range(30) for j in range(i + 1, 30)][:300])
         assert state.ridge_lambda == 0.0
         assert rows == [(0, 31), (31, 331)]
-        assert _panel_rows(state) == [(0, 31), (31, 287), (287, 331)]
+        assert _panel_rows(state) == [(0, 31)] + _tiles(31, 331)
 
 
 class TestOmegaTilde:

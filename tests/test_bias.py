@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 import ampsat.solver
 from ampsat import SolverConfig, SparsePoly, bias, measure_bias, parse_dimacs, solve
-from ampsat.approx import _GRAM_BLOCK_ENTRIES, ApproxState, add_columns, init_first_order
+from ampsat.approx import (
+    _GRAM_BLOCK_ENTRIES,
+    ApproxState,
+    add_columns,
+    init_first_order,
+    weighted_row_sum,
+)
 from ampsat.bias import BiasKind, _bias2_all, bias1, bias2
 from ampsat.indicator import clause_indicator
 from ampsat.oracle import dense_evaluate, dense_omega, dense_transform, exact_bias
@@ -298,6 +304,18 @@ class TestBoundedDecimation:
             formula = parse_dimacs((UF50 / f"{name}.cnf").read_text())
             solve(formula, SolverConfig(seed=seed, max_rounds=8))
         assert fits >= 20 and blocked >= 10
+
+    def test_weighted_row_sum_is_the_float_product(self):
+        rng = np.random.default_rng(5)
+        rows = rng.integers(-1, 2, size=(3000, 50), dtype=np.int8)
+        w = rng.standard_normal(3000)
+        one = _GRAM_BLOCK_ENTRIES // 50  # the most rows that fit in one block
+        assert np.array_equal(
+            weighted_row_sum(w[:one], rows[:one]), w[:one] @ rows[:one].astype(float)
+        )
+        np.testing.assert_allclose(
+            weighted_row_sum(w, rows), w @ rows.astype(float), rtol=1e-12, atol=1e-12
+        )
 
     def test_no_k_by_n_float_matrix(self):
         # uf50-001 grown past K = 2000: the decimation's peak stays under
