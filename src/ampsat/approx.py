@@ -14,45 +14,50 @@ overlaps the all-ones column and is orthogonal to every indicator column".
 The right-hand side's leading entry is fixed at exactly 1; bias decimation is
 scale-invariant, so its true value is immaterial.
 
-Gram entries are closed-form: G_ij = 2^-|V_i ∪ V_j| for cubes on variables
-V_i and V_j that agree on every shared variable, 0 otherwise. They are read
-off packed uint64 sign masks, a bounded block of rows at a time; nothing is
-ever enumerated over 2^n.
+G is reached by two independent routes. In closed form, G_ij = 2^-|V_i ∪ V_j|
+for cubes on variables V_i and V_j that agree on every shared variable, 0
+otherwise, read off packed uint64 sign masks a bounded block of rows at a
+time; the factor is built from these rows. In the Fourier domain, G = A^T A
+with A the columns' Fourier incidence: column j has the 2^|V_j| terms
+chi_T, T ⊆ V_j, each with coefficient ±2^-|V_j|, about 60 per column on
+3-SAT pairs against K for a closed-form row. The refinement residual's G a
+is A^T (A a) over a compact table of these terms (`_TermTable`), unless G
+fits in one bounded block. Nothing is ever enumerated over 2^n.
 
 No Gram matrix is kept. The only K-squared state is the lower Cholesky factor
-L of Gram + lambda*I, stored with no wasted entry as row panels of at most
-_PANEL_ROWS rows: a panel holds L's rows left of its diagonal block, and the
-block's inverse as a lower triangle packed by rows, so the factor takes
-exactly K(K+1)/2 entries. A batch of d columns appended at K = o costs
-O(K^2 d), not O(K^3): its raw Gram rows fill new panels, which become factor
-rows in place by the block Cholesky update (Golub & Van Loan, Matrix
-Computations, section 4.2)
+L of Gram + lambda*I, stored as row panels of at most _PANEL_ROWS rows: a
+panel holds L's rows left of its diagonal block, and the block's inverse as
+a lower triangle packed by rows. A batch of d columns appended at K = o costs
+O(K^2 d), not O(K^3): each new panel's raw Gram rows are built, factored by
+the block Cholesky update (Golub & Van Loan, Matrix Computations, section
+4.2)
 
     L21 = G21 L11^-T,    L22 = chol(G22 - L21 L21^T),
 
-one bounded block at a time, with numpy's matrix product and Cholesky. Each
-diagonal block is kept as its inverse, so both triangular solves, in the
-update and in the weight solve, are matrix products too; a packed block is
-expanded for them into a square of at most _PANEL_ROWS^2 entries, one at a
-time. Every other array that grows with K beyond O(K) is built one bounded
+and stored, one panel at a time, with numpy's matrix product and Cholesky.
+Each diagonal block is kept as its inverse, so both triangular solves, in
+the update and in the weight solve, are matrix products too; a packed block
+is expanded for them into a square of at most _PANEL_ROWS^2 entries, one at
+a time. Every other array that grows with K beyond O(K) is built one bounded
 block of _GRAM_BLOCK_ENTRIES entries at a time, and `weighted_row_sum`
 applies the same rule to the decimation's sign matrix (ampsat.bias).
 
-Precision: the panels of the first-order fit are float64 and every later
-panel is float32, which halves the factor. The weights, the right-hand
-side, the residuals and the Gram entries stay float64, and the solve reaches
-float64 accuracy by iterative refinement (Langou et al., SC'06): from a = 0
-and r = e_0, repeat a += L^-T L^-1 r, r = e_0 - (G + lambda*I) a, with G a in
-closed form, until r is well under the residual check or stops halving. The
-Gram matrices are well conditioned (cond(G) of 3e3 to 5e3 on the uf50 fits,
-up to K ~ 5000), so each step shrinks r by about u_32 * cond(G) ~ 3e-4, and
-two G a products per solve usually suffice. G a is evaluated from the lower triangle alone: each
-bounded row block is built once and gives its own rows and, transposed, its
-columns' share of the rows above it.
+Precision: the factor only preconditions iterative refinement (Langou et
+al., SC'06; Carson & Higham, SIAM J. Sci. Comput. 40(2), 2018), so it is
+stored coarsely. The panels of the first-order fit are float64; every later
+panel stores its L21 rows as int16, rint(row / s) with one float32 scale
+s = max |row| / 32767 per row, and its diagonal inverse as float32, which
+about halves a float32 factor. The weights, the right-hand side, the
+residuals and the Gram entries stay float64: from a = 0 and r = e_0, repeat
+a += L^-T L^-1 r, r = e_0 - (G + lambda*I) a, with the Fourier-domain G a,
+until r is well under the residual check or stops halving. The Gram
+matrices are well conditioned (cond(G) of 3e3 to 5e3 on the uf50 fits, up to
+K ~ 5000), and the int16 rounding of L shrinks r by 1e-3 to 2e-3 a step, so
+a solve takes three or four G a products.
 
-When that fails (the Schur complement is not positive definite, or the solve
-misses the residual check), the ridge ladder rebuilds the Gram panels in
-float64 with lambda on the diagonal and factors them all, lambda = 0 first;
+When that fails (a Schur complement is not positive definite, or the solve
+misses the residual check), the ridge ladder rebuilds the factor in float64
+by the same routine, with lambda on each diagonal block, lambda = 0 first;
 a state that took the ladder keeps float64 panels from then on.
 """
 
@@ -68,10 +73,10 @@ from .indicator import ColumnKey, Cube, IndicatorCache, validate_key
 
 RIDGE_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 _RESIDUAL_TOL = 1e-6
-# Dense entries per block of Gram rows (or of the decimation's sign
-# matrix): bounds the temporaries of a Gram extension, a Gram-vector product
-# or a decimation step however many columns there are, to about 1.2 MiB
-# for a Gram block of 256 KiB.
+# Dense entries per block of Gram rows, of term-table entries, or of the
+# decimation's sign matrix: bounds the temporaries of a Gram extension, a
+# Gram-vector product or a decimation step however many columns there are,
+# to about 1.2 MiB for a Gram block of 256 KiB.
 _GRAM_BLOCK_ENTRIES = 1 << 15
 # Rows per factor panel: bounds every block the factor updates, factors or
 # inverts, and the square a packed diagonal block is expanded into. At 64
@@ -81,9 +86,16 @@ _PANEL_ROWS = 64
 # A lower triangle of order d is _LOWER[:d, :d], in the row-major order its
 # packed entries follow.
 _LOWER = np.tri(_PANEL_ROWS, dtype=bool)
+# An int16 panel row is rint(row / s), with s = max |row| / _INT16_MAX.
+_INT16_MAX = np.iinfo(np.int16).max
+# A column fixing c variables adds 2^c entries to the term table, without
+# bound for long clauses. Past this many (4096 entries, a closed-form Gram
+# row at K = 4096) it stays out of the table, and G a takes its rows in
+# closed form.
+_TABLE_VARS = 12
 # Iterative refinement stops once max |r| is at most this much relative to
 # max(1, max |a|), far under _RESIDUAL_TOL, or after _REFINE_STEPS solves.
-_REFINE_TARGET = 1e-10
+_REFINE_TARGET = 1e-12
 _REFINE_STEPS = 8
 
 
@@ -92,13 +104,15 @@ class WeightSolveError(RuntimeError):
 
 
 class _Panel(NamedTuple):
-    """Rows [o, o + d) of the lower factor L: `rows` is the (d, o) block
-    L[o:o+d, :o] and `diag` the inverse of the diagonal block
-    L[o:o+d, o:o+d], a lower triangle packed by rows into d(d+1)/2 entries
-    of the same dtype. A pending panel holds the raw Gram entries G[o:o+d, :o]
-    and the lower triangle of G[o:o+d, o:o+d] in the same places."""
+    """Rows [o, o + d) of the lower factor L. L[o:o+d, :o] is
+    `rows * scale[:, None]`: int16 rows with float32 scales, or float64
+    rows with unit scales. `diag` is the inverse of the diagonal block
+    L[o:o+d, o:o+d], a lower triangle packed by rows into d(d+1)/2 entries;
+    its dtype (float32 beside int16 rows, float64 otherwise) is the one the
+    panel's products are taken in."""
 
     rows: np.ndarray
+    scale: np.ndarray
     diag: np.ndarray
 
 
@@ -108,6 +122,130 @@ def column_signature(cache: IndicatorCache, key: ColumnKey) -> Cube | None:
     return cache.cube(key)
 
 
+class _TermTable:
+    """A, the columns' Fourier incidence, so that G = A^T A: a cube on the
+    variables V with signs sigma has the terms chi_T for T ⊆ V, each with
+    coefficient 2^-|V| prod_{v in T} sigma_v (ampsat.indicator).
+
+    An entry is a term id (`ids`, int32) and the sign of its coefficient
+    (`signs`, int8). Entries come in `blocks` (first entry, columns, c) of
+    at most _GRAM_BLOCK_ENTRIES, each the given columns of one cube size c
+    laid out as a (len(columns), 2^c) array. A term keeps the id it is
+    given when first seen; `keys` holds the distinct term masks sorted (a
+    uint64 each, or a void of all mask words when n > 64) and `key_ids`
+    their ids.
+    The table covers the first `columns` columns. Those fixing more than
+    _TABLE_VARS variables have no entries and are listed in `wide`."""
+
+    def __init__(self, words: int):
+        self.words = words
+        self.columns = 0
+        self.keys = self._as_keys(np.zeros((0, words), np.uint64))
+        self.key_ids = np.zeros(0, np.int32)
+        self.ids = np.zeros(0, np.int32)
+        self.signs = np.zeros(0, np.int8)
+        self.blocks: list[tuple[int, np.ndarray, int]] = []
+        self.wide = np.zeros(0, np.intp)
+
+    def _as_keys(self, masks: np.ndarray) -> np.ndarray:
+        """(N, words) term masks as N sortable keys."""
+        if self.words == 1:
+            return masks[:, 0]
+        return np.ascontiguousarray(masks).view(np.dtype((np.void, 8 * self.words)))[:, 0]
+
+    def extend(self, masks: np.ndarray) -> None:
+        """Add the entries of the columns past the first `columns` of
+        `masks` ((2, words, K) as ApproxState.masks): one bounded block of
+        columns of one cube size at a time, interned a bounded run of
+        blocks at a time."""
+        first, self.columns = self.columns, masks.shape[2]
+        plus, minus = (np.ascontiguousarray(m.T) for m in masks[:, :, first:])
+        size = np.bitwise_count(plus | minus).sum(axis=1)
+        ids, signs, pending = [self.ids], [self.signs], []
+        start = interned = len(self.ids)
+        for c in np.flatnonzero(np.bincount(size)).tolist():
+            cols = np.flatnonzero(size == c)
+            if c > _TABLE_VARS:
+                self.wide = np.concatenate([self.wide, cols + first])
+                continue
+            step = max(1, _GRAM_BLOCK_ENTRIES >> c)
+            for lo in range(0, len(cols), step):
+                part = cols[lo : lo + step]
+                if pending and start + (len(part) << c) - interned > _GRAM_BLOCK_ENTRIES:
+                    ids.append(self._intern(np.concatenate(pending)))
+                    pending, interned = [], start
+                term_masks, term_signs = _cube_terms(plus[part], minus[part], c)
+                pending.append(term_masks)
+                signs.append(term_signs)
+                self.blocks.append((start, part + first, c))
+                start += len(term_signs)
+        if pending:
+            ids.append(self._intern(np.concatenate(pending)))
+        self.ids = np.concatenate(ids)
+        self.signs = np.concatenate(signs)
+
+    def _intern(self, masks: np.ndarray) -> np.ndarray:
+        """The ids of (N, words) term masks, giving each new one the next
+        id: one sort, a boolean diff and a searchsorted of the sorted
+        distinct masks. np.unique imports numpy.ma on its first call, and
+        holds several copies of its input."""
+        keys = self._as_keys(masks)
+        order = np.argsort(keys)
+        ordered = keys[order]
+        first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        distinct = ordered[first]
+        pos = np.searchsorted(self.keys, distinct)
+        known = pos < len(self.keys)
+        known[known] = self.keys[pos[known]] == distinct[known]
+        fresh = ~known
+        distinct_ids = np.empty(len(distinct), np.int32)
+        distinct_ids[known] = self.key_ids[pos[known]]
+        distinct_ids[fresh] = np.arange(len(self.keys), len(self.keys) + fresh.sum())
+        self.keys = np.insert(self.keys, pos[fresh], distinct[fresh])
+        self.key_ids = np.insert(self.key_ids, pos[fresh], distinct_ids[fresh])
+        ids = np.empty(len(keys), np.int32)
+        ids[order] = distinct_ids[np.cumsum(first) - 1]
+        return ids
+
+    def times(self, a: np.ndarray) -> np.ndarray:
+        """A^T (A a), with a's entries at wide columns ignored and zeros
+        at their rows. A a is summed per term by np.add.at, one block at a
+        time (a np.bincount per block would make and add a vector of every
+        term), and A^T y per column over the block's rows."""
+        y = np.zeros(len(self.keys))
+        for start, cols, c in self.blocks:
+            stop = start + (len(cols) << c)
+            coeffs = self.signs[start:stop].reshape(len(cols), -1) * np.ldexp(a[cols], -c)[:, None]
+            np.add.at(y, self.ids[start:stop], coeffs.ravel())
+        out = np.zeros(len(a))
+        for start, cols, c in self.blocks:
+            stop = start + (len(cols) << c)
+            terms = y[self.ids[start:stop]] * self.signs[start:stop]
+            out[cols] = np.ldexp(terms.reshape(len(cols), -1).sum(axis=1), -c)
+        return out
+
+
+def _cube_terms(plus: np.ndarray, minus: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Fourier terms of B cubes that each fix c variables, given as
+    (B, words) masks: their (B * 2^c, words) term masks and int8 signs,
+    cube by cube, each cube's 2^c subsets in cube_poly's order (subset t
+    holds the cube's i-th variable when bit i of t is set). The variables'
+    bits are distinct, so a subset's mask is the sum of its bits, and its
+    sign the parity of its variables fixed to -1: both are products with
+    the (2^c, c) subset table."""
+    count, words = plus.shape
+    cubes = np.ascontiguousarray([plus | minus, minus], dtype="<u8")
+    bits = np.unpackbits(cubes.view(np.uint8), axis=2, bitorder="little").view(bool)
+    var = np.flatnonzero(bits[0]).reshape(count, c) % (64 * words)
+    subsets = (np.arange(1 << c)[:, None] >> np.arange(c)) & 1
+    parity = np.take_along_axis(bits[1], var, axis=1) @ subsets.T
+    signs = (1 - 2 * (parity & 1)).astype(np.int8)
+    low = np.left_shift(np.uint64(1), (var & 63).astype(np.uint64))
+    table = subsets.T.astype(np.uint64)
+    masks = np.stack([np.where(var >> 6 == w, low, 0) @ table for w in range(words)], axis=2)
+    return masks.reshape(-1, words), signs.ravel()
+
+
 class ApproxState:
     """Columns, the factored Gram system and the solved weights: the fit.
 
@@ -115,24 +253,23 @@ class ApproxState:
     sequentially. keys[0] is always the empty key (constant-1 column).
 
     Column j's cube is `masks[:, :, j]`: its (variables fixed to +1,
-    variables fixed to -1) masks as ceil(n/64) uint64 words each, bit v of
+    variables fixed to -1) masks as max(1, ceil(n/64)) uint64 words each, bit v of
     word w standing for s_(64w+v); no other module of the package reads this
     layout, and `signs()` unpacks it for decimation. The cubes and `weights`
-    are the whole fit; neither the Gram matrix nor any Fourier term is
-    stored, and `omega_tilde` is expanded from the keys when first read
-    after the weights change.
+    are the whole fit; the Gram matrix is not stored, and `omega_tilde` is
+    expanded from the keys when first read after the weights change.
+    `_terms` is the columns' Fourier term table, which `_gram_times`
+    extends to every column when it next reads it.
     `_panels` holds the lower Cholesky factor L of Gram + ridge_lambda * I
-    as `_Panel`s of d <= _PANEL_ROWS rows each, with no d x d square stored:
-    L21 rows as a (d, o) array and the diagonal block's inverse packed, so
-    the factor holds exactly K(K+1)/2 entries. Panels from index `_factored`
-    on still hold raw Gram entries written by `_append`; solve_weights
-    factors them in place. The first `_append` (the first-order fit) writes
-    float64 panels and later ones float32, until the ridge ladder rebuilds
-    every panel in float64 and clears `_float32_panels`. Either way
-    solve_weights refines the weights to float64 accuracy against the
-    closed-form G a of `_gram_times`, which reads only G's lower triangle.
-    Apart from the panels, no array the fit builds grows faster than O(K)
-    beyond one block of _GRAM_BLOCK_ENTRIES entries.
+    as `_Panel`s of d <= _PANEL_ROWS rows each, covering the columns the
+    last solve saw; solve_weights factors the columns appended since onto
+    it, one new panel at a time. The first-order fit's panels are float64
+    and later ones int16 with row scales, until the ridge ladder rebuilds
+    every panel in float64 and clears `_int16_panels`. Either way
+    solve_weights refines the weights to float64 accuracy against
+    `_gram_times`. Apart from the panels, no array the fit builds grows
+    faster than O(K) beyond one block of _GRAM_BLOCK_ENTRIES entries, and the
+    term table holds about 5 bytes per Fourier term.
     """
 
     def __init__(self, formula: Formula):
@@ -143,11 +280,12 @@ class ApproxState:
         self.signatures: set[Cube | None] = set()
         self.seen_keys: set[ColumnKey] = set()
         self.ridge_lambda = 0.0
-        self.masks = np.zeros((2, -(-formula.num_vars // 64), 0), dtype=np.uint64)
+        words = max(1, -(-formula.num_vars // 64))
+        self.masks = np.zeros((2, words, 0), dtype=np.uint64)
         self._omega_tilde: tuple[np.ndarray | None, SparsePoly | None] = (None, None)
+        self._terms = _TermTable(words)
         self._panels: list[_Panel] = []
-        self._factored = 0
-        self._float32_panels = True
+        self._int16_panels = True
 
     @property
     def num_columns(self) -> int:
@@ -186,7 +324,7 @@ class ApproxState:
         k = self.num_columns
         out = np.empty((k, k))
         for lo, hi in self._row_blocks(0, k, k):
-            out[lo:hi] = self._gram_block(lo, hi, k)
+            out[lo:hi] = self._gram_block(slice(lo, hi), k)
         return out
 
     def signs(self) -> np.ndarray:
@@ -200,35 +338,14 @@ class ApproxState:
         return plus - minus
 
     def _append(self, columns: list[tuple[ColumnKey, Cube]]) -> None:
-        """Append (key, cube) columns past deduplication: pack their cubes
-        and write their raw Gram rows as new panels, float64 for the first
-        batch and float32 after it (see the class docstring)."""
-        start = self.num_columns
+        """Append (key, cube) columns past deduplication: pack their cubes.
+        The next solve_weights factors them, and the next G a product adds
+        them to the term table."""
         words = self.masks.shape[1]
         raw = b"".join(m.to_bytes(8 * words, "little") for _, cube in columns for m in cube)
         packed = np.frombuffer(raw, dtype="<u8").reshape(len(columns), 2, words)
         self.keys += [key for key, _ in columns]
         self.masks = np.concatenate([self.masks, packed.transpose(1, 2, 0)], axis=2)
-        single = start > 0 and self._float32_panels
-        self._panels += self._gram_panels(start, np.float32 if single else np.float64)
-
-    def _gram_panels(self, start: int, dtype=np.float64) -> list[_Panel]:
-        """Raw Gram rows [start, K) as pending panels of at most _PANEL_ROWS
-        rows, each against the columns before its first row, with its
-        diagonal block's lower triangle packed."""
-        k = self.num_columns
-        panels = []
-        for lo in range(start, k, _PANEL_ROWS):
-            d = min(_PANEL_ROWS, k - lo)
-            panel = _Panel(np.empty((d, lo), dtype), np.empty(d * (d + 1) // 2, dtype))
-            lower = _LOWER[:d, :d]
-            for r0, r1 in self._row_blocks(lo, lo + d, lo + d):
-                block = self._gram_block(r0, r1, lo + d)
-                i0, i1 = r0 - lo, r1 - lo
-                panel.rows[i0:i1] = block[:, :lo]
-                panel.diag[i0 * (i0 + 1) // 2 : i1 * (i1 + 1) // 2] = block[:, lo:][lower[i0:i1]]
-            panels.append(panel)
-        return panels
 
     @staticmethod
     def _row_blocks(lo: int, hi: int, width: int) -> Iterator[tuple[int, int]]:
@@ -238,16 +355,17 @@ class ApproxState:
         for r in range(lo, hi, step):
             yield r, min(r + step, hi)
 
-    def _gram_block(self, lo: int, hi: int, width: int) -> np.ndarray:
-        """Gram rows [lo, hi) against columns [0, width), in closed form: the
-        intersection of two cubes fixes the union of their variables, and is
-        empty when one variable is fixed to +1 by one cube and to -1 by the
-        other."""
-        union = np.zeros((hi - lo, width), dtype=np.int32)
-        consistent = np.ones((hi - lo, width), dtype=bool)
-        for p, q in zip(*self.masks[:, :, :width]):
-            fixed_plus = p[lo:hi, None] | p
-            fixed_minus = q[lo:hi, None] | q
+    def _gram_block(self, rows: slice | np.ndarray, width: int) -> np.ndarray:
+        """Gram rows `rows` (a slice or an index array) against columns
+        [0, width), in closed form: the intersection of two cubes fixes the
+        union of their variables, and is empty when one variable is fixed
+        to +1 by one cube and to -1 by the other."""
+        cubes = self.masks[:, :, :width]
+        union = np.zeros((len(cubes[0, 0, rows]), width), dtype=np.int32)
+        consistent = np.ones(union.shape, dtype=bool)
+        for p, q in zip(*cubes):
+            fixed_plus = p[rows, None] | p
+            fixed_minus = q[rows, None] | q
             union += np.bitwise_count(fixed_plus | fixed_minus)
             consistent &= (fixed_plus & fixed_minus) == 0
         block = np.ldexp(1.0, -union)
@@ -255,28 +373,48 @@ class ApproxState:
         return block
 
     def _gram_times(self, a: np.ndarray) -> np.ndarray:
-        """G a from G's lower triangle, without holding more than one block
-        of G: the block of rows [lo, hi) and columns [0, hi) gives rows
-        [lo, hi) of G a up to column hi and, transposed, the share of
-        columns [lo, hi) in rows [0, lo)."""
-        k = self.num_columns
-        out = np.zeros(k)
-        for lo, hi in self._row_blocks(0, k, k):
-            block = self._gram_block(lo, hi, hi)
-            out[lo:hi] += block @ a[:hi]
-            out[:lo] += block[:, :lo].T @ a[lo:hi]
+        """G a. While G fits in one bounded block, as that block times a:
+        building the table would cost more than the products it saves on
+        such a fit (a uf20 first-order fit, K = 92). Past that, as
+        A^T (A a) over the term table, extended first to every column. The
+        wide columns' share is taken in closed form: each bounded block of
+        their rows gives those rows of G a against the table's columns and,
+        transposed, every row's share of the block's columns."""
+        k = len(a)
+        if k * k <= _GRAM_BLOCK_ENTRIES:
+            return self._gram_block(slice(0, k), k) @ a
+        terms = self._terms
+        if terms.columns < k:
+            terms.extend(self.masks)
+        out = terms.times(a)
+        wide = terms.wide
+        if len(wide):
+            table_a = a.copy()
+            table_a[wide] = 0.0
+            for lo, hi in self._row_blocks(0, len(wide), k):
+                block = self._gram_block(wide[lo:hi], k)
+                out[wide[lo:hi]] += block @ table_a
+                out += block.T @ a[wide[lo:hi]]
         return out
 
 
-def weighted_row_sum(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def row_blocks(rows: np.ndarray) -> list[slice]:
+    """The blocks of at most _GRAM_BLOCK_ENTRIES entries that
+    `weighted_row_sum` takes a (K x m) array's rows in."""
+    return [slice(lo, hi) for lo, hi in ApproxState._row_blocks(0, len(rows), rows.shape[1])]
+
+
+def weighted_row_sum(
+    w: np.ndarray, rows: np.ndarray, blocks: list[slice] | None = None
+) -> np.ndarray:
     """w @ rows in float64 for a (K x m) array of any numeric dtype, cast to
-    float one block of at most _GRAM_BLOCK_ENTRIES entries at a time. Rows
-    that fit in one block give exactly w @ rows.astype(float)."""
-    blocks = ApproxState._row_blocks(0, len(rows), rows.shape[1])
-    lo, hi = next(blocks)
-    out = w[lo:hi] @ rows[lo:hi].astype(float)
-    for lo, hi in blocks:
-        out += w[lo:hi] @ rows[lo:hi].astype(float)
+    float one block of row_blocks(rows) at a time; a caller that sums the
+    same array many times passes those blocks, computed once. Rows that fit
+    in one block give exactly w @ rows.astype(float)."""
+    first, *rest = row_blocks(rows) if blocks is None else blocks
+    out = w[first] @ rows[first].astype(float)
+    for block in rest:
+        out += w[block] @ rows[block].astype(float)
     return out
 
 
@@ -293,8 +431,8 @@ def add_columns(state: ApproxState, new_keys: Iterable[ColumnKey]) -> int:
     """Append columns for keys not yet present (by key, then by signature).
 
     Identically-zero products are recorded as exhausted but never added.
-    Returns the number of columns actually appended; when nonzero their Gram
-    rows are appended as new factor panels and the weights re-solved.
+    Returns the number of columns actually appended; when nonzero they are
+    factored onto the Gram system and the weights re-solved.
     """
     accepted: list[tuple[ColumnKey, Cube]] = []
     for key in new_keys:
@@ -319,45 +457,43 @@ def add_columns(state: ApproxState, new_keys: Iterable[ColumnKey]) -> int:
 def solve_weights(state: ApproxState) -> np.ndarray:
     """Solve (A^T A) a = e_0, escalating a ridge term if the system is singular.
 
-    While the factor carries no ridge, the panels appended since the last
-    solve are factored onto it incrementally. If that fails, or a ridge is
-    in use, the ridge ladder rebuilds and factors all the Gram panels from
-    lambda = 0 up. Stores the result and the ridge value used on the state
-    and returns the weight vector.
+    While the factor carries no ridge, the columns appended since the last
+    solve are factored onto it: float64 panels for the first-order fit,
+    int16 ones after it. If that fails, or a ridge is in use, the ridge
+    ladder rebuilds the whole factor in float64 from lambda = 0 up. Stores
+    the result and the ridge value used on the state and returns the weight
+    vector.
     """
     k = state.num_columns
     if k == 0:
         raise WeightSolveError("no columns to solve")
     rhs = np.zeros(k)
     rhs[0] = 1.0
-    covered = sum(len(panel.rows) for panel in state._panels)
-    if state.ridge_lambda == 0.0 and covered == k:
-        a = _factor_and_solve(state, rhs, 0.0)
+    if state.ridge_lambda == 0.0:
+        covered = sum(len(panel.rows) for panel in state._panels)
+        coarse = covered > 0 and state._int16_panels
+        a = _factor_and_solve(state, rhs, 0.0, covered, np.int16 if coarse else np.float64)
         if a is not None:
             state.weights = a
             return a
-    state._float32_panels = False
+    state._int16_panels = False
     for lam in RIDGE_LADDER:
         state._panels = []  # drop the old factor before building its successor
-        state._factored = 0
-        state._panels = state._gram_panels(0)
-        for panel in state._panels:
-            i = np.arange(len(panel.rows))
-            panel.diag[i * (i + 3) // 2] += lam  # the packed diagonal
-        a = _factor_and_solve(state, rhs, lam)
+        a = _factor_and_solve(state, rhs, lam, 0, np.float64)
         if a is not None:
             state.weights = a
             state.ridge_lambda = lam
             return a
     state._panels = []
-    state._factored = 0
     raise WeightSolveError(f"Gram solve failed after ridge escalation (K={k})")
 
 
-def _factor_and_solve(state: ApproxState, rhs: np.ndarray, lam: float) -> np.ndarray | None:
-    """Factor the pending panels, solve by iterative refinement, and check
-    the residual against (G + lam*I) a = rhs, with G the closed-form Gram
-    matrix. None on failure.
+def _factor_and_solve(
+    state: ApproxState, rhs: np.ndarray, lam: float, start: int, dtype
+) -> np.ndarray | None:
+    """Factor the columns from `start` on into new panels of `dtype`, solve
+    by iterative refinement, and check the residual against
+    (G + lam*I) a = rhs. None on failure.
 
     Each refinement step solves with the factor for the correction and takes
     the residual in float64. It stops at _REFINE_TARGET, when a step fails
@@ -369,10 +505,11 @@ def _factor_and_solve(state: ApproxState, rhs: np.ndarray, lam: float) -> np.nda
     space meets rhs) fails, and the ridge ladder takes over. A ridge rung's
     weights are ~1/lam on such a G by design and G a is rounded relative to
     them, so for lam > 0 the bound scales with max |a|."""
-    for q in range(state._factored, len(state._panels)):
-        if not _factor_panel(state._panels, q):
+    for lo in range(start, state.num_columns, _PANEL_ROWS):
+        panel = _factor_panel(state, lo, dtype, lam)
+        if panel is None:
             return None
-        state._factored = q + 1
+        state._panels.append(panel)
     best, best_norm = None, np.inf
     a, r = np.zeros_like(rhs), rhs
     for _ in range(_REFINE_STEPS):
@@ -400,30 +537,48 @@ def _unpack(packed: np.ndarray, d: int) -> np.ndarray:
     return square
 
 
-def _factor_panel(panels: list[_Panel], q: int) -> bool:
-    """Turn panel q's raw Gram entries into factor rows, in place, given the
-    factored panels before it: X = G21 L11^-T by block forward substitution,
-    then L22 = chol(G22 - X X^T), stored packed as its inverse. False when
-    G22 - X X^T is not positive definite.
-
-    Every product, and so every temporary, is at most _PANEL_ROWS
-    square."""
-    rows, diag = panels[q]
-    for prior in panels[:q]:
+def _factor_panel(state: ApproxState, lo: int, dtype, lam: float) -> _Panel | None:
+    """The panel of factor rows [lo, lo + d) of (G + lam*I), given the
+    panels before it, stored as `dtype` (int16 or float64). Its raw Gram
+    rows are built in the working precision (float32 for int16, float64
+    otherwise), then X = G21 L11^-T by block forward substitution, each
+    prior panel read in that precision and its scales applied to the
+    product, and L22 = chol(G22 + lam*I - X X^T), stored packed as its
+    inverse. None when that is not positive definite. X is rounded to int16
+    only after the Schur complement: a column that repeats earlier ones
+    must leave it singular, as in float32, and send the solve to the ridge
+    ladder. Every product, and so every temporary beyond X, is at most
+    _PANEL_ROWS square."""
+    d = min(_PANEL_ROWS, state.num_columns - lo)
+    work = np.float32 if dtype == np.int16 else np.float64
+    lower = _LOWER[:d, :d]
+    rows = np.empty((d, lo), work)
+    g22 = np.empty(d * (d + 1) // 2)
+    for r0, r1 in state._row_blocks(lo, lo + d, lo + d):
+        block = state._gram_block(slice(r0, r1), lo + d)
+        i0, i1 = r0 - lo, r1 - lo
+        rows[i0:i1] = block[:, :lo]
+        g22[i0 * (i0 + 1) // 2 : i1 * (i1 + 1) // 2] = block[:, lo:][lower[i0:i1]]
+    i = np.arange(d)
+    g22[i * (i + 3) // 2] += lam  # the packed diagonal
+    for prior in state._panels:
         dp, op = prior.rows.shape
         block = rows[:, op : op + dp]
-        block -= rows[:, :op] @ prior.rows.T
+        block -= (rows[:, :op] @ prior.rows.astype(work, copy=False).T) * prior.scale
         block[...] = block @ _unpack(prior.diag, dp).T
-    lower = _LOWER[: len(rows), : len(rows)]
     schur = rows @ rows.T
-    schur[lower] = diag - schur[lower]  # the upper triangle is never read
+    schur[lower] = g22 - schur[lower]  # the upper triangle is never read
     try:
         factor = np.linalg.cholesky(schur)
     except np.linalg.LinAlgError:
-        return False
+        return None
     _invert_lower(factor)
-    diag[...] = factor[lower]
-    return True
+    if dtype == np.int16:
+        scale = np.abs(rows).max(axis=1, initial=0.0) / work(_INT16_MAX)
+        scale[scale == 0.0] = 1.0
+        rows /= scale[:, None]
+        return _Panel(np.rint(rows, out=rows).astype(np.int16), scale, factor[lower])
+    return _Panel(rows, np.ones(d), factor[lower])
 
 
 def _invert_lower(block: np.ndarray) -> None:
@@ -444,22 +599,25 @@ def _invert_lower(block: np.ndarray) -> None:
 
 
 def _solve_factored(panels: list[_Panel], rhs: np.ndarray) -> np.ndarray:
-    """Solve L L^T a = rhs by panel-wise forward then back substitution, each
-    panel's products in its own precision: the vector segments are cast to
-    the panel's dtype, never a panel to the vector's."""
+    """Solve L L^T a = rhs by panel-wise forward then back substitution,
+    each panel's products in its own precision: its rows and the vector
+    segments are cast to that precision, one panel at a time, and the row
+    scales applied to the d-vectors."""
     a = rhs.copy()
-    for rows, diag in panels:
+    for rows, scale, diag in panels:
         d, o = rows.shape
-        dtype = rows.dtype
-        x = a[o : o + d].astype(dtype, copy=False) - rows @ a[:o].astype(dtype, copy=False)
+        work = diag.dtype
+        x = a[o : o + d].astype(work) - scale * (
+            rows.astype(work, copy=False) @ a[:o].astype(work, copy=False)
+        )
         inverse = _unpack(diag, d)
         a[o : o + d] = inverse @ x
     for q in reversed(range(len(panels))):
-        rows, diag = panels[q]
+        rows, scale, diag = panels[q]
         d, o = rows.shape
         if q < len(panels) - 1:  # the last panel's is still expanded from the forward pass
             inverse = _unpack(diag, d)
-        x = inverse.T @ a[o : o + d].astype(rows.dtype, copy=False)
+        x = inverse.T @ a[o : o + d].astype(diag.dtype, copy=False)
         a[o : o + d] = x
-        a[:o] -= rows.T @ x
+        a[:o] -= rows.astype(diag.dtype, copy=False).T @ (scale * x)
     return a

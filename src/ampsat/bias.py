@@ -14,8 +14,9 @@ it when sigma_j = -b. After fixing the set F, bias1_j = sum_i w_i sigma_ij
 with w_i = a_i 2^-|V_i - F| for the surviving cubes: one product of w with
 the K x n sign matrix per step, and an O(K) update of w per fixed variable.
 The signs are held as int8, and each step's product casts them to float one
-bounded block of rows at a time (approx.weighted_row_sum), so its
-temporaries stay bounded however many columns the fit has.
+bounded block of rows at a time (approx.weighted_row_sum, over blocks cut
+once per decimation), so its temporaries stay bounded however many columns
+the fit has.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .approx import ApproxState, weighted_row_sum
+from .approx import ApproxState, row_blocks, weighted_row_sum
 from .cnf import Assignment
 from .fourier import SparsePoly
 
@@ -123,10 +124,11 @@ def _decimate_cubes(state: ApproxState, tie_rng: random.Random | None) -> Assign
     n = state.formula.num_vars
     signs = state.signs()  # (K, n) int8: sigma_ij, 0 where cube i leaves j free
     w = np.ldexp(state.weights, -np.count_nonzero(signs, axis=1))
+    blocks = row_blocks(signs)
     out = [0] * n
     unfixed = list(range(n))
     for _ in range(n):
-        biases = weighted_row_sum(w, signs)
+        biases = weighted_row_sum(w, signs, blocks)
         floor = TIE_REL_TOL * max(abs(w.sum()), np.abs(biases).max(initial=0.0))
         i_star, value = _choose(unfixed, biases.tolist(), floor, tie_rng)
         out[i_star] = value

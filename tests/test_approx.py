@@ -37,10 +37,12 @@ def _unit_rhs(k):
 
 def _serve_gram(monkeypatch, matrix):
     """Make the state read its Gram entries from `matrix` instead of the
-    closed form, for systems no set of cubes has."""
+    closed form, and take its G a products from it instead of the term
+    table, for systems no set of cubes has."""
     monkeypatch.setattr(
-        ApproxState, "_gram_block", lambda self, lo, hi, width: matrix[lo:hi, :width].copy()
+        ApproxState, "_gram_block", lambda self, rows, width: matrix[rows, :width].copy()
     )
+    monkeypatch.setattr(ApproxState, "_gram_times", lambda self, a: matrix @ a)
 
 
 def _fourier_column(formula, key):
@@ -89,26 +91,31 @@ def _unpacked(packed, d):
 
 def _dense_factor(state):
     """The factor panels laid out as one dense lower-triangular matrix; each
-    panel keeps its diagonal block inverted and packed, which is unpacked
-    and inverted back."""
+    panel keeps its rows scaled and its diagonal block inverted and packed,
+    which is unpacked and inverted back."""
     k = state.num_columns
     out = np.zeros((k, k))
-    for rows, diag in state._panels:
+    for rows, scale, diag in state._panels:
         d, o = rows.shape
-        out[o : o + d, :o] = rows
+        out[o : o + d, :o] = rows * scale[:, None].astype(float)
         out[o : o + d, o : o + d] = np.tril(np.linalg.inv(_unpacked(diag, d)))
     return out
 
 
 def _panel_rows(state):
     """The row range [o, o + d) of every panel, checking that each is at
-    most _PANEL_ROWS tall, holds its rows left of the diagonal and its
-    diagonal block's packed triangle in one dtype, and follows the last."""
+    most _PANEL_ROWS tall, holds its rows left of the diagonal, one scale
+    per row and its diagonal block's packed triangle, as int16 rows with
+    float32 scales and triangle or all float64, and follows the last."""
     ranges = []
-    for rows, diag in state._panels:
+    for rows, scale, diag in state._panels:
         d, o = rows.shape
         assert 0 < d <= _PANEL_ROWS
-        assert diag.shape == (d * (d + 1) // 2,) and diag.dtype == rows.dtype
+        assert scale.shape == (d,) and diag.shape == (d * (d + 1) // 2,)
+        assert (rows.dtype, scale.dtype, diag.dtype) in (
+            (np.int16, np.float32, np.float32),
+            (np.float64, np.float64, np.float64),
+        )
         assert o == (ranges[-1][1] if ranges else 0)
         ranges.append((o, o + d))
     return ranges
@@ -341,15 +348,17 @@ class TestIncrementalFactor:
         factor = _dense_factor(state)
         assert np.allclose(factor @ factor.T, state.gram, atol=TOL)
 
-    def test_incremental_round_factors_the_pending_panel_in_place(self):
-        # A round of d new columns on uf50-001: the factor lands in the
-        # panels that held the raw Gram rows, and no d x d temporary is made.
-        # The panels are float32, so L L^T reproduces the raw rows to
-        # Cholesky's backward error (Higham, Accuracy and Stability of
-        # Numerical Algorithms, Thm 10.3): |L L^T - G| <= gamma_(K+1) |L| |L^T|
-        # entrywise, and (|L| |L^T|)_ij <= |L_i| |L_j| = sqrt(G_ii G_jj) <=
-        # max |G|, so the bound is (K + 1) u_32 max |G| with u_32 = 2^-24.
-        # The weights are refined to float64 accuracy all the same.
+    def test_incremental_round_factors_only_its_new_rows(self):
+        # A round of d new columns on uf50-001: appending them adds only
+        # their cubes, and the solve adds int16 panels for their rows alone,
+        # leaving every earlier panel as it was; no d x d temporary is made.
+        # L L^T reproduces the new Gram rows to float32 Cholesky's backward
+        # error (Higham, Accuracy and Stability of Numerical Algorithms,
+        # Thm 10.3): |L L^T - G| <= gamma_(K+1) |L| |L^T| entrywise, and
+        # (|L| |L^T|)_ij <= |L_i| |L_j| = sqrt(G_ii G_jj) <= max |G|, so the
+        # bound is (K + 1) u_32 max |G| with u_32 = 2^-24; the int16 rounding
+        # of the rows stays under it here (1.9e-6 against 8.3e-5). The
+        # weights are refined to float64 accuracy all the same.
         f = parse_dimacs(UF50_001.read_text())
         state = init_first_order(f)
         pairs = [(i, j) for i in range(f.num_clauses) for j in range(i + 1, f.num_clauses)]
@@ -362,13 +371,10 @@ class TestIncrementalFactor:
                 columns.setdefault(cube, key)
             if len(columns) == 1000:
                 break
-        before = len(state._panels)
+        before = list(state._panels)
+        o = state.num_columns
         state._append([(key, cube) for cube, key in columns.items()])
-        pending = state._panels[before:]
-        d = sum(len(panel.rows) for panel in pending)
-        assert d == 1000 and len(pending) == len(_tiles(0, 1000)) > 1
-        assert all(array.dtype == np.float32 for panel in pending for array in panel)
-        raw = [[array.copy() for array in panel] for panel in pending]
+        assert len(state._panels) == len(before) and state.num_columns == o + 1000
         tracemalloc.start()
         try:
             solve_weights(state)
@@ -376,25 +382,24 @@ class TestIncrementalFactor:
         finally:
             tracemalloc.stop()
         assert state.ridge_lambda == 0.0
+        assert all(held is panel for held, panel in zip(before, state._panels))
+        added = state._panels[len(before) :]
+        assert _panel_rows(state)[len(before) :] == _tiles(o, o + 1000)
+        assert all(panel.rows.dtype == np.int16 for panel in added)
         k = state.num_columns
         gram = state.gram
-        bound = (k + 1) * 2.0**-24 * np.abs(gram).max()
         factor = _dense_factor(state)
-        for panel, held, (rows, diag) in zip(pending, state._panels[before:], raw):
-            assert all(map(np.shares_memory, held, panel))
-            p, o = rows.shape
-            product = factor[o : o + p] @ factor[: o + p].T
-            assert np.abs(product[:, :o] - rows).max() <= bound
-            assert np.abs(product[:, o:][np.tril_indices(p)] - diag).max() <= bound
-            assert not np.allclose(panel.rows, rows) and not np.allclose(panel.diag, diag)
-        assert peak < d * d * 8
+        bound = (k + 1) * 2.0**-24 * np.abs(gram).max()
+        assert np.abs(factor[o:] @ factor.T - gram[o:]).max() <= bound
+        assert peak < 1000 * 1000 * 8
         ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram, lower=True), _unit_rhs(k))
         assert np.abs(state.weights - ref).max() <= TOL * max(1.0, np.abs(ref).max())
 
-    def test_refinement_panels_are_float32(self):
+    def test_refinement_panels_are_int16(self):
         # uf50-001 grown past K = 2000: every panel after the float64
-        # first-order block is float32, so the factor takes about half the
-        # bytes of a float64 one and no ridge was needed on the way.
+        # first-order block holds int16 rows with float32 row scales and a
+        # float32 diagonal inverse, so the factor takes about a quarter of
+        # the bytes of a float64 one, and no ridge was needed on the way.
         state, _ = grown_uf50_001()
         first_order = state.formula.num_clauses + 1  # no two clauses share a cube
         k = state.num_columns
@@ -402,16 +407,18 @@ class TestIncrementalFactor:
         ranges = _panel_rows(state)
         assert ranges[: len(_tiles(0, first_order))] == _tiles(0, first_order)
         for (lo, _), panel in zip(ranges, state._panels):
-            assert panel.rows.dtype == (np.float64 if lo < first_order else np.float32)
+            assert panel.rows.dtype == (np.float64 if lo < first_order else np.int16)
+        below = sum(d * o for o, d in ((lo, hi - lo) for lo, hi in ranges if lo >= first_order))
+        diagonal = sum((hi - lo) * (hi - lo + 1) // 2 for lo, hi in ranges if lo >= first_order)
         stored = sum(array.nbytes for panel in state._panels for array in panel)
-        first = first_order * (first_order + 1) // 2
-        assert stored == 4 * (k * (k + 1) // 2 - first) + 8 * first
+        assert stored <= 2 * below + 4 * diagonal + 4 * k + 8 * first_order**2
 
     def test_a_round_holds_its_packed_panels_and_one_bounded_block(self):
         # uf50-001 grown past K = 2000, then a round of 1000 columns: the
-        # round's peak is the packed float32 panels it adds, K(K+1)/2
-        # entries in all, plus at most 1.5 MiB for the one bounded block
-        # any step of the extension, factor or refined solve holds.
+        # round's peak is the int16 panels it adds, the term table, which
+        # the extension reallocates, and at most 2 MiB for a panel's raw
+        # rows and the one bounded block any step of the extension, factor
+        # or refined solve holds.
         state, pairs = grown_uf50_001()
         columns = {}
         for key in pairs:
@@ -421,6 +428,7 @@ class TestIncrementalFactor:
             if len(columns) == 1000:
                 break
         before = state.num_columns
+        panels = len(state._panels)
         tracemalloc.start()
         try:
             state._append([(key, cube) for cube, key in columns.items()])
@@ -430,38 +438,69 @@ class TestIncrementalFactor:
             tracemalloc.stop()
         k = state.num_columns
         assert state.ridge_lambda == 0.0 and k == before + 1000
-        assert peak <= 4 * (k * (k + 1) // 2 - before * (before + 1) // 2) + 1.5 * 2**20
+        added = state._panels[panels:]
+        assert all(panel.rows.dtype == np.int16 for panel in added)
+        factor = sum(array.nbytes for panel in added for array in panel)
+        terms = state._terms
+        table = sum(a.nbytes for a in (terms.ids, terms.signs, terms.keys, terms.key_ids))
+        table += sum(cols.nbytes for _, cols, _ in terms.blocks)
+        assert factor < 2.1 * (k * (k + 1) // 2 - before * (before + 1) // 2)
+        assert peak <= factor + table + 2 * 2**20
 
-    def test_a_state_that_took_the_ladder_keeps_float64_panels(self, monkeypatch):
-        # A float32 Schur block that fails lands on the float64 lambda = 0
-        # rung, and every later batch is factored in float64 too.
+    @staticmethod
+    def _check_ladder_then_float64(monkeypatch, name, failing):
+        # The first batch after the first-order fit is solved with
+        # approx.<name> replaced by `failing`; it lands on the float64
+        # lambda = 0 rung, and every later batch is factored in float64 too.
         f = _disjoint_formula(30)
         state = init_first_order(f)
         pairs = [(i, j) for i in range(30) for j in range(i + 1, 30)]
-        factor_panel = approx_module._factor_panel
         with monkeypatch.context() as m:
-            m.setattr(
-                approx_module,
-                "_factor_panel",
-                lambda panels, q: panels[q].rows.dtype == np.float64 and factor_panel(panels, q),
-            )
+            m.setattr(approx_module, name, failing)
             add_columns(state, pairs[:100])
         assert state.ridge_lambda == 0.0
+        assert all(array.dtype == np.float64 for panel in state._panels for array in panel)
         add_columns(state, pairs[100:200])
         assert state.ridge_lambda == 0.0 and state.num_columns == 231
+        assert _panel_rows(state) == _tiles(0, 131) + _tiles(131, 231)
         assert all(array.dtype == np.float64 for panel in state._panels for array in panel)
         k = state.num_columns
         ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(state.gram, lower=True), _unit_rhs(k))
         assert np.abs(state.weights - ref).max() <= TOL * max(1.0, np.abs(ref).max())
 
-    def test_gram_times_reads_the_lower_triangle_only(self):
-        # K = 466 makes seven row blocks of G a, the last one short.
+    def test_a_state_that_took_the_ladder_keeps_float64_panels(self, monkeypatch):
+        # an int16 panel whose Schur block is not positive definite
+        factor_panel = approx_module._factor_panel
+
+        def failing(state, lo, dtype, lam):
+            return None if dtype == np.int16 else factor_panel(state, lo, dtype, lam)
+
+        self._check_ladder_then_float64(monkeypatch, "_factor_panel", failing)
+
+    def test_an_int16_factor_that_misses_the_gate_lands_on_the_float64_rung(self, monkeypatch):
+        # An int16 factor whose corrections come out 4x too large: every
+        # refinement step triples the error, so the solve misses the
+        # residual check and the ridge ladder takes over.
+        solve_factored = approx_module._solve_factored
+        skewed = []
+
+        def overshooting(panels, rhs):
+            x = solve_factored(panels, rhs)
+            if any(panel.rows.dtype == np.int16 for panel in panels):
+                skewed.append(len(panels))
+                return 4 * x
+            return x
+
+        self._check_ladder_then_float64(monkeypatch, "_solve_factored", overshooting)
+        assert skewed and set(skewed) == {len(_tiles(0, 31) + _tiles(31, 131))}
+
+    def test_gram_times_is_the_closed_form_product(self):
+        # K = 466: the term table holds a block of each cube size.
         f = _disjoint_formula(30)
         state = init_first_order(f)
         add_columns(state, [(i, j) for i in range(30) for j in range(i + 1, 30)])
         k = state.num_columns
-        blocks = list(ApproxState._row_blocks(0, k, k))
-        assert len(blocks) > 2 and blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
+        assert [c for _, _, c in state._terms.blocks] == [0, 2, 4]
         gram = state.gram
         rng = np.random.default_rng(54)
         for x in (state.weights, rng.standard_normal(k), rng.uniform(0, 1e3, k)):
@@ -498,26 +537,38 @@ class TestIncrementalFactor:
         assert np.abs(residual).max() <= 1e-6 * max(1.0, np.abs(a).max())
 
     def test_incremental_solve_never_rebuilds_the_whole_gram(self, monkeypatch):
+        # Each closed-form Gram block the factor builds, as its row range.
         rows = []
-        original = ApproxState._gram_panels
+        factoring = []
+        gram_block = ApproxState._gram_block
+        factor_panel = approx_module._factor_panel
 
-        def recording(self, start, dtype=np.float64):
-            rows.append((start, self.num_columns))
-            return original(self, start, dtype)
+        def recording(self, block_rows, width):
+            if factoring:
+                rows.append((block_rows.start, block_rows.stop))
+            return gram_block(self, block_rows, width)
 
-        monkeypatch.setattr(ApproxState, "_gram_panels", recording)
+        def factor(*args):
+            factoring.append(args)
+            try:
+                return factor_panel(*args)
+            finally:
+                factoring.pop()
+
+        monkeypatch.setattr(ApproxState, "_gram_block", recording)
+        monkeypatch.setattr(approx_module, "_factor_panel", factor)
         f = parse_dimacs("p cnf 6 3\n1 2 0\n3 4 0\n5 6 0")
         state = init_first_order(f)
         add_columns(state, [(0, 1)])
         add_columns(state, [(0, 2), (1, 2)])
         assert state.ridge_lambda == 0.0
         assert rows == [(0, 4), (4, 5), (5, 7)]  # only the new rows, once per batch
-        # a batch taller than a panel: its rows once, in panels
+        # a batch taller than a panel: its rows once, a panel at a time
         rows.clear()
         state = init_first_order(_disjoint_formula(30))
         add_columns(state, [(i, j) for i in range(30) for j in range(i + 1, 30)][:300])
         assert state.ridge_lambda == 0.0
-        assert rows == [(0, 31), (31, 331)]
+        assert rows == [(0, 31)] + _tiles(31, 331)
         assert _panel_rows(state) == [(0, 31)] + _tiles(31, 331)
 
 

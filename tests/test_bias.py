@@ -24,7 +24,7 @@ from ampsat.oracle import dense_evaluate, dense_omega, dense_transform, exact_bi
 from ampsat.refine import RefinementSaturated, plan_refinement
 
 from helpers import grown_uf50_001, random_assignment, random_formula, random_poly
-from reference_bias import decimate_cubes
+from reference_bias import decimate_cubes, decimate_cubes_by_step
 
 TOL = 1e-9
 UF50 = Path(__file__).resolve().parents[1] / "instances" / "uf50"
@@ -304,6 +304,29 @@ class TestBoundedDecimation:
             formula = parse_dimacs((UF50 / f"{name}.cnf").read_text())
             solve(formula, SolverConfig(seed=seed, max_rounds=8))
         assert fits >= 20 and blocked >= 10
+
+    def test_blocks_cut_once_give_the_per_step_route(self):
+        # Decimations that cut their row blocks once give the assignments of
+        # the route that cut them at every step, with no tie rng and with two
+        # seeded ones: on refined uf50 fits (uf50-001 grown past K = 2000, so
+        # each step sums several blocks, and two fits grown by one
+        # refinement plan each) and on the first-order fits of 20 uf20
+        # formulas.
+        rng = random.Random(61)
+        fits = [grown_uf50_001()[0]]
+        fits += [
+            _refined_state(rng, parse_dimacs((UF50 / f"uf50-00{i}.cnf").read_text()), 1)
+            for i in (2, 3)
+        ]
+        fits += [
+            init_first_order(parse_dimacs(path.read_text()))
+            for path in sorted((UF50.parent / "uf20").glob("*.cnf"))[:20]
+        ]
+        assert fits[0].num_columns * fits[0].formula.num_vars > 3 * _GRAM_BLOCK_ENTRIES
+        for fit in fits:
+            for seed in (None, 1, 2):
+                rng, ref_rng = (None, None) if seed is None else map(random.Random, (seed, seed))
+                assert measure_bias(fit, BiasKind.BIAS1, rng) == decimate_cubes_by_step(fit, ref_rng)
 
     def test_weighted_row_sum_is_the_float_product(self):
         rng = np.random.default_rng(5)

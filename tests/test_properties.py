@@ -1,13 +1,16 @@
 """Property tests: the DIMACS round trip, the soundness of solve against
-the brute-force oracle on small random formulas, and the fit's closed-form
-Gram matrix and mixed-precision weight solve against dense references."""
+the brute-force oracle on small random formulas, the fit's closed-form
+Gram matrix and mixed-precision weight solve against dense references, and
+its Fourier-domain G a against the closed form."""
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ampsat import Formula, SolverConfig, Status, parse_dimacs, solve, to_dimacs, verify
+from ampsat import approx
 from ampsat.approx import add_columns, init_first_order
 from ampsat.cnf import make_clause
 from ampsat.oracle import dense_evaluate, solution_count
@@ -127,3 +130,52 @@ def test_full_rank_weights_match_a_dense_cholesky_solve(fit):
     for batch in batches:
         add_columns(state, batch)
         _check_full_rank_weights(state)
+
+
+@st.composite
+def wide_fits(draw):
+    """(formula on 1 <= n <= 12 variables, or n = 72 for two mask words,
+    with clauses of up to 14 literals; pair-column batches): up to three
+    batches of at most 40 clause pairs in all, so that some cubes fix
+    more variables than the term table holds."""
+    n = draw(st.one_of(st.integers(1, 12), st.just(72)))
+    clause = st.lists(st.integers(1, n), min_size=1, max_size=min(n, 14), unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs))
+    )
+    codes = draw(st.lists(clause, min_size=1, max_size=12))
+    clauses = tuple(c for c in map(make_clause, codes) if c is not None)
+    m = len(clauses)
+    pairs = draw(st.permutations([(i, j) for i in range(m) for j in range(i + 1, m)]))[:40]
+    cuts = np.cumsum([0] + draw(st.lists(st.integers(1, 20), max_size=3))).tolist()
+    batches = [pairs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    return Formula(num_vars=n, clauses=clauses), batches
+
+
+@settings(PROPERTY_SETTINGS, max_examples=80)
+@given(wide_fits(), st.integers(0, 2**16))
+def test_gram_times_is_the_dense_gram_product(fit, seed):
+    # G a over the term table (and, for wide cubes, closed-form rows)
+    # against the rebuilt Gram matrix, to the rounding of its sums: a term
+    # of A a sums at most K products, a column of A^T (A a) at most 2^|V|,
+    # and both A^T A and |A|^T |A| are bounded entrywise by
+    # M_ij = 2^-|V_i ∪ V_j| (G_ij itself, unless the cubes clash). The
+    # bound is not K eps (|G| |x|): a 7-literal clause alone (K = 2) sums
+    # 128 terms per product. Blocks of 64 entries take every fit past
+    # K = 8 to the table, and cut it into many blocks.
+    formula, batches = fit
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(approx, "_GRAM_BLOCK_ENTRIES", 64)
+        state = init_first_order(formula)
+        for batch in [[]] + batches:
+            add_columns(state, batch)
+            gram = state.gram
+            k = state.num_columns
+            either = state.masks[0] | state.masks[1]
+            union = sum(np.bitwise_count(word[:, None] | word) for word in either)
+            sums = k + 2 ** int(np.bitwise_count(either).sum(axis=0).max())
+            for x in (state.weights, rng.standard_normal(k), rng.uniform(0, 1e3, k)):
+                bound = sums * np.finfo(float).eps * (np.ldexp(1.0, -union) @ np.abs(x))
+                assert np.all(np.abs(state._gram_times(x) - gram @ x) <= bound)
+            if k > 8:
+                assert state._terms.columns == k  # the table route ran
