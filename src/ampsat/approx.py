@@ -22,7 +22,9 @@ with A the columns' Fourier incidence: column j has the 2^|V_j| terms
 chi_T, T ⊆ V_j, each with coefficient ±2^-|V_j|, about 60 per column on
 3-SAT pairs against K for a closed-form row. The refinement residual's G a
 is A^T (A a) over a compact table of these terms (`_TermTable`), unless G
-fits in one bounded block. Nothing is ever enumerated over 2^n.
+fits in one bounded block; the table is kept as bounded blocks, each with
+its own entries, so extending it copies none of the old ones. Nothing is
+ever enumerated over 2^n.
 
 No Gram matrix is kept. The only K-squared state is the lower Cholesky factor
 L of Gram + lambda*I, stored as row panels of at most _PANEL_ROWS rows: a
@@ -38,9 +40,11 @@ and stored, one panel at a time, with numpy's matrix product and Cholesky.
 Each diagonal block is kept as its inverse, so both triangular solves, in
 the update and in the weight solve, are matrix products too; a packed block
 is expanded for them into a square of at most _PANEL_ROWS^2 entries, one at
-a time. Every other array that grows with K beyond O(K) is built one bounded
-block of _GRAM_BLOCK_ENTRIES entries at a time, and `weighted_row_sum`
-applies the same rule to the decimation's sign matrix (ampsat.bias).
+a time. The refined solve casts an int16 panel to float32 _CAST_COLUMNS
+columns at a time, each chunk's product summed into the d-vector it feeds.
+Every other array that grows with K beyond O(K) is built one bounded block
+of _GRAM_BLOCK_ENTRIES entries at a time, and `weighted_row_sum` applies
+the same rule to the decimation's sign matrix (ampsat.bias).
 
 Precision: the factor only preconditions iterative refinement (Langou et
 al., SC'06; Carson & Higham, SIAM J. Sci. Comput. 40(2), 2018), so it is
@@ -88,6 +92,12 @@ _PANEL_ROWS = 64
 _LOWER = np.tri(_PANEL_ROWS, dtype=bool)
 # An int16 panel row is rint(row / s), with s = max |row| / _INT16_MAX.
 _INT16_MAX = np.iinfo(np.int16).max
+# Columns of a panel's rows the refined solve casts to the working
+# precision at a time: a 512 KiB float32 copy of a 64-row int16 panel,
+# however long its rows. At 2048 columns it ran as fast as with
+# whole-panel casts (K = 761 to 8424); a whole-factor product in
+# 512-column chunks was half again slower.
+_CAST_COLUMNS = 2048
 # A column fixing c variables adds 2^c entries to the term table, without
 # bound for long clauses. Past this many (4096 entries, a closed-form Gram
 # row at K = 4096) it stays out of the table, and G a takes its rows in
@@ -122,18 +132,29 @@ def column_signature(cache: IndicatorCache, key: ColumnKey) -> Cube | None:
     return cache.cube(key)
 
 
+class _TermBlock(NamedTuple):
+    """The term-table entries of `columns`, whose cubes each fix `size`
+    variables: their term ids (int32) and the signs of their coefficients
+    (int8), 2^size per column, column by column in _cube_terms' order. Both
+    stay flat: np.add.at and fancy indexing take a 1-d index several times
+    faster than the same index as a (columns, 2^size) array."""
+
+    columns: np.ndarray
+    size: int
+    ids: np.ndarray
+    signs: np.ndarray
+
+
 class _TermTable:
     """A, the columns' Fourier incidence, so that G = A^T A: a cube on the
     variables V with signs sigma has the terms chi_T for T ⊆ V, each with
     coefficient 2^-|V| prod_{v in T} sigma_v (ampsat.indicator).
 
-    An entry is a term id (`ids`, int32) and the sign of its coefficient
-    (`signs`, int8). Entries come in `blocks` (first entry, columns, c) of
-    at most _GRAM_BLOCK_ENTRIES, each the given columns of one cube size c
-    laid out as a (len(columns), 2^c) array. A term keeps the id it is
-    given when first seen; `keys` holds the distinct term masks sorted (a
-    uint64 each, or a void of all mask words when n > 64) and `key_ids`
-    their ids.
+    The entries are held in `blocks`, `_TermBlock`s of at most
+    _GRAM_BLOCK_ENTRIES entries each, and nothing holds them all in one
+    array. A term keeps the id it is given when first seen; `keys` holds
+    the distinct term masks sorted (a uint64 each, or a void of all mask
+    words when n > 64) and `key_ids` their ids.
     The table covers the first `columns` columns. Those fixing more than
     _TABLE_VARS variables have no entries and are listed in `wide`."""
 
@@ -142,9 +163,7 @@ class _TermTable:
         self.columns = 0
         self.keys = self._as_keys(np.zeros((0, words), np.uint64))
         self.key_ids = np.zeros(0, np.int32)
-        self.ids = np.zeros(0, np.int32)
-        self.signs = np.zeros(0, np.int8)
-        self.blocks: list[tuple[int, np.ndarray, int]] = []
+        self.blocks: list[_TermBlock] = []
         self.wide = np.zeros(0, np.intp)
 
     def _as_keys(self, masks: np.ndarray) -> np.ndarray:
@@ -161,8 +180,8 @@ class _TermTable:
         first, self.columns = self.columns, masks.shape[2]
         plus, minus = (np.ascontiguousarray(m.T) for m in masks[:, :, first:])
         size = np.bitwise_count(plus | minus).sum(axis=1)
-        ids, signs, pending = [self.ids], [self.signs], []
-        start = interned = len(self.ids)
+        run: list[tuple[np.ndarray, int, np.ndarray, np.ndarray]] = []
+        pending = 0
         for c in np.flatnonzero(np.bincount(size)).tolist():
             cols = np.flatnonzero(size == c)
             if c > _TABLE_VARS:
@@ -171,18 +190,24 @@ class _TermTable:
             step = max(1, _GRAM_BLOCK_ENTRIES >> c)
             for lo in range(0, len(cols), step):
                 part = cols[lo : lo + step]
-                if pending and start + (len(part) << c) - interned > _GRAM_BLOCK_ENTRIES:
-                    ids.append(self._intern(np.concatenate(pending)))
-                    pending, interned = [], start
+                if run and pending + (len(part) << c) > _GRAM_BLOCK_ENTRIES:
+                    self._add_run(run)
+                    run, pending = [], 0
                 term_masks, term_signs = _cube_terms(plus[part], minus[part], c)
-                pending.append(term_masks)
-                signs.append(term_signs)
-                self.blocks.append((start, part + first, c))
-                start += len(term_signs)
-        if pending:
-            ids.append(self._intern(np.concatenate(pending)))
-        self.ids = np.concatenate(ids)
-        self.signs = np.concatenate(signs)
+                run.append((part + first, c, term_masks, term_signs))
+                pending += len(term_signs)
+        if run:
+            self._add_run(run)
+
+    def _add_run(self, run: list[tuple[np.ndarray, int, np.ndarray, np.ndarray]]) -> None:
+        """Intern the term masks of a run of (columns, c, term masks,
+        signs) blocks together, and add each block with its share of the
+        ids."""
+        ids = self._intern(np.concatenate([term_masks for _, _, term_masks, _ in run]))
+        at = 0
+        for cols, c, _, signs in run:
+            self.blocks.append(_TermBlock(cols, c, ids[at : at + len(signs)], signs))
+            at += len(signs)
 
     def _intern(self, masks: np.ndarray) -> np.ndarray:
         """The ids of (N, words) term masks, giving each new one the next
@@ -213,14 +238,12 @@ class _TermTable:
         time (a np.bincount per block would make and add a vector of every
         term), and A^T y per column over the block's rows."""
         y = np.zeros(len(self.keys))
-        for start, cols, c in self.blocks:
-            stop = start + (len(cols) << c)
-            coeffs = self.signs[start:stop].reshape(len(cols), -1) * np.ldexp(a[cols], -c)[:, None]
-            np.add.at(y, self.ids[start:stop], coeffs.ravel())
+        for cols, c, ids, signs in self.blocks:
+            coeffs = signs.reshape(len(cols), -1) * np.ldexp(a[cols], -c)[:, None]
+            np.add.at(y, ids, coeffs.ravel())
         out = np.zeros(len(a))
-        for start, cols, c in self.blocks:
-            stop = start + (len(cols) << c)
-            terms = y[self.ids[start:stop]] * self.signs[start:stop]
+        for cols, c, ids, signs in self.blocks:
+            terms = y[ids] * signs
             out[cols] = np.ldexp(terms.reshape(len(cols), -1).sum(axis=1), -c)
         return out
 
@@ -268,8 +291,10 @@ class ApproxState:
     every panel in float64 and clears `_int16_panels`. Either way
     solve_weights refines the weights to float64 accuracy against
     `_gram_times`. Apart from the panels, no array the fit builds grows
-    faster than O(K) beyond one block of _GRAM_BLOCK_ENTRIES entries, and the
-    term table holds about 5 bytes per Fourier term.
+    faster than O(K) beyond one block of _GRAM_BLOCK_ENTRIES entries, one
+    panel, or one chunk of _CAST_COLUMNS panel columns, and the term table
+    holds about 5 bytes per Fourier term, in blocks that are never copied
+    again.
     """
 
     def __init__(self, formula: Formula):
@@ -547,8 +572,14 @@ def _factor_panel(state: ApproxState, lo: int, dtype, lam: float) -> _Panel | No
     inverse. None when that is not positive definite. X is rounded to int16
     only after the Schur complement: a column that repeats earlier ones
     must leave it singular, as in float32, and send the solve to the ridge
-    ladder. Every product, and so every temporary beyond X, is at most
-    _PANEL_ROWS square."""
+    ladder. Every product, and so every temporary beyond X and one prior
+    panel's cast, is at most _PANEL_ROWS square.
+
+    A prior panel is cast whole, not in _CAST_COLUMNS chunks: the float32
+    rounding of X decides whether the Schur block of a column that depends
+    on earlier ones (G singular) comes out positive definite. With X summed
+    over column chunks, uf50-018 took the ridge ladder at K = 11084 in the
+    uf50 acceptance run (criterion 6), where whole casts do not."""
     d = min(_PANEL_ROWS, state.num_columns - lo)
     work = np.float32 if dtype == np.int16 else np.float64
     lower = _LOWER[:d, :d]
@@ -574,7 +605,8 @@ def _factor_panel(state: ApproxState, lo: int, dtype, lam: float) -> _Panel | No
         return None
     _invert_lower(factor)
     if dtype == np.int16:
-        scale = np.abs(rows).max(axis=1, initial=0.0) / work(_INT16_MAX)
+        top = np.maximum(rows.max(axis=1, initial=0.0), -rows.min(axis=1, initial=0.0))
+        scale = top / work(_INT16_MAX)  # max |row| without a copy of |rows|
         scale[scale == 0.0] = 1.0
         rows /= scale[:, None]
         return _Panel(np.rint(rows, out=rows).astype(np.int16), scale, factor[lower])
@@ -598,20 +630,31 @@ def _invert_lower(block: np.ndarray) -> None:
     block[h:, :h] = -(block[h:, h:] @ block[h:, :h]) @ block[:h, :h]
 
 
+def _cast_chunk(rows: np.ndarray, c: int, work) -> np.ndarray:
+    """Columns [c, c + _CAST_COLUMNS) of a panel's rows as `work`. Each
+    chunk is used in one product and freed at once, so no cast copies a
+    whole panel and no two chunk copies are alive together: a generator of
+    chunks keeps the last one alive into the next cast, and its products
+    were measured 10-20 % slower at K ~ 2000."""
+    return rows[:, c : c + _CAST_COLUMNS].astype(work, copy=False)
+
+
 def _solve_factored(panels: list[_Panel], rhs: np.ndarray) -> np.ndarray:
     """Solve L L^T a = rhs by panel-wise forward then back substitution,
-    each panel's products in its own precision: its rows and the vector
-    segments are cast to that precision, one panel at a time, and the row
-    scales applied to the d-vectors."""
+    each panel's products in its own precision: its rows are cast to that
+    precision one column chunk at a time, each chunk's product summed into
+    the d-vector (forward) or taken from it (back), and the row scales
+    applied to the d-vectors."""
     a = rhs.copy()
     for rows, scale, diag in panels:
         d, o = rows.shape
         work = diag.dtype
-        x = a[o : o + d].astype(work) - scale * (
-            rows.astype(work, copy=False) @ a[:o].astype(work, copy=False)
-        )
+        known = a[:o].astype(work, copy=False)
+        product = _cast_chunk(rows, 0, work) @ known[:_CAST_COLUMNS]
+        for c in range(_CAST_COLUMNS, o, _CAST_COLUMNS):
+            product += _cast_chunk(rows, c, work) @ known[c : c + _CAST_COLUMNS]
         inverse = _unpack(diag, d)
-        a[o : o + d] = inverse @ x
+        a[o : o + d] = inverse @ (a[o : o + d].astype(work) - scale * product)
     for q in reversed(range(len(panels))):
         rows, scale, diag = panels[q]
         d, o = rows.shape
@@ -619,5 +662,7 @@ def _solve_factored(panels: list[_Panel], rhs: np.ndarray) -> np.ndarray:
             inverse = _unpack(diag, d)
         x = inverse.T @ a[o : o + d].astype(diag.dtype, copy=False)
         a[o : o + d] = x
-        a[:o] -= rows.astype(diag.dtype, copy=False).T @ (scale * x)
+        scaled, head = scale * x, a[:o]
+        for c in range(0, o, _CAST_COLUMNS):
+            head[c : c + _CAST_COLUMNS] -= _cast_chunk(rows, c, diag.dtype).T @ scaled
     return a

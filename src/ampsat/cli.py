@@ -240,6 +240,12 @@ def single_thread_blas_pool(max_workers: int):
 
 
 def cmd_bench(args) -> int:
+    if not args.timeout > 0:  # also rejects nan
+        print("error: --timeout must be positive", file=sys.stderr)
+        return EXIT_ERROR
+    if args.jobs < 1:
+        print("error: --jobs must be at least 1", file=sys.stderr)
+        return EXIT_ERROR
     directory = Path(args.dir)
     instances = sorted(str(p) for p in directory.glob("*.cnf"))
     if not instances:

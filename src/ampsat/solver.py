@@ -40,7 +40,7 @@ class SolverConfig:
     max_rounds: int | None = None  # round budget; None = timeout-bound only
 
     def __post_init__(self):
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # also rejects nan
             raise ValueError("timeout must be positive")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")

@@ -121,6 +121,19 @@ def _panel_rows(state):
     return ranges
 
 
+def _new_columns(state, keys, count):
+    """The (key, cube) columns of the first `count` keys whose cubes are
+    nonzero and new to the state and to each other."""
+    columns = {}
+    for key in keys:
+        cube = column_signature(state.cache, key)
+        if cube is not None and cube not in state.signatures:
+            columns.setdefault(cube, key)
+        if len(columns) == count:
+            break
+    return [(key, cube) for cube, key in columns.items()]
+
+
 def _tiles(lo, hi):
     """The panel row ranges that a batch of rows [lo, hi) is cut into."""
     return [(o, min(o + _PANEL_ROWS, hi)) for o in range(lo, hi, _PANEL_ROWS)]
@@ -415,23 +428,17 @@ class TestIncrementalFactor:
 
     def test_a_round_holds_its_packed_panels_and_one_bounded_block(self):
         # uf50-001 grown past K = 2000, then a round of 1000 columns: the
-        # round's peak is the int16 panels it adds, the term table, which
-        # the extension reallocates, and at most 2 MiB for a panel's raw
-        # rows and the one bounded block any step of the extension, factor
-        # or refined solve holds.
+        # round's peak is the int16 panels it adds, the term table, whose
+        # sorted keys the extension reallocates, and at most 2 MiB for a
+        # panel's raw rows and the one bounded block any step of the
+        # extension, factor or refined solve holds.
         state, pairs = grown_uf50_001()
-        columns = {}
-        for key in pairs:
-            cube = column_signature(state.cache, key)
-            if cube is not None and cube not in state.signatures:
-                columns.setdefault(cube, key)
-            if len(columns) == 1000:
-                break
+        columns = _new_columns(state, pairs, 1000)
         before = state.num_columns
         panels = len(state._panels)
         tracemalloc.start()
         try:
-            state._append([(key, cube) for cube, key in columns.items()])
+            state._append(columns)
             solve_weights(state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -442,10 +449,67 @@ class TestIncrementalFactor:
         assert all(panel.rows.dtype == np.int16 for panel in added)
         factor = sum(array.nbytes for panel in added for array in panel)
         terms = state._terms
-        table = sum(a.nbytes for a in (terms.ids, terms.signs, terms.keys, terms.key_ids))
-        table += sum(cols.nbytes for _, cols, _ in terms.blocks)
+        table = terms.keys.nbytes + terms.key_ids.nbytes
+        table += sum(
+            array.nbytes
+            for block in terms.blocks
+            for array in (block.columns, block.ids, block.signs)
+        )
         assert factor < 2.1 * (k * (k + 1) // 2 - before * (before + 1) // 2)
         assert peak <= factor + table + 2 * 2**20
+
+    def test_solve_casts_one_column_chunk_and_factor_one_panel(self, monkeypatch):
+        # uf50-001 grown past K = 2000, then a round of 1000 columns, the
+        # refined solve casting 256 columns at a time and Gram blocks cut
+        # to 2^12 entries. Above what it started with, each refined solve
+        # holds at most one chunk's float32 copy, three K-vectors and two
+        # expanded diagonal blocks, far under one whole-panel cast (4 * 64
+        # * K bytes). Each panel's factoring holds its float32 rows and, one
+        # at a time, a Gram block, one earlier panel cast whole or its own
+        # int16 copy: max |row| is taken without a copy of |rows|.
+        state, pairs = grown_uf50_001()
+        columns = _new_columns(state, pairs, 1000)
+        monkeypatch.setattr(approx_module, "_CAST_COLUMNS", 256)
+        monkeypatch.setattr(approx_module, "_GRAM_BLOCK_ENTRIES", 1 << 12)
+        chunk = 4 * _PANEL_ROWS * 256
+        squares = 2 * 8 * _PANEL_ROWS**2
+        calls = []
+
+        def traced(function):
+            def call(*args):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                try:
+                    return function(*args)
+                finally:
+                    calls.append((function, args, tracemalloc.get_traced_memory()[1] - start))
+
+            return call
+
+        factor_panel, solve_factored = approx_module._factor_panel, approx_module._solve_factored
+        monkeypatch.setattr(approx_module, "_factor_panel", traced(factor_panel))
+        monkeypatch.setattr(approx_module, "_solve_factored", traced(solve_factored))
+        tracemalloc.start()
+        try:
+            state._append(columns)
+            solve_weights(state)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            state._gram_block(slice(0, 4), 1024)
+            gram = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        k = state.num_columns
+        assert state.ridge_lambda == 0.0 and state._panels[-1].rows.dtype == np.int16
+        factored = [(args[1], peak) for function, args, peak in calls if function is factor_panel]
+        solved = [peak for function, _, peak in calls if function is solve_factored]
+        assert len(factored) == len(_tiles(k - 1000, k)) and len(solved) >= 3
+        assert 4 * _PANEL_ROWS * k > 2 * (chunk + squares + 24 * k)
+        for peak in solved:
+            assert peak <= chunk + squares + 24 * k
+        for lo, peak in factored:
+            d = min(_PANEL_ROWS, k - lo)
+            assert peak <= 4 * d * lo + max(gram, 4 * _PANEL_ROWS * lo) + squares + 24 * k
 
     @staticmethod
     def _check_ladder_then_float64(monkeypatch, name, failing):
@@ -500,7 +564,7 @@ class TestIncrementalFactor:
         state = init_first_order(f)
         add_columns(state, [(i, j) for i in range(30) for j in range(i + 1, 30)])
         k = state.num_columns
-        assert [c for _, _, c in state._terms.blocks] == [0, 2, 4]
+        assert [block.size for block in state._terms.blocks] == [0, 2, 4]
         gram = state.gram
         rng = np.random.default_rng(54)
         for x in (state.weights, rng.standard_normal(k), rng.uniform(0, 1e3, k)):

@@ -105,6 +105,15 @@ class TestSolve:
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/really.cnf"]) == 1
 
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+    def test_timeout_must_be_positive(self, tmp_path, capsys, timeout):
+        path = tmp_path / "one.cnf"
+        path.write_text(ONE_CLAUSE)
+        assert main(["solve", str(path), "--timeout", timeout]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: timeout must be positive\n"
+        assert captured.out == ""
+
     def test_comment_may_hold_any_bytes(self, tmp_path, capsys):
         path = tmp_path / "latin1.cnf"
         path.write_bytes(b"c caf\xe9\n" + ONE_CLAUSE.encode())
@@ -378,6 +387,22 @@ class TestBench:
         code = main(["bench", str(cnf_dir), "--solvers", "cdcl",
                      "--csv", str(tmp_path / "x.csv")])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--timeout", "-1"], "--timeout must be positive"),
+            (["--timeout", "0"], "--timeout must be positive"),
+            (["--timeout", "nan"], "--timeout must be positive"),
+            (["--jobs", "0"], "--jobs must be at least 1"),
+        ],
+    )
+    def test_bad_limits_error_before_any_run(self, cnf_dir, tmp_path, capsys, flags, message):
+        out_csv = tmp_path / "x.csv"
+        code = main(["bench", str(cnf_dir), "--solvers", "sa", "--csv", str(out_csv)] + flags)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_csv.exists()
 
 
 class TestHelpers:

@@ -91,8 +91,9 @@ class TestSolveBasics:
         assert stats.assignment is None
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(timeout=0)
+        for timeout in (0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                SolverConfig(timeout=timeout)
         with pytest.raises(ValueError):
             SolverConfig(max_rounds=0)
 
