@@ -21,10 +21,11 @@ time; the factor is built from these rows. In the Fourier domain, G = A^T A
 with A the columns' Fourier incidence: column j has the 2^|V_j| terms
 chi_T, T ⊆ V_j, each with coefficient ±2^-|V_j|, about 60 per column on
 3-SAT pairs against K for a closed-form row. The refinement residual's G a
-is A^T (A a) over a compact table of these terms (`_TermTable`), unless G
-fits in one bounded block; the table is kept as bounded blocks, each with
-its own entries, so extending it copies none of the old ones. Nothing is
-ever enumerated over 2^n.
+is A^T (A a) over a compact table of these terms (`_TermTable`), and the
+closed form for the rows the table leaves out: every row while G fits in
+one bounded block, and the columns fixing too many variables. The table is
+kept as bounded blocks, each with its own entries, so extending it copies
+none of the old ones. Nothing is ever enumerated over 2^n.
 
 No Gram matrix is kept. The only K-squared state is the lower Cholesky factor
 L of Gram + lambda*I, stored as row panels of at most _PANEL_ROWS rows: a
@@ -59,14 +60,20 @@ matrices are well conditioned (cond(G) of 3e3 to 5e3 on the uf50 fits, up to
 K ~ 5000), and the int16 rounding of L shrinks r by 1e-3 to 2e-3 a step, so
 a solve takes three or four G a products.
 
-When that fails (a Schur complement is not positive definite, or the solve
-misses the residual check), the ridge ladder rebuilds the factor in float64
-by the same routine, with lambda on each diagonal block, lambda = 0 first;
-a state that took the ladder keeps float64 panels from then on.
+Every solve extends the factor it holds, at the ridge it holds. When that
+fails (a Schur complement is not positive definite, or the solve misses the
+residual check), the ridge ladder rebuilds the factor in float64 by the same
+routine, with lambda on each diagonal block, lambda = 0 first; a state that
+took the ladder keeps float64 panels and its lambda from then on, and later
+batches add their own panels at that lambda.
+
+A solve checks the state's deadline before each panel and each refinement
+step, so it overshoots the deadline by at most one of them.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -111,6 +118,12 @@ _REFINE_STEPS = 8
 
 class WeightSolveError(RuntimeError):
     """The Gram system could not be solved even after ridge escalation."""
+
+
+class DeadlineReached(Exception):
+    """A solve reached the state's deadline before its weights were solved.
+    The state then holds columns its factor and weights do not cover; the
+    caller drops it."""
 
 
 class _Panel(NamedTuple):
@@ -274,6 +287,9 @@ class ApproxState:
 
     Single-owner mutable: one solver run drives add_columns/solve_weights
     sequentially. keys[0] is always the empty key (constant-1 column).
+    `signatures` holds the cube of every key ever offered, None for the
+    identically-zero products, and is the only record of what was tried.
+    `deadline`, a time.monotonic() value or None, bounds every later solve.
 
     Column j's cube is `masks[:, :, j]`: its (variables fixed to +1,
     variables fixed to -1) masks as max(1, ceil(n/64)) uint64 words each, bit v of
@@ -282,19 +298,19 @@ class ApproxState:
     are the whole fit; the Gram matrix is not stored, and `omega_tilde` is
     expanded from the keys when first read after the weights change.
     `_terms` is the columns' Fourier term table, which `_gram_times`
-    extends to every column when it next reads it.
+    extends to every column when it next reads it past one bounded block.
     `_panels` holds the lower Cholesky factor L of Gram + ridge_lambda * I
     as `_Panel`s of d <= _PANEL_ROWS rows each, covering the columns the
     last solve saw; solve_weights factors the columns appended since onto
-    it, one new panel at a time. The first-order fit's panels are float64
-    and later ones int16 with row scales, until the ridge ladder rebuilds
-    every panel in float64 and clears `_int16_panels`. Either way
-    solve_weights refines the weights to float64 accuracy against
-    `_gram_times`. Apart from the panels, no array the fit builds grows
-    faster than O(K) beyond one block of _GRAM_BLOCK_ENTRIES entries, one
-    panel, or one chunk of _CAST_COLUMNS panel columns, and the term table
-    holds about 5 bytes per Fourier term, in blocks that are never copied
-    again.
+    it, one new panel at a time, at ridge_lambda. The first-order fit's
+    panels are float64 and later ones int16 with row scales, until the
+    ridge ladder rebuilds every panel in float64 and clears
+    `_int16_panels`. Either way solve_weights refines the weights to
+    float64 accuracy against `_gram_times`. Apart from the panels, no array
+    the fit builds grows faster than O(K) beyond one block of
+    _GRAM_BLOCK_ENTRIES entries, one panel, or one chunk of _CAST_COLUMNS
+    panel columns, and the term table holds about 5 bytes per Fourier term,
+    in blocks that are never copied again.
     """
 
     def __init__(self, formula: Formula):
@@ -303,8 +319,8 @@ class ApproxState:
         self.keys: list[ColumnKey] = []
         self.weights = np.zeros(0)
         self.signatures: set[Cube | None] = set()
-        self.seen_keys: set[ColumnKey] = set()
         self.ridge_lambda = 0.0
+        self.deadline: float | None = None
         words = max(1, -(-formula.num_vars // 64))
         self.masks = np.zeros((2, words, 0), dtype=np.uint64)
         self._omega_tilde: tuple[np.ndarray | None, SparsePoly | None] = (None, None)
@@ -398,28 +414,26 @@ class ApproxState:
         return block
 
     def _gram_times(self, a: np.ndarray) -> np.ndarray:
-        """G a. While G fits in one bounded block, as that block times a:
-        building the table would cost more than the products it saves on
-        such a fit (a uf20 first-order fit, K = 92). Past that, as
-        A^T (A a) over the term table, extended first to every column. The
-        wide columns' share is taken in closed form: each bounded block of
-        their rows gives those rows of G a against the table's columns and,
-        transposed, every row's share of the block's columns."""
+        """G a: A^T (A a) over the term table for the table's columns, and
+        the closed form for every other row. Those are the wide columns and,
+        while G fits in one bounded block, every column: the table is
+        extended to every column only past that, since on such a fit (a uf20
+        first-order fit, K = 92) building it would cost more than the
+        products it saves. Each bounded block of the other rows gives those
+        rows of G a against the table's columns and, transposed, every
+        row's share of the block's columns."""
         k = len(a)
-        if k * k <= _GRAM_BLOCK_ENTRIES:
-            return self._gram_block(slice(0, k), k) @ a
         terms = self._terms
-        if terms.columns < k:
+        if terms.columns < k and k * k > _GRAM_BLOCK_ENTRIES:
             terms.extend(self.masks)
         out = terms.times(a)
-        wide = terms.wide
-        if len(wide):
-            table_a = a.copy()
-            table_a[wide] = 0.0
-            for lo, hi in self._row_blocks(0, len(wide), k):
-                block = self._gram_block(wide[lo:hi], k)
-                out[wide[lo:hi]] += block @ table_a
-                out += block.T @ a[wide[lo:hi]]
+        rows = np.concatenate([terms.wide, np.arange(terms.columns, k)])
+        table_a = a.copy()
+        table_a[rows] = 0.0
+        for lo, hi in self._row_blocks(0, len(rows), k):
+            block = self._gram_block(rows[lo:hi], k)
+            out[rows[lo:hi]] += block @ table_a
+            out += block.T @ a[rows[lo:hi]]
         return out
 
 
@@ -453,19 +467,16 @@ def init_first_order(formula: Formula) -> ApproxState:
 
 
 def add_columns(state: ApproxState, new_keys: Iterable[ColumnKey]) -> int:
-    """Append columns for keys not yet present (by key, then by signature).
+    """Append columns for keys whose cube (signature) is not yet recorded.
 
-    Identically-zero products are recorded as exhausted but never added.
-    Returns the number of columns actually appended; when nonzero they are
-    factored onto the Gram system and the weights re-solved.
+    Identically-zero products are recorded, as the signature None, but never
+    added. Returns the number of columns actually appended; when nonzero
+    they are factored onto the Gram system and the weights re-solved.
     """
     accepted: list[tuple[ColumnKey, Cube]] = []
     for key in new_keys:
         key = tuple(key)
-        if key in state.seen_keys:
-            continue
         validate_key(key, state.formula.num_clauses)
-        state.seen_keys.add(key)
         sig = column_signature(state.cache, key)
         if sig in state.signatures:
             continue
@@ -480,27 +491,26 @@ def add_columns(state: ApproxState, new_keys: Iterable[ColumnKey]) -> int:
 
 
 def solve_weights(state: ApproxState) -> np.ndarray:
-    """Solve (A^T A) a = e_0, escalating a ridge term if the system is singular.
+    """Solve (A^T A + lambda I) a = e_0, escalating lambda if the system is singular.
 
-    While the factor carries no ridge, the columns appended since the last
-    solve are factored onto it: float64 panels for the first-order fit,
-    int16 ones after it. If that fails, or a ridge is in use, the ridge
-    ladder rebuilds the whole factor in float64 from lambda = 0 up. Stores
-    the result and the ridge value used on the state and returns the weight
-    vector.
+    The columns appended since the last solve are factored onto the state's
+    factor at its ridge: float64 panels for the first-order fit and after a
+    ladder landing, int16 ones otherwise. If that fails, the ridge ladder
+    rebuilds the whole factor in float64 from lambda = 0 up. Stores the
+    result and the ridge value used on the state and returns the weight
+    vector. Raises DeadlineReached once the state's deadline passes.
     """
     k = state.num_columns
     if k == 0:
         raise WeightSolveError("no columns to solve")
     rhs = np.zeros(k)
     rhs[0] = 1.0
-    if state.ridge_lambda == 0.0:
-        covered = sum(len(panel.rows) for panel in state._panels)
-        coarse = covered > 0 and state._int16_panels
-        a = _factor_and_solve(state, rhs, 0.0, covered, np.int16 if coarse else np.float64)
-        if a is not None:
-            state.weights = a
-            return a
+    covered = sum(len(panel.rows) for panel in state._panels)
+    dtype = np.int16 if covered and state._int16_panels else np.float64
+    a = _factor_and_solve(state, rhs, state.ridge_lambda, covered, dtype)
+    if a is not None:
+        state.weights = a
+        return a
     state._int16_panels = False
     for lam in RIDGE_LADDER:
         state._panels = []  # drop the old factor before building its successor
@@ -529,8 +539,12 @@ def _factor_and_solve(
     that meets it only relative to huge weights (a singular G whose null
     space meets rhs) fails, and the ridge ladder takes over. A ridge rung's
     weights are ~1/lam on such a G by design and G a is rounded relative to
-    them, so for lam > 0 the bound scales with max |a|."""
+    them, so for lam > 0 the bound scales with max |a|.
+
+    Raises DeadlineReached, before a panel or a step, once the state's
+    deadline has passed."""
     for lo in range(start, state.num_columns, _PANEL_ROWS):
+        _check_deadline(state)
         panel = _factor_panel(state, lo, dtype, lam)
         if panel is None:
             return None
@@ -538,6 +552,7 @@ def _factor_and_solve(
     best, best_norm = None, np.inf
     a, r = np.zeros_like(rhs), rhs
     for _ in range(_REFINE_STEPS):
+        _check_deadline(state)
         a = a + _solve_factored(state._panels, r)
         if not np.all(np.isfinite(a)):
             break
@@ -552,6 +567,12 @@ def _factor_and_solve(
         return None
     scale = 1.0 if lam == 0.0 else max(1.0, np.abs(best).max())
     return best if best_norm <= _RESIDUAL_TOL * scale else None
+
+
+def _check_deadline(state: ApproxState) -> None:
+    """Raise DeadlineReached if the state's deadline has passed."""
+    if state.deadline is not None and time.monotonic() >= state.deadline:
+        raise DeadlineReached(f"deadline reached at K={state.num_columns}")
 
 
 def _unpack(packed: np.ndarray, d: int) -> np.ndarray:

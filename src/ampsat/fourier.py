@@ -173,18 +173,3 @@ class SparsePoly:
     def parseval_sq_norm(self) -> float:
         """sum_S coeff(S)^2 = 2^-n * sum_s f(s)^2."""
         return sum(c * c for c in self._terms.values())
-
-    def to_debug_lines(self) -> list[str]:
-        """Deterministic one-term-per-line dump: 'coeff  i1 i2 ... 0'.
-
-        Variable indices are 1-based and sorted; terms are ordered by degree
-        then lexicographically. Debug/golden-file format only.
-        """
-        entries = sorted(
-            ((len(k), tuple(sorted(k)), c) for k, c in self._terms.items())
-        )
-        lines = []
-        for _, key, coeff in entries:
-            parts = [f"{coeff:.17g}"] + [str(i + 1) for i in key] + ["0"]
-            lines.append(" ".join(parts))
-        return lines

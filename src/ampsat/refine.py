@@ -57,18 +57,11 @@ def clause_neighbors(formula: Formula, s: Assignment) -> set[int]:
 
 
 def _is_new(state: ApproxState, key: ColumnKey) -> bool:
-    """True if the key was never tried and its product is a genuinely new column.
-
-    Keys whose signature (cube) is already indexed, identically-zero products
-    included once one has been tried, are marked as tried so they are never
-    re-examined.
+    """True if the key's product is a genuinely new column: its signature
+    (cube) is not yet recorded. Every tried key's cube is, so a tried key,
+    and an identically-zero product once one has been tried, is never new.
     """
-    if key in state.seen_keys:
-        return False
-    if column_signature(state.cache, key) in state.signatures:
-        state.seen_keys.add(key)
-        return False
-    return True
+    return column_signature(state.cache, key) not in state.signatures
 
 
 def _pairs_with(p: int, num_clauses: int) -> list[ColumnKey]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .anneal import AnnealSchedule, default_schedule, local_search
-from .approx import WeightSolveError, add_columns, init_first_order
+from .approx import DeadlineReached, WeightSolveError, add_columns, init_first_order
 from .bias import BiasKind, measure_bias
 from .cnf import Assignment, Formula, count_unsat, hamming_distance
 from .refine import RefinementSaturated, plan_refinement
@@ -83,7 +83,10 @@ def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
     """Run the full solver on a parsed formula.
 
     Deterministic for a fixed (formula, config) as long as the timeout is not
-    hit. Any SAT claim is re-verified before being reported.
+    hit. The timeout is checked between rounds, between annealing repeats and
+    before each factor panel and refinement step of the fit; a fit it cuts
+    short ends the solve as UNKNOWN with the column count of the last solved
+    fit. Any SAT claim is re-verified before being reported.
     """
     config = config or SolverConfig()
     t_start = time.monotonic()
@@ -118,6 +121,7 @@ def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
         state = init_first_order(formula)
     except WeightSolveError as exc:
         return finish(Status.UNKNOWN, None, 0, diagnostic=str(exc))
+    state.deadline = deadline
 
     s_star = measure_bias(state, config.bias_kind)
     candidates.append(s_star)
@@ -153,6 +157,8 @@ def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
                 return finish(
                     Status.UNKNOWN, None, state.num_columns, diagnostic=str(exc)
                 )
+            except DeadlineReached:  # a timeout, as between rounds: no diagnostic
+                return finish(Status.UNKNOWN, None, len(state.weights))
             if plan.used_random:
                 randoms += 1
             s_star = measure_bias(state, config.bias_kind)

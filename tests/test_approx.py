@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ampsat.approx import (
     _PANEL_ROWS,
     RIDGE_LADDER,
     ApproxState,
+    DeadlineReached,
     WeightSolveError,
     add_columns,
     column_signature,
@@ -66,8 +68,8 @@ def _rounded_fourier_signature(poly):
 def _random_batch_runs():
     """25 random formulas (random.Random(47)), each fitted to first order and
     grown by up to four random batches of pair columns. Yields (state, None)
-    after the first-order fit and (state, panels before the batch) after
-    every batch that added columns."""
+    after the first-order fit and (state, (the panels and lambda before the
+    batch)) after every batch that added columns."""
     rng = random.Random(47)
     for _ in range(25):
         f = random_formula(rng, rng.randrange(3, 8), rng.randrange(3, 10))
@@ -77,9 +79,9 @@ def _random_batch_runs():
         rng.shuffle(pairs)
         cuts = sorted(rng.sample(range(1, len(pairs)), min(3, len(pairs) - 1)))
         for lo, hi in zip([0] + cuts, cuts + [len(pairs)]):
-            panels_before = len(state._panels)
+            before = (list(state._panels), state.ridge_lambda)
             if add_columns(state, pairs[lo:hi]):
-                yield state, panels_before
+                yield state, before
 
 
 def _unpacked(packed, d):
@@ -271,21 +273,28 @@ class TestIncrementalFactor:
         return full_rank
 
     def test_matches_full_refactor_over_random_batches(self):
-        ridged = incremental = dependent = 0
-        for state, panels_before in _random_batch_runs():
-            if panels_before is None:
+        extended = {False: 0, True: 0}  # by whether the ridge was nonzero
+        landed = dependent = 0
+        for state, before in _random_batch_runs():
+            if before is None:
                 self._check_against_full_refactor(state)
                 continue
-            if len(state._panels) == panels_before + 1:
-                incremental += 1
-                assert state.ridge_lambda == 0.0
+            panels, lam = before
+            if len(state._panels) == len(panels) + 1:
+                # the batch's own panel on the held factor, at its ridge
+                assert all(held is panel for held, panel in zip(panels, state._panels))
+                assert state.ridge_lambda == lam
+                extended[lam > 0.0] += 1
             else:
                 # the ladder re-factored the whole Gram matrix
                 assert len(state._panels) == 1
-                ridged += state.ridge_lambda > 0.0
+                assert state._panels[0] is not panels[0]
+                landed += state.ridge_lambda > 0.0
             if not self._check_against_full_refactor(state):
                 dependent += 1
-        assert ridged and incremental and dependent  # every path is exercised
+        # every path is exercised: extensions at lambda = 0 and at a ridge,
+        # ladder landings on a ridge, and linearly dependent states
+        assert extended[False] and extended[True] and landed and dependent
 
     def test_singular_gram_never_yields_runaway_weights(self):
         # A singular Gram matrix whose null space meets e_0 has lambda = 0
@@ -333,10 +342,50 @@ class TestIncrementalFactor:
         assert state.ridge_lambda == 0.0 and len(state._panels) == 2
         state._append([((1, 3), column_signature(state.cache, (0, 1)))])  # duplicate
         solve_weights(state)
-        assert state.ridge_lambda > 0.0 and len(state._panels) == 1
+        lam, landed = state.ridge_lambda, state._panels[0]
+        assert lam > 0.0 and len(state._panels) == 1
         assert add_columns(state, [(0, 2), (1, 2)]) == 2
-        assert state.ridge_lambda > 0.0
+        assert state.ridge_lambda == lam and state._panels[0] is landed
+        assert _panel_rows(state) == [(0, 6), (6, 8)]
         self._check_against_full_refactor(state)
+
+    def test_a_ridged_factor_grows_by_its_new_panels(self, monkeypatch):
+        # Random 3-SAT on 10 variables grown by batches of 100 pairs: the
+        # columns become linearly dependent and the third batch lands on a
+        # ridge rung. From then on each batch factors only its own rows, at
+        # that ridge, onto the panels the state holds. Six batches (K = 432)
+        # keep the ridge fit within the helper's 1e-4 of the minimum-norm
+        # fit; as more columns crowd the 1024-dimensional space, a ridge of
+        # 1e-10 moves the fit further from it, by any solver.
+        rng = random.Random(2)
+        f = random_formula(rng, 10, 45, widths=(3,))
+        state = init_first_order(f)
+        pairs = [(i, j) for i in range(f.num_clauses) for j in range(i + 1, f.num_clauses)]
+        rng.shuffle(pairs)
+        factored = []
+        factor_panel = approx_module._factor_panel
+
+        def recording(state, lo, dtype, lam):
+            factored.append(lo)
+            return factor_panel(state, lo, dtype, lam)
+
+        monkeypatch.setattr(approx_module, "_factor_panel", recording)
+        extended = 0
+        for lo in range(0, 600, 100):
+            before, lam, o = list(state._panels), state.ridge_lambda, state.num_columns
+            rows_before = _panel_rows(state)
+            factored.clear()
+            add_columns(state, pairs[lo : lo + 100])
+            if lam == 0.0:
+                continue
+            extended += 1
+            new_tiles = _tiles(o, state.num_columns)
+            assert state.ridge_lambda == lam
+            assert factored == [start for start, _ in new_tiles]
+            assert all(held is panel for held, panel in zip(before, state._panels))
+            assert _panel_rows(state) == rows_before + new_tiles
+            assert not self._check_against_full_refactor(state)  # dependent columns
+        assert extended >= 3 and state.ridge_lambda == RIDGE_LADDER[1]
 
     def test_panels_hold_the_cholesky_factor(self):
         # 300 and 135 pair columns on 30 first-order ones: each batch is
@@ -558,18 +607,45 @@ class TestIncrementalFactor:
         self._check_ladder_then_float64(monkeypatch, "_solve_factored", overshooting)
         assert skewed and set(skewed) == {len(_tiles(0, 31) + _tiles(31, 131))}
 
+    @staticmethod
+    def _long_and_short_formula():
+        """Clauses of 7 and 3 literals in turn, on disjoint variables: the
+        products of two long clauses fix 14 variables, past _TABLE_VARS."""
+        lines, v = ["p cnf 100 20"], 0
+        for m in range(20):
+            width = 7 if m % 2 else 3
+            lits = [-(v + i + 1) if i % 2 else v + i + 1 for i in range(width)]
+            lines.append(" ".join(map(str, lits + [0])))
+            v += width
+        return parse_dimacs("\n".join(lines))
+
     def test_gram_times_is_the_closed_form_product(self):
-        # K = 466: the term table holds a block of each cube size.
-        f = _disjoint_formula(30)
-        state = init_first_order(f)
-        add_columns(state, [(i, j) for i in range(30) for j in range(i + 1, 30)])
-        k = state.num_columns
-        assert [block.size for block in state._terms.blocks] == [0, 2, 4]
-        gram = state.gram
+        # K = 31 (K^2 <= _GRAM_BLOCK_ENTRIES): every row in closed form, and
+        # no table. K = 466: the term table holds a block of each cube size.
+        # K = 211: the 45 products of two 7-literal clauses are wide, so
+        # their rows are closed-form and the table holds the rest.
+        def all_pairs(f):
+            state = init_first_order(f)
+            m = f.num_clauses
+            add_columns(state, [(i, j) for i in range(m) for j in range(i + 1, m)])
+            return state
+
+        no_table = init_first_order(_disjoint_formula(30))
+        table = all_pairs(_disjoint_formula(30))
+        wide = all_pairs(self._long_and_short_formula())
+        assert no_table.num_columns == 31
+        assert no_table._terms.columns == 0 and not no_table._terms.blocks
+        assert [block.size for block in table._terms.blocks] == [0, 2, 4]
+        assert not len(table._terms.wide)
+        assert wide.num_columns == wide._terms.columns == 211 and len(wide._terms.wide) == 45
+        assert {block.size for block in wide._terms.blocks} == {0, 3, 6, 7, 10}
         rng = np.random.default_rng(54)
-        for x in (state.weights, rng.standard_normal(k), rng.uniform(0, 1e3, k)):
-            bound = k * np.finfo(float).eps * (np.abs(gram) @ np.abs(x))
-            assert np.all(np.abs(state._gram_times(x) - gram @ x) <= bound)
+        for state in (no_table, table, wide):
+            k = state.num_columns
+            gram = state.gram
+            for x in (state.weights, rng.standard_normal(k), rng.uniform(0, 1e3, k)):
+                bound = k * np.finfo(float).eps * (np.abs(gram) @ np.abs(x))
+                assert np.all(np.abs(state._gram_times(x) - gram @ x) <= bound)
 
     def test_ridge_ladder_holds_only_the_lower_triangle(self):
         # A second constant column at K > 1000 on uf50-001: e_0 then meets
@@ -634,6 +710,65 @@ class TestIncrementalFactor:
         assert state.ridge_lambda == 0.0
         assert rows == [(0, 31)] + _tiles(31, 331)
         assert _panel_rows(state) == [(0, 31)] + _tiles(31, 331)
+
+
+class TestDeadline:
+    """A solve checks the state's deadline before each panel and each
+    refinement step, so it overshoots it by at most one of them. A fake
+    clock advances one unit per panel factored and per step solved."""
+
+    @staticmethod
+    def _clocked(monkeypatch):
+        now = [0.0]
+        monkeypatch.setattr(approx_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        for name in ("_factor_panel", "_solve_factored"):
+            function = getattr(approx_module, name)
+
+            def ticking(*args, function=function):
+                now[0] += 1.0
+                return function(*args)
+
+            monkeypatch.setattr(approx_module, name, ticking)
+        return now
+
+    def test_a_fit_ends_within_one_panel_or_step_of_its_deadline(self, monkeypatch):
+        # 300 pair columns on 30 first-order ones: five panels, then the
+        # refinement steps. Every deadline before the last unit starts ends
+        # the solve at most one unit past it, with the first-order weights
+        # in place; one inside the last unit lets the solve finish.
+        pairs = [(i, j) for i in range(30) for j in range(i + 1, 30)][:300]
+        now = self._clocked(monkeypatch)
+        state = init_first_order(_disjoint_formula(30))
+        now[0] = 0.0
+        assert add_columns(state, pairs) == 300
+        units = now[0]
+        assert units >= len(_tiles(31, 331)) + 2
+        for deadline in np.arange(0.5, units - 1.0, 1.0):
+            state = init_first_order(_disjoint_formula(30))
+            first_order = state.weights
+            state.deadline, now[0] = deadline, 0.0
+            with pytest.raises(DeadlineReached):
+                add_columns(state, pairs)
+            assert deadline <= now[0] <= deadline + 1.0
+            assert state.weights is first_order
+        state = init_first_order(_disjoint_formula(30))
+        state.deadline, now[0] = units - 0.5, 0.0
+        assert add_columns(state, pairs) == 300 and now[0] == units
+
+    def test_the_ridge_ladder_ends_within_one_panel_of_its_deadline(self, monkeypatch):
+        # A duplicate column sends the solve to the ladder, whose rungs
+        # each rebuild every panel; the deadline cuts it short there too.
+        f = _disjoint_formula(30)
+        now = self._clocked(monkeypatch)
+        state = init_first_order(f)
+        add_columns(state, [(i, j) for i in range(30) for j in range(i + 1, 30)][:100])
+        state._append([((0,), column_signature(state.cache, (1,)))])
+        state.deadline = now[0] + 4.5
+        with pytest.raises(DeadlineReached):
+            solve_weights(state)
+        assert not state._int16_panels  # on the ladder
+        assert state.deadline <= now[0] <= state.deadline + 1.0
+        assert len(state.weights) == 131
 
 
 class TestOmegaTilde:
@@ -734,10 +869,12 @@ class TestAddColumns:
         # the zero polynomial and must not become a (singular) column.
         f = parse_dimacs("p cnf 1 2\n1 0\n-1 0")
         state = init_first_order(f)
-        before = state.num_columns
+        cubes = {column_signature(state.cache, key) for key in state.keys}
+        assert state.signatures == cubes
         assert add_columns(state, [(0, 1)]) == 0
-        assert state.num_columns == before
-        assert (0, 1) in state.seen_keys
+        assert state.keys == [(), (0,), (1,)]
+        assert state.signatures == cubes | {None}
+        assert not refine._is_new(state, (0, 1))
 
     def test_signature_collision_skipped(self):
         # duplicate clauses 0 and 1: products (0,2) and (1,2) coincide
@@ -848,7 +985,8 @@ class TestSignature:
         # Seeded refinement sequences, deduplicated twice: by the state (cube
         # signatures) and by a twin that keeps the rounded-Fourier-signature
         # rule. Every _is_new verdict, and with it every draw of the
-        # refinement RNG, must agree, as must the accepted keys and seen_keys.
+        # refinement RNG, must agree, as must the accepted keys and the
+        # recorded signatures, the zero product's included.
         rng = random.Random(49)
         original_is_new = refine._is_new
         zero = collided = 0
@@ -873,9 +1011,13 @@ class TestSignature:
                     break
                 assert add_columns(state, plan.keys) == twin.add(plan.keys)
                 assert state.keys == twin.keys
-                assert state.seen_keys == twin.seen
+                assert len(state.signatures) == len(twin.index)
+                assert {
+                    _rounded_fourier_signature(state.cache.column_poly(key))
+                    for key in state.keys
+                } | ({()} if None in state.signatures else set()) == twin.index
             zero += None in state.signatures
-            collided += len(state.seen_keys) > state.num_columns + 1
+            collided += len(twin.seen) > state.num_columns + 1
         assert zero and collided
 
 

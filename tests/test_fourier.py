@@ -8,7 +8,7 @@ from ampsat import SparsePoly, parse_dimacs
 from ampsat.fourier import PRUNE_EPSILON
 from ampsat.indicator import clause_indicator
 
-from helpers import all_assignments, random_formula, random_poly
+from helpers import all_assignments, random_poly
 
 TOL = 1e-9
 
@@ -223,19 +223,3 @@ class TestHousekeeping:
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):
             SparsePoly(1, {(1,): 1.0})
-
-    def test_debug_lines(self):
-        p = SparsePoly(3, {(): 0.25, (0, 2): -0.5, (1,): 1.0})
-        assert p.to_debug_lines() == [
-            "0.25 0",
-            "1 2 0",
-            "-0.5 1 3 0",
-        ]
-
-    def test_formula_polys_roundtrip_debug(self):
-        rng = random.Random(27)
-        f = random_formula(rng, 5, 4)
-        for clause in f.clauses:
-            p = clause_indicator(clause, 5)
-            lines = p.to_debug_lines()
-            assert len(lines) == len(p)

@@ -1,15 +1,18 @@
 """Solver loop: orchestration, statuses, determinism, soundness."""
 
 import dataclasses
+import math
 import os
 import random
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import ampsat.approx as approx_module
 import ampsat.solver as solver_module
 from ampsat import indicator, parse_dimacs, solve, verify
 from ampsat.bias import BiasKind
@@ -196,6 +199,26 @@ class TestRefinementIntegration:
             if stats.rounds > 1:
                 saw_refinement = True
         assert saw_refinement
+
+    def test_a_deadline_inside_the_fit_ends_the_solve_unknown(self, monkeypatch):
+        # uf50-005 solves in round 3 (two refinement batches). Here the
+        # fit's clock passes the deadline once the second batch is offered:
+        # the solve ends in that batch's fit, as a timeout (no diagnostic),
+        # with the column count of the fit solved before it.
+        offered = []
+        add_columns = solver_module.add_columns
+
+        def adding(state, keys):
+            offered.append(len(state.weights))
+            if len(offered) == 2:
+                clock = SimpleNamespace(monotonic=lambda: math.inf)
+                monkeypatch.setattr(approx_module, "time", clock)
+            return add_columns(state, keys)
+
+        monkeypatch.setattr(solver_module, "add_columns", adding)
+        stats = solve(parse_dimacs(UF50_005.read_text()), _cfg(timeout=600.0, max_rounds=8))
+        assert (stats.status, stats.diagnostic, stats.rounds) == (Status.UNKNOWN, None, 2)
+        assert stats.columns_final == offered[1] > offered[0]
 
     def test_random_refinement_disabled_still_terminates(self):
         f = parse_dimacs("p cnf 1 2\n1 0\n-1 0")
