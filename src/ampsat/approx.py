@@ -24,8 +24,9 @@ chi_T, T ⊆ V_j, each with coefficient ±2^-|V_j|, about 60 per column on
 is A^T (A a) over a compact table of these terms (`_TermTable`), and the
 closed form for the rows the table leaves out: every row while G fits in
 one bounded block, and the columns fixing too many variables. The table is
-kept as bounded blocks, each with its own entries, so extending it copies
-none of the old ones. Nothing is ever enumerated over 2^n.
+kept as bounded blocks, each with its own entries and interned as it is
+built, so extending it copies none of the old ones. Nothing is ever
+enumerated over 2^n.
 
 No Gram matrix is kept. The only K-squared state is the lower Cholesky factor
 L of Gram + lambda*I, stored as row panels of at most _PANEL_ROWS rows: a
@@ -44,8 +45,8 @@ is expanded for them into a square of at most _PANEL_ROWS^2 entries, one at
 a time. The refined solve casts an int16 panel to float32 _CAST_COLUMNS
 columns at a time, each chunk's product summed into the d-vector it feeds.
 Every other array that grows with K beyond O(K) is built one bounded block
-of _GRAM_BLOCK_ENTRIES entries at a time, and `weighted_row_sum` applies
-the same rule to the decimation's sign matrix (ampsat.bias).
+of _GRAM_BLOCK_ENTRIES entries at a time, cut by `row_blocks`, which also
+cuts the decimation's sign matrix (`weighted_row_sum`, ampsat.bias).
 
 Precision: the factor only preconditions iterative refinement (Langou et
 al., SC'06; Carson & Higham, SIAM J. Sci. Comput. 40(2), 2018), so it is
@@ -74,7 +75,7 @@ step, so it overshoots the deadline by at most one of them.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -188,39 +189,20 @@ class _TermTable:
     def extend(self, masks: np.ndarray) -> None:
         """Add the entries of the columns past the first `columns` of
         `masks` ((2, words, K) as ApproxState.masks): one bounded block of
-        columns of one cube size at a time, interned a bounded run of
-        blocks at a time."""
+        columns of one cube size at a time, each block's term masks
+        interned as it is built."""
         first, self.columns = self.columns, masks.shape[2]
         plus, minus = (np.ascontiguousarray(m.T) for m in masks[:, :, first:])
         size = np.bitwise_count(plus | minus).sum(axis=1)
-        run: list[tuple[np.ndarray, int, np.ndarray, np.ndarray]] = []
-        pending = 0
         for c in np.flatnonzero(np.bincount(size)).tolist():
             cols = np.flatnonzero(size == c)
             if c > _TABLE_VARS:
                 self.wide = np.concatenate([self.wide, cols + first])
                 continue
-            step = max(1, _GRAM_BLOCK_ENTRIES >> c)
-            for lo in range(0, len(cols), step):
-                part = cols[lo : lo + step]
-                if run and pending + (len(part) << c) > _GRAM_BLOCK_ENTRIES:
-                    self._add_run(run)
-                    run, pending = [], 0
-                term_masks, term_signs = _cube_terms(plus[part], minus[part], c)
-                run.append((part + first, c, term_masks, term_signs))
-                pending += len(term_signs)
-        if run:
-            self._add_run(run)
-
-    def _add_run(self, run: list[tuple[np.ndarray, int, np.ndarray, np.ndarray]]) -> None:
-        """Intern the term masks of a run of (columns, c, term masks,
-        signs) blocks together, and add each block with its share of the
-        ids."""
-        ids = self._intern(np.concatenate([term_masks for _, _, term_masks, _ in run]))
-        at = 0
-        for cols, c, _, signs in run:
-            self.blocks.append(_TermBlock(cols, c, ids[at : at + len(signs)], signs))
-            at += len(signs)
+            for block in row_blocks(0, len(cols), 1 << c):
+                part = cols[block]
+                term_masks, signs = _cube_terms(plus[part], minus[part], c)
+                self.blocks.append(_TermBlock(part + first, c, self._intern(term_masks), signs))
 
     def _intern(self, masks: np.ndarray) -> np.ndarray:
         """The ids of (N, words) term masks, giving each new one the next
@@ -287,9 +269,10 @@ class ApproxState:
 
     Single-owner mutable: one solver run drives add_columns/solve_weights
     sequentially. keys[0] is always the empty key (constant-1 column).
-    `signatures` holds the cube of every key ever offered, None for the
-    identically-zero products, and is the only record of what was tried.
-    `deadline`, a time.monotonic() value or None, bounds every later solve.
+    `signatures` holds the cube of every key offered in a batch that passed
+    validation, None for the identically-zero products, and is the only
+    record of what was tried. `deadline`, a time.monotonic() value or None
+    (set by init_first_order), bounds every solve.
 
     Column j's cube is `masks[:, :, j]`: its (variables fixed to +1,
     variables fixed to -1) masks as max(1, ceil(n/64)) uint64 words each, bit v of
@@ -298,7 +281,8 @@ class ApproxState:
     are the whole fit; the Gram matrix is not stored, and `omega_tilde` is
     expanded from the keys when first read after the weights change.
     `_terms` is the columns' Fourier term table, which `_gram_times`
-    extends to every column when it next reads it past one bounded block.
+    extends to every column when it next reads it past one bounded block,
+    interning each new block of term masks as it is built.
     `_panels` holds the lower Cholesky factor L of Gram + ridge_lambda * I
     as `_Panel`s of d <= _PANEL_ROWS rows each, covering the columns the
     last solve saw; solve_weights factors the columns appended since onto
@@ -364,8 +348,8 @@ class ApproxState:
         """
         k = self.num_columns
         out = np.empty((k, k))
-        for lo, hi in self._row_blocks(0, k, k):
-            out[lo:hi] = self._gram_block(slice(lo, hi), k)
+        for block in row_blocks(0, k, k):
+            out[block] = self._gram_block(block, k)
         return out
 
     def signs(self) -> np.ndarray:
@@ -387,14 +371,6 @@ class ApproxState:
         packed = np.frombuffer(raw, dtype="<u8").reshape(len(columns), 2, words)
         self.keys += [key for key, _ in columns]
         self.masks = np.concatenate([self.masks, packed.transpose(1, 2, 0)], axis=2)
-
-    @staticmethod
-    def _row_blocks(lo: int, hi: int, width: int) -> Iterator[tuple[int, int]]:
-        """Row ranges covering [lo, hi), each a bounded block of `width`
-        columns."""
-        step = max(1, _GRAM_BLOCK_ENTRIES // max(1, width))
-        for r in range(lo, hi, step):
-            yield r, min(r + step, hi)
 
     def _gram_block(self, rows: slice | np.ndarray, width: int) -> np.ndarray:
         """Gram rows `rows` (a slice or an index array) against columns
@@ -430,36 +406,40 @@ class ApproxState:
         rows = np.concatenate([terms.wide, np.arange(terms.columns, k)])
         table_a = a.copy()
         table_a[rows] = 0.0
-        for lo, hi in self._row_blocks(0, len(rows), k):
-            block = self._gram_block(rows[lo:hi], k)
-            out[rows[lo:hi]] += block @ table_a
-            out += block.T @ a[rows[lo:hi]]
+        for block in row_blocks(0, len(rows), k):
+            gram = self._gram_block(rows[block], k)
+            out[rows[block]] += gram @ table_a
+            out += gram.T @ a[rows[block]]
         return out
 
 
-def row_blocks(rows: np.ndarray) -> list[slice]:
-    """The blocks of at most _GRAM_BLOCK_ENTRIES entries that
-    `weighted_row_sum` takes a (K x m) array's rows in."""
-    return [slice(lo, hi) for lo, hi in ApproxState._row_blocks(0, len(rows), rows.shape[1])]
+def row_blocks(lo: int, hi: int, width: int) -> list[slice]:
+    """Rows [lo, hi) cut into blocks of at most _GRAM_BLOCK_ENTRIES // width
+    rows (one at least), so that a block of `width` columns stays bounded."""
+    step = max(1, _GRAM_BLOCK_ENTRIES // max(1, width))
+    return [slice(r, min(r + step, hi)) for r in range(lo, hi, step)]
 
 
 def weighted_row_sum(
     w: np.ndarray, rows: np.ndarray, blocks: list[slice] | None = None
 ) -> np.ndarray:
     """w @ rows in float64 for a (K x m) array of any numeric dtype, cast to
-    float one block of row_blocks(rows) at a time; a caller that sums the
+    float one block of row_blocks(0, K, m) at a time; a caller that sums the
     same array many times passes those blocks, computed once. Rows that fit
     in one block give exactly w @ rows.astype(float)."""
-    first, *rest = row_blocks(rows) if blocks is None else blocks
+    first, *rest = row_blocks(0, len(rows), rows.shape[1]) if blocks is None else blocks
     out = w[first] @ rows[first].astype(float)
     for block in rest:
         out += w[block] @ rows[block].astype(float)
     return out
 
 
-def init_first_order(formula: Formula) -> ApproxState:
-    """Constant column plus one column per distinct clause, solved and assembled."""
+def init_first_order(formula: Formula, deadline: float | None = None) -> ApproxState:
+    """Constant column plus one column per distinct clause, solved and
+    assembled. The solve, and every later one, stops at `deadline` (see
+    ApproxState) by raising DeadlineReached."""
     state = ApproxState(formula)
+    state.deadline = deadline
     keys: list[ColumnKey] = [()]
     keys.extend((m,) for m in range(formula.num_clauses))
     add_columns(state, keys)
@@ -471,12 +451,15 @@ def add_columns(state: ApproxState, new_keys: Iterable[ColumnKey]) -> int:
 
     Identically-zero products are recorded, as the signature None, but never
     added. Returns the number of columns actually appended; when nonzero
-    they are factored onto the Gram system and the weights re-solved.
+    they are factored onto the Gram system and the weights re-solved. Every
+    key is validated before any cube is recorded, so a batch that raises
+    ValueError leaves the state as it was.
     """
-    accepted: list[tuple[ColumnKey, Cube]] = []
-    for key in new_keys:
-        key = tuple(key)
+    keys = [tuple(key) for key in new_keys]
+    for key in keys:
         validate_key(key, state.formula.num_clauses)
+    accepted: list[tuple[ColumnKey, Cube]] = []
+    for key in keys:
         sig = column_signature(state.cache, key)
         if sig in state.signatures:
             continue
@@ -586,11 +569,12 @@ def _unpack(packed: np.ndarray, d: int) -> np.ndarray:
 def _factor_panel(state: ApproxState, lo: int, dtype, lam: float) -> _Panel | None:
     """The panel of factor rows [lo, lo + d) of (G + lam*I), given the
     panels before it, stored as `dtype` (int16 or float64). Its raw Gram
-    rows are built in the working precision (float32 for int16, float64
-    otherwise), then X = G21 L11^-T by block forward substitution, each
-    prior panel read in that precision and its scales applied to the
-    product, and L22 = chol(G22 + lam*I - X X^T), stored packed as its
-    inverse. None when that is not positive definite. X is rounded to int16
+    rows G21 are built in the working precision (float32 for int16, float64
+    otherwise) and G22 + lam*I as a float64 square, then X = G21 L11^-T by
+    block forward substitution, each prior panel read in that precision and
+    its scales applied to the product, and L22 = chol(G22 + lam*I - X X^T),
+    cast to the working precision and stored packed as its inverse. None
+    when that is not positive definite. X is rounded to int16
     only after the Schur complement: a column that repeats earlier ones
     must leave it singular, as in float32, and send the solve to the ridge
     ladder. Every product, and so every temporary beyond X and one prior
@@ -605,21 +589,18 @@ def _factor_panel(state: ApproxState, lo: int, dtype, lam: float) -> _Panel | No
     work = np.float32 if dtype == np.int16 else np.float64
     lower = _LOWER[:d, :d]
     rows = np.empty((d, lo), work)
-    g22 = np.empty(d * (d + 1) // 2)
-    for r0, r1 in state._row_blocks(lo, lo + d, lo + d):
-        block = state._gram_block(slice(r0, r1), lo + d)
-        i0, i1 = r0 - lo, r1 - lo
-        rows[i0:i1] = block[:, :lo]
-        g22[i0 * (i0 + 1) // 2 : i1 * (i1 + 1) // 2] = block[:, lo:][lower[i0:i1]]
-    i = np.arange(d)
-    g22[i * (i + 3) // 2] += lam  # the packed diagonal
+    g22 = np.empty((d, d))
+    for block in row_blocks(0, d, lo + d):
+        gram = state._gram_block(slice(lo + block.start, lo + block.stop), lo + d)
+        rows[block], g22[block] = gram[:, :lo], gram[:, lo:]
+    g22[np.diag_indices(d)] += lam
     for prior in state._panels:
         dp, op = prior.rows.shape
         block = rows[:, op : op + dp]
         block -= (rows[:, :op] @ prior.rows.astype(work, copy=False).T) * prior.scale
         block[...] = block @ _unpack(prior.diag, dp).T
-    schur = rows @ rows.T
-    schur[lower] = g22 - schur[lower]  # the upper triangle is never read
+    g22 -= rows @ rows.T
+    schur = g22.astype(work, copy=False)
     try:
         factor = np.linalg.cholesky(schur)
     except np.linalg.LinAlgError:
@@ -676,12 +657,9 @@ def _solve_factored(panels: list[_Panel], rhs: np.ndarray) -> np.ndarray:
             product += _cast_chunk(rows, c, work) @ known[c : c + _CAST_COLUMNS]
         inverse = _unpack(diag, d)
         a[o : o + d] = inverse @ (a[o : o + d].astype(work) - scale * product)
-    for q in reversed(range(len(panels))):
-        rows, scale, diag = panels[q]
+    for rows, scale, diag in reversed(panels):
         d, o = rows.shape
-        if q < len(panels) - 1:  # the last panel's is still expanded from the forward pass
-            inverse = _unpack(diag, d)
-        x = inverse.T @ a[o : o + d].astype(diag.dtype, copy=False)
+        x = _unpack(diag, d).T @ a[o : o + d].astype(diag.dtype, copy=False)
         a[o : o + d] = x
         scaled, head = scale * x, a[:o]
         for c in range(0, o, _CAST_COLUMNS):

@@ -120,20 +120,15 @@ def _stats_record(instance: str, solver_id: str, seed: int, stats: SolverStats) 
     )
 
 
-def _append_csv(path: str, rows: list[dict]) -> None:
+def _write_csv(path: str, rows: list[dict], mode: str = "w") -> None:
+    """Write rows as CSV_FIELDS records. Mode "a" appends them, with the
+    header only when the file is new or empty."""
     target = Path(path)
-    new_file = not target.exists() or target.stat().st_size == 0
-    with target.open("a", newline="") as fh:
+    header = mode == "w" or not target.exists() or target.stat().st_size == 0
+    with target.open(mode, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-        if new_file:
+        if header:
             writer.writeheader()
-        writer.writerows(rows)
-
-
-def _write_csv(path: str, rows: list[dict]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-        writer.writeheader()
         writer.writerows(rows)
 
 
@@ -179,7 +174,7 @@ def cmd_solve(args) -> int:
         exit_code = EXIT_UNKNOWN
     if args.stats:
         solver_id = f"amp-{config.bias_kind.value}"
-        _append_csv(args.stats, [_stats_record(args.cnf, solver_id, args.seed, stats)])
+        _write_csv(args.stats, [_stats_record(args.cnf, solver_id, args.seed, stats)], "a")
     return exit_code
 
 

@@ -261,12 +261,6 @@ def to_dimacs(formula: Formula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_length(formula_or_n, s: Sequence[int]) -> None:
-    n = formula_or_n if isinstance(formula_or_n, int) else formula_or_n.num_vars
-    if len(s) != n:
-        raise ValueError(f"assignment length {len(s)} != num_vars {n}")
-
-
 def clause_satisfied(clause: Clause, s: Sequence[int]) -> bool:
     """True iff some literal agrees with the assignment."""
     return any(s[lit.var] == lit.polarity for lit in clause.literals)
@@ -274,7 +268,8 @@ def clause_satisfied(clause: Clause, s: Sequence[int]) -> bool:
 
 def count_unsat(formula: Formula, s: Sequence[int]) -> int:
     """Number of clauses the assignment leaves unsatisfied (0 means SAT)."""
-    _check_length(formula, s)
+    if len(s) != formula.num_vars:
+        raise ValueError(f"assignment length {len(s)} != num_vars {formula.num_vars}")
     return sum(1 for clause in formula.clauses if not clause_satisfied(clause, s))
 
 

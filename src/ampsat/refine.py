@@ -10,6 +10,7 @@ saturation and the solver falls back to local search alone.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -97,12 +98,8 @@ def plan_refinement(
         return RefinementPlan()
     if m_total < 2:
         raise RefinementSaturated()
-    for _ in range(m_total):
-        p = rng.randrange(m_total)
-        keys = [key for key in _pairs_with(p, m_total) if _is_new(state, key)]
-        if keys:
-            return RefinementPlan(keys=keys, random_clause=p)
-    for p in range(m_total):
+    redraws = (rng.randrange(m_total) for _ in range(m_total))
+    for p in itertools.chain(redraws, range(m_total)):
         keys = [key for key in _pairs_with(p, m_total) if _is_new(state, key)]
         if keys:
             return RefinementPlan(keys=keys, random_clause=p)

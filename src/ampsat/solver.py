@@ -83,10 +83,12 @@ def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
     """Run the full solver on a parsed formula.
 
     Deterministic for a fixed (formula, config) as long as the timeout is not
-    hit. The timeout is checked between rounds, between annealing repeats and
-    before each factor panel and refinement step of the fit; a fit it cuts
-    short ends the solve as UNKNOWN with the column count of the last solved
-    fit. Any SAT claim is re-verified before being reported.
+    hit. The timeout is checked between rounds, every 1024 annealing steps
+    (anneal._CLOCK_STEPS), and before each factor panel and refinement step
+    of the fit, the first-order fit's included. A fit it cuts short ends the
+    solve as UNKNOWN with the column count of the last solved fit (0 when
+    that is the first-order fit). Any SAT claim is re-verified before being
+    reported.
     """
     config = config or SolverConfig()
     t_start = time.monotonic()
@@ -118,10 +120,11 @@ def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
         )
 
     try:
-        state = init_first_order(formula)
+        state = init_first_order(formula, deadline=deadline)
     except WeightSolveError as exc:
         return finish(Status.UNKNOWN, None, 0, diagnostic=str(exc))
-    state.deadline = deadline
+    except DeadlineReached:  # a timeout, as between rounds: no diagnostic
+        return finish(Status.UNKNOWN, None, 0)
 
     s_star = measure_bias(state, config.bias_kind)
     candidates.append(s_star)

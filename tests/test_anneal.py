@@ -1,11 +1,21 @@
 """Annealing schedules and local search."""
 
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import ampsat.anneal as anneal_module
 from ampsat import count_unsat, parse_dimacs
-from ampsat.anneal import AnnealSchedule, _interp_steps, default_schedule, local_search, sa_solve
+from ampsat.anneal import (
+    _CLOCK_STEPS,
+    AnnealSchedule,
+    _interp_steps,
+    default_schedule,
+    local_search,
+    sa_solve,
+)
 
 from helpers import random_formula, random_assignment
 
@@ -97,6 +107,54 @@ class TestLocalSearch:
         sched = AnnealSchedule(t_max=1.0, t_min=0.1, steps=1, repeats=1)
         with pytest.raises(ValueError):
             local_search(f, (1,), sched, random.Random(0))
+
+
+class _CountingRandom(random.Random):
+    """A Random that counts local_search's steps: each step draws one
+    randrange."""
+
+    steps = 0
+
+    def randrange(self, *args):
+        self.steps += 1
+        return super().randrange(*args)
+
+
+class TestDeadline:
+    """local_search reads its clock before every _CLOCK_STEPS steps of a
+    repeat, so it overshoots a deadline by at most that many steps. The fake
+    clock reads the number of steps taken."""
+
+    # every assignment of three variables falsifies exactly one clause
+    UNSAT = parse_dimacs(
+        "p cnf 3 8\n"
+        + "".join(f"{a} {2 * b} {3 * c} 0\n" for a, b, c in itertools.product((1, -1), repeat=3))
+    )
+
+    def _steps_taken(self, monkeypatch, deadline):
+        rng = _CountingRandom(3)
+        monkeypatch.setattr(anneal_module, "time", SimpleNamespace(monotonic=lambda: rng.steps))
+        sched = AnnealSchedule(t_max=1.0, t_min=0.05, steps=5000, repeats=2)
+        assert count_unsat(self.UNSAT, local_search(self.UNSAT, (1, 1, 1), sched, rng, deadline)) == 1
+        return rng.steps
+
+    def test_a_search_ends_within_one_chunk_of_its_deadline(self, monkeypatch):
+        # two repeats of 5000 steps: deadlines inside the first, at the
+        # boundary and inside the second
+        for deadline in (0.5, 1023.5, 1024.5, 4999.5, 5000.5, 9999.5):
+            steps = self._steps_taken(monkeypatch, deadline)
+            assert deadline <= steps <= deadline + _CLOCK_STEPS
+        assert self._steps_taken(monkeypatch, 10000.5) == 10000
+
+    def test_the_clock_draws_nothing_from_the_rng(self, monkeypatch):
+        monkeypatch.setattr(anneal_module, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        rng = random.Random(5)
+        f = random_formula(rng, 20, 91, widths=(3,))
+        start = random_assignment(rng, 20)
+        sched = AnnealSchedule(t_max=2.0, t_min=1e-4, steps=3000, repeats=2)
+        timed, untimed = random.Random(6), random.Random(6)
+        assert local_search(f, start, sched, timed, 1.0) == local_search(f, start, sched, untimed)
+        assert timed.getstate() == untimed.getstate()
 
 
 class TestSaBaseline:

@@ -755,6 +755,24 @@ class TestDeadline:
         state.deadline, now[0] = units - 0.5, 0.0
         assert add_columns(state, pairs) == 300 and now[0] == units
 
+    def test_the_first_order_fit_ends_within_one_panel_or_step_of_its_deadline(
+        self, monkeypatch
+    ):
+        # 201 first-order columns: four panels, then the refinement steps.
+        f = _disjoint_formula(200)
+        now = self._clocked(monkeypatch)
+        assert init_first_order(f).deadline is None
+        units = now[0]
+        assert units >= len(_tiles(0, 201)) + 1
+        for deadline in np.arange(0.5, units - 1.0, 1.0):
+            now[0] = 0.0
+            with pytest.raises(DeadlineReached):
+                init_first_order(f, deadline=deadline)
+            assert deadline <= now[0] <= deadline + 1.0
+        now[0] = 0.0
+        assert init_first_order(f, deadline=units - 0.5).num_columns == 201
+        assert now[0] == units
+
     def test_the_ridge_ladder_ends_within_one_panel_of_its_deadline(self, monkeypatch):
         # A duplicate column sends the solve to the ladder, whose rungs
         # each rebuild every panel; the deadline cuts it short there too.
@@ -875,6 +893,16 @@ class TestAddColumns:
         assert state.keys == [(), (0,), (1,)]
         assert state.signatures == cubes | {None}
         assert not refine._is_new(state, (0, 1))
+
+    def test_a_rejected_batch_records_no_cube(self):
+        # Clause 7 does not exist, so the batch is rejected before any cube
+        # is recorded: (0, 2) is still new afterwards.
+        state = init_first_order(parse_dimacs("p cnf 4 3\n1 2 0\n-1 3 0\n2 -4 0"))
+        signatures, k = set(state.signatures), state.num_columns
+        with pytest.raises(ValueError):
+            add_columns(state, [(0, 2), (0, 7)])
+        assert state.signatures == signatures and state.num_columns == k
+        assert add_columns(state, [(0, 2)]) == 1
 
     def test_signature_collision_skipped(self):
         # duplicate clauses 0 and 1: products (0,2) and (1,2) coincide

@@ -220,6 +220,15 @@ class TestRefinementIntegration:
         assert (stats.status, stats.diagnostic, stats.rounds) == (Status.UNKNOWN, None, 2)
         assert stats.columns_final == offered[1] > offered[0]
 
+    def test_a_deadline_inside_the_first_order_fit_ends_the_solve_unknown(self, monkeypatch):
+        # The first-order fit checks the solve's deadline too: a clock past
+        # it ends the solve there, as a timeout, before any round.
+        clock = SimpleNamespace(monotonic=lambda: math.inf)
+        monkeypatch.setattr(approx_module, "time", clock)
+        stats = solve(parse_dimacs(UF50_005.read_text()), _cfg(timeout=600.0, max_rounds=8))
+        assert (stats.status, stats.diagnostic, stats.rounds) == (Status.UNKNOWN, None, 0)
+        assert stats.columns_final == 0 and stats.candidate_history == []
+
     def test_random_refinement_disabled_still_terminates(self):
         f = parse_dimacs("p cnf 1 2\n1 0\n-1 0")
         stats = solve(f, _cfg(timeout=1.0, enable_random_refinement=False))
