@@ -42,34 +42,43 @@ and stored, one panel at a time, with numpy's matrix product and Cholesky.
 Each diagonal block is kept as its inverse, so both triangular solves, in
 the update and in the weight solve, are matrix products too; a packed block
 is expanded for them into a square of at most _PANEL_ROWS^2 entries, one at
-a time. The refined solve casts an int16 panel to float32 _CAST_COLUMNS
-columns at a time, each chunk's product summed into the d-vector it feeds.
+a time. The solve casts a quantized panel to float32 _CAST_COLUMNS columns
+at a time, each chunk's product summed into the d-vector it feeds.
 Every other array that grows with K beyond O(K) is built one bounded block
 of _GRAM_BLOCK_ENTRIES entries at a time, cut by `row_blocks`, which also
 cuts the decimation's sign matrix (`weighted_row_sum`, ampsat.bias).
 
-Precision: the factor only preconditions iterative refinement (Langou et
-al., SC'06; Carson & Higham, SIAM J. Sci. Comput. 40(2), 2018), so it is
-stored coarsely. The panels of the first-order fit are float64; every later
-panel stores its L21 rows as int16, rint(row / s) with one float32 scale
-s = max |row| / 32767 per row, and its diagonal inverse as float32, which
-about halves a float32 factor. The weights, the right-hand side, the
-residuals and the Gram entries stay float64: from a = 0 and r = e_0, repeat
-a += L^-T L^-1 r, r = e_0 - (G + lambda*I) a, with the Fourier-domain G a,
-until r is well under the residual check or stops halving. The Gram
-matrices are well conditioned (cond(G) of 3e3 to 5e3 on the uf50 fits, up to
-K ~ 5000), and the int16 rounding of L shrinks r by 1e-3 to 2e-3 a step, so
-a solve takes three or four G a products.
+Precision: the factor only preconditions the solve (Langou et al., SC'06;
+Carson & Higham, SIAM J. Sci. Comput. 40(2), 2018), so it is stored
+coarsely. The panels of the first-order fit are float64; every later panel
+stores its L21 rows quantized, rint(row / s) with one float32 scale
+s = max |row| / 127 per row as int8 (32767 as int16), and its diagonal
+inverse as float32, so an int8 factor takes about a quarter of the bytes of
+a float32 one. The weights, the right-hand side, the residuals and the Gram
+entries stay float64. A quantized factor's weights are solved by
+preconditioned conjugate gradients (PCG) with M = L L^T, each step one
+solve with the factor and one Fourier-domain G a: the int8 rounding of L is
+too coarse for the stationary iteration below to contract reliably, and
+PCG needs about a dozen products where the Gram matrices are well
+conditioned (cond(G) of 3e3 to 5e3 on the uf50 fits, up to K ~ 5000). A
+float64 factor (the first-order fit, the ridge ladder and later panels on
+a factor it built, where L is exact up to rounding) keeps iterative
+refinement: from a = 0 and r = e_0, repeat
+a += L^-T L^-1 r, r = e_0 - (G + lambda*I) a, until r is well under the
+residual check or stops halving, usually one step.
 
-Every solve extends the factor it holds, at the ridge it holds. When that
-fails (a Schur complement is not positive definite, or the solve misses the
-residual check), the ridge ladder rebuilds the factor in float64 by the same
-routine, with lambda on each diagonal block, lambda = 0 first; a state that
-took the ladder keeps float64 panels and its lambda from then on, and later
-batches add their own panels at that lambda.
+Every solve extends the factor it holds, at the ridge it holds. When an
+int8 extension fails (a Schur complement is not positive definite, or the
+solve misses the residual check), its int8 panels are dropped and every
+column past the first-order fit is factored again as int16; the state keeps
+int16 panels from then on. When an int16 or float64 solve fails, the ridge
+ladder rebuilds the factor in float64 by the same routine, with lambda on
+each diagonal block, lambda = 0 first; a state that took the ladder keeps
+float64 panels and its lambda from then on, and later batches add their own
+panels at that lambda.
 
-A solve checks the state's deadline before each panel and each refinement
-step, so it overshoots the deadline by at most one of them.
+A solve checks the state's deadline before each panel and each G a
+product, so it overshoots the deadline by at most one of them.
 """
 
 from __future__ import annotations
@@ -98,23 +107,25 @@ _PANEL_ROWS = 64
 # A lower triangle of order d is _LOWER[:d, :d], in the row-major order its
 # packed entries follow.
 _LOWER = np.tri(_PANEL_ROWS, dtype=bool)
-# An int16 panel row is rint(row / s), with s = max |row| / _INT16_MAX.
-_INT16_MAX = np.iinfo(np.int16).max
-# Columns of a panel's rows the refined solve casts to the working
-# precision at a time: a 512 KiB float32 copy of a 64-row int16 panel,
-# however long its rows. At 2048 columns it ran as fast as with
-# whole-panel casts (K = 761 to 8424); a whole-factor product in
-# 512-column chunks was half again slower.
+# Columns of a panel's rows the solve casts to the working precision at a
+# time: a 512 KiB float32 copy of a 64-row int8 or int16 panel, however long
+# its rows. At 2048 columns it ran as fast as with whole-panel casts
+# (K = 761 to 8424, int16 panels); a whole-factor product in 512-column
+# chunks was half again slower.
 _CAST_COLUMNS = 2048
 # A column fixing c variables adds 2^c entries to the term table, without
 # bound for long clauses. Past this many (4096 entries, a closed-form Gram
 # row at K = 4096) it stays out of the table, and G a takes its rows in
 # closed form.
 _TABLE_VARS = 12
-# Iterative refinement stops once max |r| is at most this much relative to
-# max(1, max |a|), far under _RESIDUAL_TOL, or after _REFINE_STEPS solves.
+# Iterative refinement and PCG stop once max |r| is at most this much
+# relative to max(1, max |a|), far under _RESIDUAL_TOL, or after
+# _REFINE_STEPS and _PCG_STEPS steps. PCG took at most 24 steps on a
+# quantized factor (uf50-009 and uf50-018 at 60 rounds, K up to 9549), and
+# at most 14 on the uf50 fits past K = 1000 at 8 rounds.
 _REFINE_TARGET = 1e-12
 _REFINE_STEPS = 8
+_PCG_STEPS = 40
 
 
 class WeightSolveError(RuntimeError):
@@ -129,11 +140,11 @@ class DeadlineReached(Exception):
 
 class _Panel(NamedTuple):
     """Rows [o, o + d) of the lower factor L. L[o:o+d, :o] is
-    `rows * scale[:, None]`: int16 rows with float32 scales, or float64
-    rows with unit scales. `diag` is the inverse of the diagonal block
-    L[o:o+d, o:o+d], a lower triangle packed by rows into d(d+1)/2 entries;
-    its dtype (float32 beside int16 rows, float64 otherwise) is the one the
-    panel's products are taken in."""
+    `rows * scale[:, None]`: int8 or int16 rows with float32 scales, or
+    float64 rows with unit scales. `diag` is the inverse of the diagonal
+    block L[o:o+d, o:o+d], a lower triangle packed by rows into d(d+1)/2
+    entries; its dtype (float32 beside quantized rows, float64 otherwise) is
+    the one the panel's products are taken in."""
 
     rows: np.ndarray
     scale: np.ndarray
@@ -287,10 +298,12 @@ class ApproxState:
     as `_Panel`s of d <= _PANEL_ROWS rows each, covering the columns the
     last solve saw; solve_weights factors the columns appended since onto
     it, one new panel at a time, at ridge_lambda. The first-order fit's
-    panels are float64 and later ones int16 with row scales, until the
-    ridge ladder rebuilds every panel in float64 and clears
-    `_int16_panels`. Either way solve_weights refines the weights to
-    float64 accuracy against `_gram_times`. Apart from the panels, no array
+    panels are float64 and later ones `_panel_dtype` with row scales: int8,
+    int16 once an int8 extension failed and its panels were factored again,
+    and float64 once the ridge ladder rebuilt every panel. Either way
+    solve_weights takes the weights to float64 accuracy against
+    `_gram_times`, by PCG on a quantized factor and by iterative refinement
+    on a float64 one. Apart from the panels, no array
     the fit builds grows faster than O(K) beyond one block of
     _GRAM_BLOCK_ENTRIES entries, one panel, or one chunk of _CAST_COLUMNS
     panel columns, and the term table holds about 5 bytes per Fourier term,
@@ -310,7 +323,7 @@ class ApproxState:
         self._omega_tilde: tuple[np.ndarray | None, SparsePoly | None] = (None, None)
         self._terms = _TermTable(words)
         self._panels: list[_Panel] = []
-        self._int16_panels = True
+        self._panel_dtype = np.int8
 
     @property
     def num_columns(self) -> int:
@@ -477,8 +490,10 @@ def solve_weights(state: ApproxState) -> np.ndarray:
     """Solve (A^T A + lambda I) a = e_0, escalating lambda if the system is singular.
 
     The columns appended since the last solve are factored onto the state's
-    factor at its ridge: float64 panels for the first-order fit and after a
-    ladder landing, int16 ones otherwise. If that fails, the ridge ladder
+    factor at its ridge: float64 panels for the first-order fit, and the
+    state's `_panel_dtype` after it. If an int8 extension fails, its int8
+    panels are dropped and every column past the first-order fit is factored
+    again as int16. If an int16 or float64 solve fails, the ridge ladder
     rebuilds the whole factor in float64 from lambda = 0 up. Stores the
     result and the ridge value used on the state and returns the weight
     vector. Raises DeadlineReached once the state's deadline passes.
@@ -489,12 +504,17 @@ def solve_weights(state: ApproxState) -> np.ndarray:
     rhs = np.zeros(k)
     rhs[0] = 1.0
     covered = sum(len(panel.rows) for panel in state._panels)
-    dtype = np.int16 if covered and state._int16_panels else np.float64
+    dtype = state._panel_dtype if covered else np.float64
     a = _factor_and_solve(state, rhs, state.ridge_lambda, covered, dtype)
+    if a is None and dtype == np.int8:
+        state._panels = [panel for panel in state._panels if panel.rows.dtype == np.float64]
+        state._panel_dtype = np.int16
+        first_order = sum(len(panel.rows) for panel in state._panels)
+        a = _factor_and_solve(state, rhs, state.ridge_lambda, first_order, np.int16)
     if a is not None:
         state.weights = a
         return a
-    state._int16_panels = False
+    state._panel_dtype = np.float64
     for lam in RIDGE_LADDER:
         state._panels = []  # drop the old factor before building its successor
         a = _factor_and_solve(state, rhs, lam, 0, np.float64)
@@ -510,13 +530,14 @@ def _factor_and_solve(
     state: ApproxState, rhs: np.ndarray, lam: float, start: int, dtype
 ) -> np.ndarray | None:
     """Factor the columns from `start` on into new panels of `dtype`, solve
-    by iterative refinement, and check the residual against
+    with the whole factor, and check the true residual of
     (G + lam*I) a = rhs. None on failure.
 
-    Each refinement step solves with the factor for the correction and takes
-    the residual in float64. It stops at _REFINE_TARGET, when a step fails
-    to halve max |r| (the best iterate is kept), or after _REFINE_STEPS; a
-    float64 factor usually meets the target in one step.
+    A quantized factor (int8 or int16) preconditions conjugate gradients
+    (`_conjugate_gradients`); a float64 one, exact up to rounding, takes
+    iterative refinement (`_refine`). The choice rests on `dtype` alone: the
+    first-order fit, the ridge ladder and the extensions of a factor it
+    built are float64, every other extension quantized.
 
     rhs has unit norm, so at lam = 0 the residual bound is absolute: a solve
     that meets it only relative to huge weights (a singular G whose null
@@ -524,14 +545,30 @@ def _factor_and_solve(
     weights are ~1/lam on such a G by design and G a is rounded relative to
     them, so for lam > 0 the bound scales with max |a|.
 
-    Raises DeadlineReached, before a panel or a step, once the state's
-    deadline has passed."""
+    Raises DeadlineReached, before a panel or a G a product, once the
+    state's deadline has passed."""
     for lo in range(start, state.num_columns, _PANEL_ROWS):
         _check_deadline(state)
         panel = _factor_panel(state, lo, dtype, lam)
         if panel is None:
             return None
         state._panels.append(panel)
+    solve = _refine if dtype == np.float64 else _conjugate_gradients
+    a, norm = solve(state, rhs, lam)
+    if a is None:
+        return None
+    scale = 1.0 if lam == 0.0 else max(1.0, np.abs(a).max())
+    return a if norm <= _RESIDUAL_TOL * scale else None
+
+
+def _refine(state: ApproxState, rhs: np.ndarray, lam: float) -> tuple[np.ndarray | None, float]:
+    """Iterative refinement of (G + lam*I) a = rhs with the state's factor:
+    the best iterate and its max |r|, (None, inf) if no iterate is finite.
+
+    Each step solves with the factor for the correction and takes the
+    residual in float64. It stops at _REFINE_TARGET, when a step fails to
+    halve max |r|, or after _REFINE_STEPS; a float64 factor usually meets
+    the target in one step."""
     best, best_norm = None, np.inf
     a, r = np.zeros_like(rhs), rhs
     for _ in range(_REFINE_STEPS):
@@ -546,10 +583,40 @@ def _factor_and_solve(
             best, best_norm = a, norm
         if not halved or norm <= _REFINE_TARGET * max(1.0, np.abs(a).max()):
             break
-    if best is None:
-        return None
-    scale = 1.0 if lam == 0.0 else max(1.0, np.abs(best).max())
-    return best if best_norm <= _RESIDUAL_TOL * scale else None
+    return best, best_norm
+
+
+def _conjugate_gradients(
+    state: ApproxState, rhs: np.ndarray, lam: float
+) -> tuple[np.ndarray | None, float]:
+    """PCG on (G + lam*I) a = rhs from a = 0, preconditioned by the state's
+    factor (Golub & Van Loan, Matrix Computations, section 11.5): the last
+    iterate and the max |r| of its true residual, rhs - lam*a - G a, or
+    (None, inf) when a step's curvature p^T (G + lam*I) p is not positive
+    and finite.
+
+    Each step is one solve with the factor and one G a product. The
+    recurred residual stops the loop at _REFINE_TARGET or after _PCG_STEPS;
+    it drifts from the true one by rounding alone, and one more product
+    takes the true one for the residual check."""
+    a, r = np.zeros_like(rhs), rhs
+    p, rz = None, 1.0
+    for _ in range(_PCG_STEPS):
+        z = _solve_factored(state._panels, r)
+        rz, previous = r @ z, rz
+        p = z if p is None else z + (rz / previous) * p
+        _check_deadline(state)
+        q = state._gram_times(p) + lam * p
+        curvature = p @ q
+        if not 0.0 < curvature < np.inf:
+            return None, np.inf
+        step = rz / curvature
+        a = a + step * p
+        r = r - step * q
+        if np.abs(r).max() <= _REFINE_TARGET * max(1.0, np.abs(a).max()):
+            break
+    _check_deadline(state)
+    return a, np.abs(rhs - lam * a - state._gram_times(a)).max()
 
 
 def _check_deadline(state: ApproxState) -> None:
@@ -568,17 +635,17 @@ def _unpack(packed: np.ndarray, d: int) -> np.ndarray:
 
 def _factor_panel(state: ApproxState, lo: int, dtype, lam: float) -> _Panel | None:
     """The panel of factor rows [lo, lo + d) of (G + lam*I), given the
-    panels before it, stored as `dtype` (int16 or float64). Its raw Gram
-    rows G21 are built in the working precision (float32 for int16, float64
-    otherwise) and G22 + lam*I as a float64 square, then X = G21 L11^-T by
-    block forward substitution, each prior panel read in that precision and
-    its scales applied to the product, and L22 = chol(G22 + lam*I - X X^T),
-    cast to the working precision and stored packed as its inverse. None
-    when that is not positive definite. X is rounded to int16
-    only after the Schur complement: a column that repeats earlier ones
-    must leave it singular, as in float32, and send the solve to the ridge
-    ladder. Every product, and so every temporary beyond X and one prior
-    panel's cast, is at most _PANEL_ROWS square.
+    panels before it, stored as `dtype` (int8, int16 or float64). Its raw
+    Gram rows G21 are built in the working precision (float32 for int8 and
+    int16, float64 otherwise) and G22 + lam*I as a float64 square, then
+    X = G21 L11^-T by block forward substitution, each prior panel read in
+    that precision and its scales applied to the product, and
+    L22 = chol(G22 + lam*I - X X^T), cast to the working precision and
+    stored packed as its inverse. None when that is not positive definite.
+    X is quantized only after the Schur complement: a column that repeats
+    earlier ones must leave it singular, as in float32, and send the solve
+    to the ridge ladder. Every product, and so every temporary beyond X and
+    one prior panel's cast, is at most _PANEL_ROWS square.
 
     A prior panel is cast whole, not in _CAST_COLUMNS chunks: the float32
     rounding of X decides whether the Schur block of a column that depends
@@ -586,7 +653,8 @@ def _factor_panel(state: ApproxState, lo: int, dtype, lam: float) -> _Panel | No
     over column chunks, uf50-018 took the ridge ladder at K = 11084 in the
     uf50 acceptance run (criterion 6), where whole casts do not."""
     d = min(_PANEL_ROWS, state.num_columns - lo)
-    work = np.float32 if dtype == np.int16 else np.float64
+    quantized = dtype != np.float64
+    work = np.float32 if quantized else np.float64
     lower = _LOWER[:d, :d]
     rows = np.empty((d, lo), work)
     g22 = np.empty((d, d))
@@ -606,12 +674,12 @@ def _factor_panel(state: ApproxState, lo: int, dtype, lam: float) -> _Panel | No
     except np.linalg.LinAlgError:
         return None
     _invert_lower(factor)
-    if dtype == np.int16:
+    if quantized:
         top = np.maximum(rows.max(axis=1, initial=0.0), -rows.min(axis=1, initial=0.0))
-        scale = top / work(_INT16_MAX)  # max |row| without a copy of |rows|
+        scale = top / work(np.iinfo(dtype).max)  # max |row| without a copy of |rows|
         scale[scale == 0.0] = 1.0
         rows /= scale[:, None]
-        return _Panel(np.rint(rows, out=rows).astype(np.int16), scale, factor[lower])
+        return _Panel(np.rint(rows, out=rows).astype(dtype), scale, factor[lower])
     return _Panel(rows, np.ones(d), factor[lower])
 
 

@@ -25,8 +25,11 @@ from ampsat.bias import BiasKind
 from ampsat.fourier import PRUNE_EPSILON
 from ampsat.oracle import dense_evaluate, dense_omega, exact_lstsq
 from ampsat.refine import RefinementSaturated, plan_refinement
+from ampsat.solver import SolverConfig, Status, solve
 
 from helpers import UF50_001, grown_uf50_001, random_assignment, random_formula
+
+UF20_009 = UF50_001.parents[1] / "uf20" / "uf20-009.cnf"
 
 TOL = 1e-9
 
@@ -107,20 +110,53 @@ def _dense_factor(state):
 def _panel_rows(state):
     """The row range [o, o + d) of every panel, checking that each is at
     most _PANEL_ROWS tall, holds its rows left of the diagonal, one scale
-    per row and its diagonal block's packed triangle, as int16 rows with
-    float32 scales and triangle or all float64, and follows the last."""
+    per row and its diagonal block's packed triangle, as int8 or int16 rows
+    with float32 scales and triangle or all float64, and follows the last."""
     ranges = []
     for rows, scale, diag in state._panels:
         d, o = rows.shape
         assert 0 < d <= _PANEL_ROWS
         assert scale.shape == (d,) and diag.shape == (d * (d + 1) // 2,)
         assert (rows.dtype, scale.dtype, diag.dtype) in (
+            (np.int8, np.float32, np.float32),
             (np.int16, np.float32, np.float32),
             (np.float64, np.float64, np.float64),
         )
         assert o == (ranges[-1][1] if ranges else 0)
         ranges.append((o, o + d))
     return ranges
+
+
+def _check_quantized_panels(state, panels, gram):
+    """Each of `panels`, quantized, against the factor stored before it:
+    its rows times their scales are X = G21 L11^-T, taken in float64 from
+    the dequantized earlier panels, to within half a quantization step and
+    float32 rounding, (K + 1) u_32 max |X| with u_32 = 2^-24; and its
+    diagonal block factors the Schur complement G22 - X X^T to float32
+    Cholesky's backward error, (K + 1) u_32 max |G| (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.3)."""
+    k = state.num_columns
+    factor = _dense_factor(state)
+    u32 = (k + 1) * 2.0**-24
+    for rows, scale, _ in panels:
+        d, o = rows.shape
+        assert rows.dtype in (np.int8, np.int16) and np.abs(rows).max() <= np.iinfo(rows.dtype).max
+        x = scipy.linalg.solve_triangular(factor[:o, :o], gram[o : o + d, :o].T, lower=True).T
+        step = scale[:, None].astype(float)
+        assert np.all(np.abs(rows * step - x) <= step / 2 + u32 * np.abs(x).max())
+        l22 = factor[o : o + d, o : o + d]
+        schur = gram[o : o + d, o : o + d] - x @ x.T
+        assert np.abs(l22 @ l22.T - schur).max() <= u32 * np.abs(gram).max()
+
+
+def _table_bytes(terms):
+    """The bytes of a term table's arrays."""
+    return (
+        terms.keys.nbytes
+        + terms.key_ids.nbytes
+        + terms.wide.nbytes
+        + sum(a.nbytes for block in terms.blocks for a in (block.columns, block.ids, block.signs))
+    )
 
 
 def _new_columns(state, keys, count):
@@ -389,9 +425,18 @@ class TestIncrementalFactor:
 
     def test_panels_hold_the_cholesky_factor(self):
         # 300 and 135 pair columns on 30 first-order ones: each batch is
-        # cut into panels from its own first row, the first into several
+        # cut into panels from its own first row, the first into several.
+        # The panels past the first-order fit are int8, as solve_weights
+        # makes them, and then int16, as the rung after a failed int8
+        # extension makes them.
+        for dtype in (np.int8, np.int16):
+            self._check_the_panels_hold_the_cholesky_factor(dtype)
+
+    @staticmethod
+    def _check_the_panels_hold_the_cholesky_factor(dtype):
         f = _disjoint_formula(30)
         state = init_first_order(f)
+        state._panel_dtype = dtype
         pairs = [(i, j) for i in range(30) for j in range(i + 1, 30)]
         random.Random(48).shuffle(pairs)
         add_columns(state, pairs[:300])
@@ -407,20 +452,23 @@ class TestIncrementalFactor:
         below = [panel.rows.size for panel in state._panels]
         assert below == [(hi - lo) * lo for lo, hi in ranges]
         assert sum(diagonal) + sum(below) == k * (k + 1) // 2
+        assert all(panel.rows.dtype == dtype for panel in state._panels[1:])
         factor = _dense_factor(state)
-        assert np.allclose(factor @ factor.T, state.gram, atol=TOL)
+        gram = state.gram
+        assert np.allclose(factor[:31] @ factor[:31].T, gram[:31, :31], atol=TOL)
+        _check_quantized_panels(state, state._panels[1:], gram)
+        if dtype == np.int16:
+            assert np.allclose(factor @ factor.T, gram, atol=TOL)
 
     def test_incremental_round_factors_only_its_new_rows(self):
         # A round of d new columns on uf50-001: appending them adds only
-        # their cubes, and the solve adds int16 panels for their rows alone,
+        # their cubes, and the solve adds int8 panels for their rows alone,
         # leaving every earlier panel as it was; no d x d temporary is made.
-        # L L^T reproduces the new Gram rows to float32 Cholesky's backward
-        # error (Higham, Accuracy and Stability of Numerical Algorithms,
-        # Thm 10.3): |L L^T - G| <= gamma_(K+1) |L| |L^T| entrywise, and
-        # (|L| |L^T|)_ij <= |L_i| |L_j| = sqrt(G_ii G_jj) <= max |G|, so the
-        # bound is (K + 1) u_32 max |G| with u_32 = 2^-24; the int16 rounding
-        # of the rows stays under it here (1.9e-6 against 8.3e-5). The
-        # weights are refined to float64 accuracy all the same.
+        # Each new panel is the rounded block forward substitution against
+        # the factor before it, and its diagonal block factors the Schur
+        # complement to float32 Cholesky's backward error
+        # (_check_quantized_panels). The weights are solved to float64
+        # accuracy all the same.
         f = parse_dimacs(UF50_001.read_text())
         state = init_first_order(f)
         pairs = [(i, j) for i in range(f.num_clauses) for j in range(i + 1, f.num_clauses)]
@@ -447,20 +495,18 @@ class TestIncrementalFactor:
         assert all(held is panel for held, panel in zip(before, state._panels))
         added = state._panels[len(before) :]
         assert _panel_rows(state)[len(before) :] == _tiles(o, o + 1000)
-        assert all(panel.rows.dtype == np.int16 for panel in added)
+        assert all(panel.rows.dtype == np.int8 for panel in added)
         k = state.num_columns
         gram = state.gram
-        factor = _dense_factor(state)
-        bound = (k + 1) * 2.0**-24 * np.abs(gram).max()
-        assert np.abs(factor[o:] @ factor.T - gram[o:]).max() <= bound
+        _check_quantized_panels(state, added, gram)
         assert peak < 1000 * 1000 * 8
         ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram, lower=True), _unit_rhs(k))
         assert np.abs(state.weights - ref).max() <= TOL * max(1.0, np.abs(ref).max())
 
-    def test_refinement_panels_are_int16(self):
+    def test_refinement_panels_are_int8(self):
         # uf50-001 grown past K = 2000: every panel after the float64
-        # first-order block holds int16 rows with float32 row scales and a
-        # float32 diagonal inverse, so the factor takes about a quarter of
+        # first-order block holds int8 rows with float32 row scales and a
+        # float32 diagonal inverse, so the factor takes about an eighth of
         # the bytes of a float64 one, and no ridge was needed on the way.
         state, _ = grown_uf50_001()
         first_order = state.formula.num_clauses + 1  # no two clauses share a cube
@@ -469,15 +515,15 @@ class TestIncrementalFactor:
         ranges = _panel_rows(state)
         assert ranges[: len(_tiles(0, first_order))] == _tiles(0, first_order)
         for (lo, _), panel in zip(ranges, state._panels):
-            assert panel.rows.dtype == (np.float64 if lo < first_order else np.int16)
+            assert panel.rows.dtype == (np.float64 if lo < first_order else np.int8)
         below = sum(d * o for o, d in ((lo, hi - lo) for lo, hi in ranges if lo >= first_order))
         diagonal = sum((hi - lo) * (hi - lo + 1) // 2 for lo, hi in ranges if lo >= first_order)
         stored = sum(array.nbytes for panel in state._panels for array in panel)
-        assert stored <= 2 * below + 4 * diagonal + 4 * k + 8 * first_order**2
+        assert stored <= 1 * below + 4 * diagonal + 4 * k + 8 * first_order**2
 
     def test_a_round_holds_its_packed_panels_and_one_bounded_block(self):
         # uf50-001 grown past K = 2000, then a round of 1000 columns: the
-        # round's peak is the int16 panels it adds, the term table, whose
+        # round's peak is the int8 panels it adds, the term table, whose
         # sorted keys the extension reallocates, and at most 2 MiB for a
         # panel's raw rows and the one bounded block any step of the
         # extension, factor or refined solve holds.
@@ -495,27 +541,22 @@ class TestIncrementalFactor:
         k = state.num_columns
         assert state.ridge_lambda == 0.0 and k == before + 1000
         added = state._panels[panels:]
-        assert all(panel.rows.dtype == np.int16 for panel in added)
+        assert all(panel.rows.dtype == np.int8 for panel in added)
         factor = sum(array.nbytes for panel in added for array in panel)
-        terms = state._terms
-        table = terms.keys.nbytes + terms.key_ids.nbytes
-        table += sum(
-            array.nbytes
-            for block in terms.blocks
-            for array in (block.columns, block.ids, block.signs)
-        )
-        assert factor < 2.1 * (k * (k + 1) // 2 - before * (before + 1) // 2)
+        table = _table_bytes(state._terms)
+        assert factor < 1.1 * (k * (k + 1) // 2 - before * (before + 1) // 2)
         assert peak <= factor + table + 2 * 2**20
 
     def test_solve_casts_one_column_chunk_and_factor_one_panel(self, monkeypatch):
         # uf50-001 grown past K = 2000, then a round of 1000 columns, the
-        # refined solve casting 256 columns at a time and Gram blocks cut
-        # to 2^12 entries. Above what it started with, each refined solve
-        # holds at most one chunk's float32 copy, three K-vectors and two
-        # expanded diagonal blocks, far under one whole-panel cast (4 * 64
-        # * K bytes). Each panel's factoring holds its float32 rows and, one
-        # at a time, a Gram block, one earlier panel cast whole or its own
-        # int16 copy: max |row| is taken without a copy of |rows|.
+        # solve casting 256 columns at a time and Gram blocks cut to 2^12
+        # entries. Above what it started with, each solve with the factor
+        # (one per PCG step) holds at most one chunk's float32 copy, three
+        # K-vectors and two expanded diagonal blocks, far under one
+        # whole-panel cast (4 * 64 * K bytes). Each panel's factoring holds
+        # its float32 rows and, one at a time, a Gram block, one earlier
+        # panel cast whole or its own int8 copy: max |row| is taken without
+        # a copy of |rows|.
         state, pairs = grown_uf50_001()
         columns = _new_columns(state, pairs, 1000)
         monkeypatch.setattr(approx_module, "_CAST_COLUMNS", 256)
@@ -549,7 +590,7 @@ class TestIncrementalFactor:
         finally:
             tracemalloc.stop()
         k = state.num_columns
-        assert state.ridge_lambda == 0.0 and state._panels[-1].rows.dtype == np.int16
+        assert state.ridge_lambda == 0.0 and state._panels[-1].rows.dtype == np.int8
         factored = [(args[1], peak) for function, args, peak in calls if function is factor_panel]
         solved = [peak for function, _, peak in calls if function is solve_factored]
         assert len(factored) == len(_tiles(k - 1000, k)) and len(solved) >= 3
@@ -563,15 +604,27 @@ class TestIncrementalFactor:
     @staticmethod
     def _check_ladder_then_float64(monkeypatch, name, failing):
         # The first batch after the first-order fit is solved with
-        # approx.<name> replaced by `failing`; it lands on the float64
-        # lambda = 0 rung, and every later batch is factored in float64 too.
+        # approx.<name> replaced by `failing`: its int8 extension fails, the
+        # int16 rung fails too, and it lands on the float64 lambda = 0 rung;
+        # every later batch is factored in float64 too.
         f = _disjoint_formula(30)
         state = init_first_order(f)
         pairs = [(i, j) for i in range(30) for j in range(i + 1, 30)]
+        dtypes = []
         with monkeypatch.context() as m:
             m.setattr(approx_module, name, failing)
+            factor_panel = approx_module._factor_panel
+
+            def recording(state, lo, dtype, lam):
+                dtypes.append(np.dtype(dtype))
+                return factor_panel(state, lo, dtype, lam)
+
+            m.setattr(approx_module, "_factor_panel", recording)
             add_columns(state, pairs[:100])
-        assert state.ridge_lambda == 0.0
+        # int8 panels, the int16 rung's, then the ladder's float64 ones
+        runs = [d for i, d in enumerate(dtypes) if i == 0 or d != dtypes[i - 1]]
+        assert runs == [np.int8, np.int16, np.float64]
+        assert state.ridge_lambda == 0.0 and state._panel_dtype == np.float64
         assert all(array.dtype == np.float64 for panel in state._panels for array in panel)
         add_columns(state, pairs[100:200])
         assert state.ridge_lambda == 0.0 and state.num_columns == 231
@@ -582,30 +635,129 @@ class TestIncrementalFactor:
         assert np.abs(state.weights - ref).max() <= TOL * max(1.0, np.abs(ref).max())
 
     def test_a_state_that_took_the_ladder_keeps_float64_panels(self, monkeypatch):
-        # an int16 panel whose Schur block is not positive definite
+        # int8 and int16 panels whose Schur blocks are not positive definite
         factor_panel = approx_module._factor_panel
 
         def failing(state, lo, dtype, lam):
-            return None if dtype == np.int16 else factor_panel(state, lo, dtype, lam)
+            return None if dtype != np.float64 else factor_panel(state, lo, dtype, lam)
 
         self._check_ladder_then_float64(monkeypatch, "_factor_panel", failing)
 
     def test_an_int16_factor_that_misses_the_gate_lands_on_the_float64_rung(self, monkeypatch):
-        # An int16 factor whose corrections come out 4x too large: every
-        # refinement step triples the error, so the solve misses the
-        # residual check and the ridge ladder takes over.
+        # PCG cut to one step: the int8 factor's solve misses the residual
+        # check, and so does the int16 rung's, so the ridge ladder takes
+        # over, whose float64 factor is refined as before. Both quantized
+        # factors were solved with, each over the whole batch.
         solve_factored = approx_module._solve_factored
-        skewed = []
+        quantized = []
 
-        def overshooting(panels, rhs):
-            x = solve_factored(panels, rhs)
-            if any(panel.rows.dtype == np.int16 for panel in panels):
-                skewed.append(len(panels))
-                return 4 * x
-            return x
+        def recording(panels, rhs):
+            if panels[-1].rows.dtype != np.float64:
+                quantized.append((len(panels), panels[-1].rows.dtype))
+            return solve_factored(panels, rhs)
 
-        self._check_ladder_then_float64(monkeypatch, "_solve_factored", overshooting)
-        assert skewed and set(skewed) == {len(_tiles(0, 31) + _tiles(31, 131))}
+        monkeypatch.setattr(approx_module, "_solve_factored", recording)
+        self._check_ladder_then_float64(monkeypatch, "_PCG_STEPS", 1)
+        panels = len(_tiles(0, 31) + _tiles(31, 131))
+        assert quantized == [(panels, np.int8), (panels, np.int16)]
+
+    def test_an_int8_schur_failure_rebuilds_at_int16(self, monkeypatch):
+        # uf50-001 grown past K = 2000 with int8 panels, then a round of
+        # 1000 columns whose last int8 panel is not positive definite: every
+        # int8 panel is dropped, and each column past the first-order fit
+        # is factored again as int16, in panels cut from its first row. The
+        # state keeps its float64 first-order panels, lambda = 0 and the
+        # int16 dtype. The solve's peak, all of it traced, is what it
+        # started with less the int8 panels, plus the int16 factor, the
+        # term table's extension (its sorted keys reallocated) and one
+        # bounded block.
+        factor_panel = approx_module._factor_panel
+        tracemalloc.start()
+        try:
+            state, pairs = grown_uf50_001()
+            first_order = state.formula.num_clauses + 1  # no two clauses share a cube
+            float64 = state._panels[: len(_tiles(0, first_order))]
+            int8 = sum(array.nbytes for panel in state._panels[len(float64) :] for array in panel)
+            assert all(panel.rows.dtype == np.int8 for panel in state._panels[len(float64) :])
+            state._append(_new_columns(state, pairs, 1000))
+            k = state.num_columns
+            last = _tiles(k - 1000, k)[-1][0]
+
+            def failing(state, lo, dtype, lam):
+                if dtype == np.int8 and lo == last:
+                    return None
+                return factor_panel(state, lo, dtype, lam)
+
+            monkeypatch.setattr(approx_module, "_factor_panel", failing)
+            table = _table_bytes(state._terms)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            solve_weights(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.ridge_lambda == 0.0 and state._panel_dtype == np.int16
+        assert _panel_rows(state) == _tiles(0, first_order) + _tiles(first_order, k)
+        assert all(held is panel for held, panel in zip(float64, state._panels))
+        int16 = state._panels[len(float64) :]
+        assert all(panel.rows.dtype == np.int16 for panel in int16)
+        factor = sum(array.nbytes for panel in int16 for array in panel)
+        extension = _table_bytes(state._terms) - table
+        keys = state._terms.keys.nbytes + state._terms.key_ids.nbytes
+        assert peak <= start - int8 + factor + extension + keys + 2 * 2**20
+        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(state.gram, lower=True), _unit_rhs(k))
+        assert np.abs(state.weights - ref).max() <= TOL * max(1.0, np.abs(ref).max())
+
+    def test_an_int16_failure_after_the_rung_lands_on_the_float64_rung(self, monkeypatch):
+        # A batch whose int8 Schur block fails takes the int16 rung; the
+        # next one, whose int16 Schur block fails, takes the ridge ladder
+        # to float64 at lambda = 0, and the batch after that is factored
+        # in float64 onto it.
+        f = _disjoint_formula(30)
+        state = init_first_order(f)
+        pairs = [(i, j) for i in range(30) for j in range(i + 1, 30)]
+        factor_panel = approx_module._factor_panel
+        for failing_dtype, batch, dtype in ((np.int8, pairs[:100], np.int16),
+                                            (np.int16, pairs[100:200], np.float64)):
+            with monkeypatch.context() as m:
+
+                def failing(state, lo, dtype, lam, failing_dtype=failing_dtype):
+                    if dtype == failing_dtype:
+                        return None
+                    return factor_panel(state, lo, dtype, lam)
+
+                m.setattr(approx_module, "_factor_panel", failing)
+                add_columns(state, batch)
+            assert state.ridge_lambda == 0.0 and state._panel_dtype == dtype
+        assert _panel_rows(state) == _tiles(0, 231)
+        assert all(array.dtype == np.float64 for panel in state._panels for array in panel)
+        add_columns(state, pairs[200:250])
+        assert state.ridge_lambda == 0.0 and _panel_rows(state) == _tiles(0, 231) + _tiles(231, 281)
+        k = state.num_columns
+        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(state.gram, lower=True), _unit_rhs(k))
+        assert np.abs(state.weights - ref).max() <= TOL * max(1.0, np.abs(ref).max())
+
+    def test_uf20_009_stays_quantized_under_pcg(self, monkeypatch):
+        # uf20-009 with the solver seeds derive_seed(0) and derive_seed(4)
+        # of its file name: round 2 extends the K = 92 first-order fit to
+        # K = 165. Stationary refinement with an int16 factor missed the
+        # residual check there and rebuilt the factor in float64; PCG meets
+        # it with the int8 factor, and the solve ends SAT in round 2.
+        f = parse_dimacs(UF20_009.read_text())
+        solves = []
+        factor_and_solve = approx_module._factor_and_solve
+
+        def recording(state, rhs, lam, start, dtype):
+            a = factor_and_solve(state, rhs, lam, start, dtype)
+            solves.append((state.num_columns, lam, np.dtype(dtype), a is not None))
+            return a
+
+        monkeypatch.setattr(approx_module, "_factor_and_solve", recording)
+        for seed in (2041552444505839552, 2729568804755877532):
+            solves.clear()
+            stats = solve(f, SolverConfig(seed=seed, max_rounds=8))
+            assert (stats.status, stats.rounds, stats.columns_final) == (Status.SAT, 2, 165)
+            assert solves == [(92, 0.0, np.float64, True), (165, 0.0, np.int8, True)]
 
     @staticmethod
     def _long_and_short_formula():
@@ -713,27 +865,28 @@ class TestIncrementalFactor:
 
 
 class TestDeadline:
-    """A solve checks the state's deadline before each panel and each
-    refinement step, so it overshoots it by at most one of them. A fake
-    clock advances one unit per panel factored and per step solved."""
+    """A solve checks the state's deadline before each panel and each G a
+    product, one per refinement or PCG step, so it overshoots it by at most
+    one of them. A fake clock advances one unit per panel factored and per
+    product taken."""
 
     @staticmethod
     def _clocked(monkeypatch):
         now = [0.0]
         monkeypatch.setattr(approx_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
-        for name in ("_factor_panel", "_solve_factored"):
-            function = getattr(approx_module, name)
+        for owner, name in ((approx_module, "_factor_panel"), (ApproxState, "_gram_times")):
+            function = getattr(owner, name)
 
             def ticking(*args, function=function):
                 now[0] += 1.0
                 return function(*args)
 
-            monkeypatch.setattr(approx_module, name, ticking)
+            monkeypatch.setattr(owner, name, ticking)
         return now
 
     def test_a_fit_ends_within_one_panel_or_step_of_its_deadline(self, monkeypatch):
-        # 300 pair columns on 30 first-order ones: five panels, then the
-        # refinement steps. Every deadline before the last unit starts ends
+        # 300 pair columns on 30 first-order ones: five int8 panels, then
+        # the PCG products. Every deadline before the last unit starts ends
         # the solve at most one unit past it, with the first-order weights
         # in place; one inside the last unit lets the solve finish.
         pairs = [(i, j) for i in range(30) for j in range(i + 1, 30)][:300]
@@ -758,7 +911,8 @@ class TestDeadline:
     def test_the_first_order_fit_ends_within_one_panel_or_step_of_its_deadline(
         self, monkeypatch
     ):
-        # 201 first-order columns: four panels, then the refinement steps.
+        # 201 first-order columns: four float64 panels, then the
+        # refinement steps' products.
         f = _disjoint_formula(200)
         now = self._clocked(monkeypatch)
         assert init_first_order(f).deadline is None
@@ -774,8 +928,9 @@ class TestDeadline:
         assert now[0] == units
 
     def test_the_ridge_ladder_ends_within_one_panel_of_its_deadline(self, monkeypatch):
-        # A duplicate column sends the solve to the ladder, whose rungs
-        # each rebuild every panel; the deadline cuts it short there too.
+        # A duplicate column fails the int8 extension and the int16 rung,
+        # and sends the solve to the ladder, whose rungs each rebuild every
+        # panel; the deadline cuts it short there too.
         f = _disjoint_formula(30)
         now = self._clocked(monkeypatch)
         state = init_first_order(f)
@@ -784,7 +939,7 @@ class TestDeadline:
         state.deadline = now[0] + 4.5
         with pytest.raises(DeadlineReached):
             solve_weights(state)
-        assert not state._int16_panels  # on the ladder
+        assert state._panel_dtype == np.float64  # on the ladder
         assert state.deadline <= now[0] <= state.deadline + 1.0
         assert len(state.weights) == 131
 
