@@ -28,10 +28,10 @@ kept as bounded blocks, each with its own entries and interned as it is
 built, so extending it copies none of the old ones. Nothing is ever
 enumerated over 2^n.
 
-No Gram matrix is kept. The only K-squared state is the lower Cholesky factor
-L of Gram + lambda*I, stored as row panels of at most _PANEL_ROWS rows: a
-panel holds L's rows left of its diagonal block, and the block's inverse as
-a lower triangle packed by rows. A batch of d columns appended at K = o costs
+No Gram matrix is kept. The only K-squared state is a lower Cholesky factor
+L of G, stored as row panels of at most _PANEL_ROWS rows: a panel holds L's
+rows left of its diagonal block, and the block's inverse as a lower
+triangle packed by rows. A batch of d columns appended at K = o costs
 O(K^2 d), not O(K^3): each new panel's raw Gram rows are built, factored by
 the block Cholesky update (Golub & Van Loan, Matrix Computations, section
 4.2)
@@ -55,27 +55,29 @@ stores its L21 rows quantized, rint(row / s) with one float32 scale
 s = max |row| / 127 per row as int8 (32767 as int16), and its diagonal
 inverse as float32, so an int8 factor takes about a quarter of the bytes of
 a float32 one. The weights, the right-hand side, the residuals and the Gram
-entries stay float64. A quantized factor's weights are solved by
+entries stay float64. Every fit is one solve of the unmodified G a = e_0 by
 preconditioned conjugate gradients (PCG) with M = L L^T, each step one
-solve with the factor and one Fourier-domain G a: the int8 rounding of L is
-too coarse for the stationary iteration below to contract reliably, and
-PCG needs about a dozen products where the Gram matrices are well
-conditioned (cond(G) of 3e3 to 5e3 on the uf50 fits, up to K ~ 5000). A
-float64 factor (the first-order fit, the ridge ladder and later panels on
-a factor it built, where L is exact up to rounding) keeps iterative
-refinement: from a = 0 and r = e_0, repeat
-a += L^-T L^-1 r, r = e_0 - (G + lambda*I) a, until r is well under the
-residual check or stops halving, usually one step.
+solve with the factor and one Fourier-domain G a: about a dozen steps where
+cond(G) is 3e3 to 5e3 (the uf50 fits, up to K ~ 5000), one on the exact
+float64 factor of a first-order fit.
 
-Every solve extends the factor it holds, at the ridge it holds. When an
-int8 extension fails (a Schur complement is not positive definite, or the
-solve misses the residual check), its int8 panels are dropped and every
-column past the first-order fit is factored again as int16; the state keeps
-int16 panels from then on. When an int16 or float64 solve fails, the ridge
-ladder rebuilds the factor in float64 by the same routine, with lambda on
-each diagonal block, lambda = 0 first; a state that took the ladder keeps
-float64 panels and its lambda from then on, and later batches add their own
-panels at that lambda.
+Every column but the constant vanishes on every satisfying assignment, so
+for a satisfiable formula G a = e_0 is consistent whatever the rank of G,
+and PCG with any positive definite M solves it (Kaasschieter, J. Comput.
+Appl. Math. 24, 1988), to 2^n/|SAT| times the projection of the
+solution-set indicator onto the columns' span. A column that depends on
+earlier ones is therefore decoupled in M alone: when a panel's Schur block
+fails Cholesky or has a pivot^2 under _PIVOT_FLOOR * G_jj, such a column
+gets a zero row of L and a zero row scale, with sqrt(G_jj) on the diagonal.
+An int8 panel is not decoupled, as its failures are int8 rounding (on
+uf50-009 at K = 6077 the exact Schur block has eigenvalues 0.004 to
+0.014): its int8 panels, and those of an int8 solve that misses the
+residual check, are dropped and every column past the first-order fit is
+factored again as int16, kept from then on. A fit that still misses the
+check, max |G a - e_0| <= _RESIDUAL_TOL, solved an inconsistent system,
+which in exact arithmetic only an UNSAT formula has: it keeps the last
+solved weights, the columns added since at 0, and records its K
+(`ApproxState.inconsistent_from`) as floating-point evidence of UNSAT.
 
 A solve checks the state's deadline before each panel and each G a
 product, so it overshoots the deadline by at most one of them.
@@ -92,7 +94,6 @@ from .cnf import Formula
 from .fourier import PRUNE_EPSILON, SparsePoly
 from .indicator import ColumnKey, Cube, IndicatorCache, validate_key
 
-RIDGE_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 _RESIDUAL_TOL = 1e-6
 # Dense entries per block of Gram rows, of term-table entries, or of the
 # decimation's sign matrix: bounds the temporaries of a Gram extension, a
@@ -118,18 +119,20 @@ _CAST_COLUMNS = 2048
 # row at K = 4096) it stays out of the table, and G a takes its rows in
 # closed form.
 _TABLE_VARS = 12
-# Iterative refinement and PCG stop once max |r| is at most this much
-# relative to max(1, max |a|), far under _RESIDUAL_TOL, or after
-# _REFINE_STEPS and _PCG_STEPS steps. PCG took at most 24 steps on a
-# quantized factor (uf50-009 and uf50-018 at 60 rounds, K up to 9549), and
-# at most 14 on the uf50 fits past K = 1000 at 8 rounds.
-_REFINE_TARGET = 1e-12
-_REFINE_STEPS = 8
+# PCG stops once max |r| is at most this much relative to max(1, max |a|),
+# far under _RESIDUAL_TOL, or after _PCG_STEPS steps. It took at most 24
+# steps on a quantized factor (uf50-009 and uf50-018 at 60 rounds, K up to
+# 9549), and at most 14 on the uf50 fits past K = 1000 at 8 rounds.
+_PCG_TARGET = 1e-12
 _PCG_STEPS = 40
+# A column whose Schur pivot^2 falls under this fraction of G_jj is
+# decoupled in the preconditioner (see the module docstring): it is that
+# close to the span of the columns before it.
+_PIVOT_FLOOR = 1e-3
 
 
 class WeightSolveError(RuntimeError):
-    """The Gram system could not be solved even after ridge escalation."""
+    """There is nothing to solve, or a Gram-vector product is not finite."""
 
 
 class DeadlineReached(Exception):
@@ -141,10 +144,11 @@ class DeadlineReached(Exception):
 class _Panel(NamedTuple):
     """Rows [o, o + d) of the lower factor L. L[o:o+d, :o] is
     `rows * scale[:, None]`: int8 or int16 rows with float32 scales, or
-    float64 rows with unit scales. `diag` is the inverse of the diagonal
-    block L[o:o+d, o:o+d], a lower triangle packed by rows into d(d+1)/2
-    entries; its dtype (float32 beside quantized rows, float64 otherwise) is
-    the one the panel's products are taken in."""
+    float64 rows with unit scales; a decoupled column's row and scale are 0.
+    `diag` is the inverse of the diagonal block L[o:o+d, o:o+d], a lower
+    triangle packed by rows into d(d+1)/2 entries; its dtype (float32 beside
+    quantized rows, float64 otherwise) is the one the panel's products are
+    taken in."""
 
     rows: np.ndarray
     scale: np.ndarray
@@ -294,20 +298,19 @@ class ApproxState:
     `_terms` is the columns' Fourier term table, which `_gram_times`
     extends to every column when it next reads it past one bounded block,
     interning each new block of term masks as it is built.
-    `_panels` holds the lower Cholesky factor L of Gram + ridge_lambda * I
-    as `_Panel`s of d <= _PANEL_ROWS rows each, covering the columns the
-    last solve saw; solve_weights factors the columns appended since onto
-    it, one new panel at a time, at ridge_lambda. The first-order fit's
-    panels are float64 and later ones `_panel_dtype` with row scales: int8,
-    int16 once an int8 extension failed and its panels were factored again,
-    and float64 once the ridge ladder rebuilt every panel. Either way
-    solve_weights takes the weights to float64 accuracy against
-    `_gram_times`, by PCG on a quantized factor and by iterative refinement
-    on a float64 one. Apart from the panels, no array
-    the fit builds grows faster than O(K) beyond one block of
-    _GRAM_BLOCK_ENTRIES entries, one panel, or one chunk of _CAST_COLUMNS
-    panel columns, and the term table holds about 5 bytes per Fourier term,
-    in blocks that are never copied again.
+    `_panels` holds the preconditioner's lower Cholesky factor L as
+    `_Panel`s of d <= _PANEL_ROWS rows each, covering the columns the last
+    solve saw; solve_weights factors the columns appended since onto it,
+    one new panel at a time. The first-order fit's panels are float64 and
+    later ones `_panel_dtype` with row scales: int8, or int16 once an int8
+    extension failed and its panels were factored again.
+    `inconsistent_from` is the K of the first fit that missed the residual
+    check, or None. `ridge_lambda` is always 0.0, as the fit takes no ridge;
+    the benchmark's tracer (benchmark/spans.py) reads it. Apart from the
+    panels, no array the fit builds grows faster than O(K) beyond one block
+    of _GRAM_BLOCK_ENTRIES entries, one panel, or one chunk of
+    _CAST_COLUMNS panel columns, and the term table holds about 5 bytes per
+    Fourier term, in blocks that are never copied again.
     """
 
     def __init__(self, formula: Formula):
@@ -317,6 +320,7 @@ class ApproxState:
         self.weights = np.zeros(0)
         self.signatures: set[Cube | None] = set()
         self.ridge_lambda = 0.0
+        self.inconsistent_from: int | None = None
         self.deadline: float | None = None
         words = max(1, -(-formula.num_vars // 64))
         self.masks = np.zeros((2, words, 0), dtype=np.uint64)
@@ -487,16 +491,17 @@ def add_columns(state: ApproxState, new_keys: Iterable[ColumnKey]) -> int:
 
 
 def solve_weights(state: ApproxState) -> np.ndarray:
-    """Solve (A^T A + lambda I) a = e_0, escalating lambda if the system is singular.
+    """Solve G a = e_0 by PCG, store the weights on the state and return them.
 
     The columns appended since the last solve are factored onto the state's
-    factor at its ridge: float64 panels for the first-order fit, and the
-    state's `_panel_dtype` after it. If an int8 extension fails, its int8
-    panels are dropped and every column past the first-order fit is factored
-    again as int16. If an int16 or float64 solve fails, the ridge ladder
-    rebuilds the whole factor in float64 from lambda = 0 up. Stores the
-    result and the ridge value used on the state and returns the weight
-    vector. Raises DeadlineReached once the state's deadline passes.
+    factor: float64 panels for the first-order fit, and the state's
+    `_panel_dtype` after it. If an int8 extension fails, its int8 panels are
+    dropped and every column past the first-order fit is factored again as
+    int16. A fit that misses the residual check keeps the last solved
+    weights, padded with zeros (e_0 if it is the first fit), and records its
+    K in `inconsistent_from` if no fit did before. Raises DeadlineReached
+    once the state's deadline passes, and WeightSolveError when there are no
+    columns or a G a product is not finite.
     """
     k = state.num_columns
     if k == 0:
@@ -505,100 +510,48 @@ def solve_weights(state: ApproxState) -> np.ndarray:
     rhs[0] = 1.0
     covered = sum(len(panel.rows) for panel in state._panels)
     dtype = state._panel_dtype if covered else np.float64
-    a = _factor_and_solve(state, rhs, state.ridge_lambda, covered, dtype)
+    a = _factor_and_solve(state, rhs, covered, dtype)
     if a is None and dtype == np.int8:
         state._panels = [panel for panel in state._panels if panel.rows.dtype == np.float64]
         state._panel_dtype = np.int16
         first_order = sum(len(panel.rows) for panel in state._panels)
-        a = _factor_and_solve(state, rhs, state.ridge_lambda, first_order, np.int16)
-    if a is not None:
-        state.weights = a
-        return a
-    state._panel_dtype = np.float64
-    for lam in RIDGE_LADDER:
-        state._panels = []  # drop the old factor before building its successor
-        a = _factor_and_solve(state, rhs, lam, 0, np.float64)
-        if a is not None:
-            state.weights = a
-            state.ridge_lambda = lam
-            return a
-    state._panels = []
-    raise WeightSolveError(f"Gram solve failed after ridge escalation (K={k})")
+        a = _factor_and_solve(state, rhs, first_order, np.int16)
+    if a is None:
+        if state.inconsistent_from is None:
+            state.inconsistent_from = k
+        a = rhs.copy()
+        a[: len(state.weights)] = state.weights
+    state.weights = a
+    return a
 
 
-def _factor_and_solve(
-    state: ApproxState, rhs: np.ndarray, lam: float, start: int, dtype
-) -> np.ndarray | None:
+def _factor_and_solve(state: ApproxState, rhs: np.ndarray, start: int, dtype) -> np.ndarray | None:
     """Factor the columns from `start` on into new panels of `dtype`, solve
-    with the whole factor, and check the true residual of
-    (G + lam*I) a = rhs. None on failure.
-
-    A quantized factor (int8 or int16) preconditions conjugate gradients
-    (`_conjugate_gradients`); a float64 one, exact up to rounding, takes
-    iterative refinement (`_refine`). The choice rests on `dtype` alone: the
-    first-order fit, the ridge ladder and the extensions of a factor it
-    built are float64, every other extension quantized.
-
-    rhs has unit norm, so at lam = 0 the residual bound is absolute: a solve
-    that meets it only relative to huge weights (a singular G whose null
-    space meets rhs) fails, and the ridge ladder takes over. A ridge rung's
-    weights are ~1/lam on such a G by design and G a is rounded relative to
-    them, so for lam > 0 the bound scales with max |a|.
-
-    Raises DeadlineReached, before a panel or a G a product, once the
-    state's deadline has passed."""
+    G a = rhs by PCG with the whole factor, and check the true residual
+    (max |G a - rhs| <= _RESIDUAL_TOL: rhs has unit norm). None when an
+    int8 panel fails or the check is missed. Raises DeadlineReached, before
+    a panel or a G a product, once the state's deadline has passed."""
     for lo in range(start, state.num_columns, _PANEL_ROWS):
         _check_deadline(state)
-        panel = _factor_panel(state, lo, dtype, lam)
+        panel = _factor_panel(state, lo, dtype)
         if panel is None:
             return None
         state._panels.append(panel)
-    solve = _refine if dtype == np.float64 else _conjugate_gradients
-    a, norm = solve(state, rhs, lam)
-    if a is None:
-        return None
-    scale = 1.0 if lam == 0.0 else max(1.0, np.abs(a).max())
-    return a if norm <= _RESIDUAL_TOL * scale else None
+    a, norm = _conjugate_gradients(state, rhs)
+    return a if norm <= _RESIDUAL_TOL else None
 
 
-def _refine(state: ApproxState, rhs: np.ndarray, lam: float) -> tuple[np.ndarray | None, float]:
-    """Iterative refinement of (G + lam*I) a = rhs with the state's factor:
-    the best iterate and its max |r|, (None, inf) if no iterate is finite.
-
-    Each step solves with the factor for the correction and takes the
-    residual in float64. It stops at _REFINE_TARGET, when a step fails to
-    halve max |r|, or after _REFINE_STEPS; a float64 factor usually meets
-    the target in one step."""
-    best, best_norm = None, np.inf
-    a, r = np.zeros_like(rhs), rhs
-    for _ in range(_REFINE_STEPS):
-        _check_deadline(state)
-        a = a + _solve_factored(state._panels, r)
-        if not np.all(np.isfinite(a)):
-            break
-        r = rhs - lam * a - state._gram_times(a)
-        norm = np.abs(r).max()
-        halved = norm <= best_norm / 2
-        if norm < best_norm:
-            best, best_norm = a, norm
-        if not halved or norm <= _REFINE_TARGET * max(1.0, np.abs(a).max()):
-            break
-    return best, best_norm
-
-
-def _conjugate_gradients(
-    state: ApproxState, rhs: np.ndarray, lam: float
-) -> tuple[np.ndarray | None, float]:
-    """PCG on (G + lam*I) a = rhs from a = 0, preconditioned by the state's
-    factor (Golub & Van Loan, Matrix Computations, section 11.5): the last
-    iterate and the max |r| of its true residual, rhs - lam*a - G a, or
-    (None, inf) when a step's curvature p^T (G + lam*I) p is not positive
-    and finite.
+def _conjugate_gradients(state: ApproxState, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """PCG on G a = rhs from a = 0, preconditioned by the state's factor
+    (Golub & Van Loan, Matrix Computations, section 11.5): the last iterate
+    and the max |r| of its true residual, rhs - G a.
 
     Each step is one solve with the factor and one G a product. The
-    recurred residual stops the loop at _REFINE_TARGET or after _PCG_STEPS;
+    recurred residual stops the loop at _PCG_TARGET or after _PCG_STEPS;
     it drifts from the true one by rounding alone, and one more product
-    takes the true one for the residual check."""
+    takes the true one for the residual check. A step whose curvature
+    p^T G p is not positive ends the loop: G is only semidefinite. Raises
+    WeightSolveError when the curvature is not finite."""
     a, r = np.zeros_like(rhs), rhs
     p, rz = None, 1.0
     for _ in range(_PCG_STEPS):
@@ -606,17 +559,19 @@ def _conjugate_gradients(
         rz, previous = r @ z, rz
         p = z if p is None else z + (rz / previous) * p
         _check_deadline(state)
-        q = state._gram_times(p) + lam * p
+        q = state._gram_times(p)
         curvature = p @ q
-        if not 0.0 < curvature < np.inf:
-            return None, np.inf
+        if not np.isfinite(curvature):
+            raise WeightSolveError(f"Gram product is not finite (K={state.num_columns})")
+        if curvature <= 0.0:
+            break
         step = rz / curvature
         a = a + step * p
         r = r - step * q
-        if np.abs(r).max() <= _REFINE_TARGET * max(1.0, np.abs(a).max()):
+        if np.abs(r).max() <= _PCG_TARGET * max(1.0, np.abs(a).max()):
             break
     _check_deadline(state)
-    return a, np.abs(rhs - lam * a - state._gram_times(a)).max()
+    return a, np.abs(rhs - state._gram_times(a)).max()
 
 
 def _check_deadline(state: ApproxState) -> None:
@@ -633,54 +588,85 @@ def _unpack(packed: np.ndarray, d: int) -> np.ndarray:
     return square
 
 
-def _factor_panel(state: ApproxState, lo: int, dtype, lam: float) -> _Panel | None:
-    """The panel of factor rows [lo, lo + d) of (G + lam*I), given the
-    panels before it, stored as `dtype` (int8, int16 or float64). Its raw
-    Gram rows G21 are built in the working precision (float32 for int8 and
-    int16, float64 otherwise) and G22 + lam*I as a float64 square, then
-    X = G21 L11^-T by block forward substitution, each prior panel read in
-    that precision and its scales applied to the product, and
-    L22 = chol(G22 + lam*I - X X^T), cast to the working precision and
-    stored packed as its inverse. None when that is not positive definite.
-    X is quantized only after the Schur complement: a column that repeats
-    earlier ones must leave it singular, as in float32, and send the solve
-    to the ridge ladder. Every product, and so every temporary beyond X and
-    one prior panel's cast, is at most _PANEL_ROWS square.
+def _factor_panel(state: ApproxState, lo: int, dtype) -> _Panel | None:
+    """The panel of factor rows [lo, lo + d), given the panels before it,
+    stored as `dtype` (int8, int16 or float64). Its raw Gram rows G21 are
+    built in the working precision (float32 for int8 and int16, float64
+    otherwise) and G22 as a float64 square, then X = G21 L11^-T by block
+    forward substitution, each prior panel read in that precision, its
+    scales applied to the product and its decoupled columns of X zeroed,
+    and L22 = chol(G22 - X X^T), cast to the working precision and stored
+    packed as its inverse. When that Cholesky fails or has a pivot^2 under
+    _PIVOT_FLOOR * G_jj, an int8 panel is None and any other is factored by
+    `_decoupling_cholesky`. X is quantized only after the Schur complement.
+    Every product, and so every temporary beyond X and one prior panel's
+    cast, is at most _PANEL_ROWS square.
 
     A prior panel is cast whole, not in _CAST_COLUMNS chunks: the float32
     rounding of X decides whether the Schur block of a column that depends
-    on earlier ones (G singular) comes out positive definite. With X summed
-    over column chunks, uf50-018 took the ridge ladder at K = 11084 in the
-    uf50 acceptance run (criterion 6), where whole casts do not."""
+    on earlier ones comes out positive definite. With X summed over column
+    chunks, uf50-018's int16 Schur block at K = 11084 in the uf50
+    acceptance run (criterion 6) was not, where whole casts keep it so."""
     d = min(_PANEL_ROWS, state.num_columns - lo)
     quantized = dtype != np.float64
     work = np.float32 if quantized else np.float64
-    lower = _LOWER[:d, :d]
     rows = np.empty((d, lo), work)
     g22 = np.empty((d, d))
     for block in row_blocks(0, d, lo + d):
         gram = state._gram_block(slice(lo + block.start, lo + block.stop), lo + d)
         rows[block], g22[block] = gram[:, :lo], gram[:, lo:]
-    g22[np.diag_indices(d)] += lam
+    diagonal = g22.diagonal().copy()
     for prior in state._panels:
         dp, op = prior.rows.shape
         block = rows[:, op : op + dp]
         block -= (rows[:, :op] @ prior.rows.astype(work, copy=False).T) * prior.scale
         block[...] = block @ _unpack(prior.diag, dp).T
+        block[:, prior.scale == 0.0] = 0.0
     g22 -= rows @ rows.T
-    schur = g22.astype(work, copy=False)
     try:
-        factor = np.linalg.cholesky(schur)
+        factor = np.linalg.cholesky(g22.astype(work, copy=False))
+        coupled = np.diagonal(factor) ** 2 >= _PIVOT_FLOOR * diagonal
     except np.linalg.LinAlgError:
-        return None
+        factor = None
+    if factor is None or not coupled.all():
+        if dtype == np.int8:
+            return None
+        factor, coupled = _decoupling_cholesky(g22, diagonal)
+        factor = factor.astype(work, copy=False)
+        rows[~coupled] = 0.0
     _invert_lower(factor)
     if quantized:
         top = np.maximum(rows.max(axis=1, initial=0.0), -rows.min(axis=1, initial=0.0))
         scale = top / work(np.iinfo(dtype).max)  # max |row| without a copy of |rows|
         scale[scale == 0.0] = 1.0
         rows /= scale[:, None]
-        return _Panel(np.rint(rows, out=rows).astype(dtype), scale, factor[lower])
-    return _Panel(rows, np.ones(d), factor[lower])
+        rows = np.rint(rows, out=rows).astype(dtype)
+    else:
+        scale = np.ones(d)
+    scale[~coupled] = 0.0
+    return _Panel(rows, scale, factor[_LOWER[:d, :d]])
+
+
+def _decoupling_cholesky(schur: np.ndarray, diagonal: np.ndarray):
+    """Column-order Cholesky of a Schur block that decouples every column j
+    whose pivot^2 falls under _PIVOT_FLOOR * diagonal[j] (G_jj): j's row
+    left of the diagonal and column below it are zero, with sqrt(G_jj) on
+    the diagonal. The lower factor, which factors the block's coupled
+    columns exactly, and the mask of coupled columns."""
+    d = len(schur)
+    factor = np.zeros((d, d))
+    coupled = np.ones(d, dtype=bool)
+    for j in range(d):
+        pivot = schur[j, j] - factor[j, :j] @ factor[j, :j]
+        if pivot < _PIVOT_FLOOR * diagonal[j]:
+            coupled[j] = False
+            factor[j, :j] = 0.0
+            factor[j, j] = np.sqrt(diagonal[j])
+            continue
+        factor[j, j] = np.sqrt(pivot)
+        below = schur[j + 1 :, j] - factor[j + 1 :, :j] @ factor[j, :j]
+        factor[j + 1 :, j] = below / factor[j, j]
+    return factor, coupled
 
 
 def _invert_lower(block: np.ndarray) -> None:

@@ -120,7 +120,8 @@ def measure_bias(
 def _decimate_cubes(state: ApproxState, tie_rng: random.Random | None) -> Assignment:
     """BIAS1 decimation on the cubes (see the module docstring). The snap
     floor is relative to the larger of the fit's constant term and its
-    largest bias, not to max |w_i|: a ridge fit's ~1/lambda weights cancel."""
+    largest bias, not to max |w_i|: where columns are dependent, weights
+    can cancel."""
     n = state.formula.num_vars
     signs = state.signs()  # (K, n) int8: sigma_ij, 0 where cube i leaves j free
     w = np.ldexp(state.weights, -np.count_nonzero(signs, axis=1))

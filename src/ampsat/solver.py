@@ -88,7 +88,9 @@ def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
     of the fit, the first-order fit's included. A fit it cuts short ends the
     solve as UNKNOWN with the column count of the last solved fit (0 when
     that is the first-order fit). Any SAT claim is re-verified before being
-    reported.
+    reported. An UNKNOWN whose fit missed its residual check (an
+    inconsistent Gram system, see ampsat.approx) says so in its diagnostic,
+    as floating-point evidence of UNSAT, never as an answer.
     """
     config = config or SolverConfig()
     t_start = time.monotonic()
@@ -99,6 +101,7 @@ def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
     candidates: list[Assignment] = []
     randoms = 0
     rounds = 0
+    state = None
 
     def finish(status: Status, assignment: Assignment | None, columns: int,
                diagnostic: str | None = None) -> SolverStats:
@@ -108,6 +111,11 @@ def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
         ):
             status = Status.UNKNOWN
             diagnostic = "SAT candidate failed verification; not reported as SAT"
+        if status == Status.UNKNOWN and diagnostic is None and state and state.inconsistent_from:
+            diagnostic = (
+                f"fit inconsistent from K={state.inconsistent_from}:"
+                " floating-point evidence of UNSAT"
+            )
         return SolverStats(
             status=status,
             assignment=assignment if status == Status.SAT else None,

@@ -1,8 +1,9 @@
 """BIAS1 cube decimation as it was before the sign matrix became int8 and
 its product was taken by bounded row blocks: one (K x n) float64 sign matrix
-and one `w @ signs` product per step. Kept verbatim, apart from reading the
-old float matrix through `float_signs` instead of ApproxState.signs, as the
-reference the tests compare ampsat.bias decimation against.
+and one `w @ signs` product per step. Its code is kept verbatim, apart from
+reading the old float matrix through `float_signs` instead of
+ApproxState.signs, as the reference the tests compare ampsat.bias
+decimation against.
 
 `decimate_cubes_by_step` is the blocked route as it was before its row
 blocks were cut once per decimation: weighted_row_sum cuts them afresh at
@@ -33,7 +34,8 @@ def float_signs(state: ApproxState) -> np.ndarray:
 def decimate_cubes(state: ApproxState, tie_rng: random.Random | None) -> Assignment:
     """BIAS1 decimation on the cubes (see the module docstring). The snap
     floor is relative to the larger of the fit's constant term and its
-    largest bias, not to max |w_i|: a ridge fit's ~1/lambda weights cancel."""
+    largest bias, not to max |w_i|: where columns are dependent, weights
+    can cancel."""
     n = state.formula.num_vars
     signs = float_signs(state)  # (K, n): sigma_ij, 0 where cube i leaves j free
     w = np.ldexp(state.weights, -np.count_nonzero(signs, axis=1))
@@ -54,7 +56,8 @@ def decimate_cubes(state: ApproxState, tie_rng: random.Random | None) -> Assignm
 def decimate_cubes_by_step(state: ApproxState, tie_rng: random.Random | None) -> Assignment:
     """BIAS1 decimation on the cubes (see the module docstring). The snap
     floor is relative to the larger of the fit's constant term and its
-    largest bias, not to max |w_i|: a ridge fit's ~1/lambda weights cancel."""
+    largest bias, not to max |w_i|: where columns are dependent, weights
+    can cancel."""
     n = state.formula.num_vars
     signs = state.signs()  # (K, n) int8: sigma_ij, 0 where cube i leaves j free
     w = np.ldexp(state.weights, -np.count_nonzero(signs, axis=1))

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,6 @@ import ampsat.approx as approx_module
 from ampsat import SparsePoly, measure_bias, parse_dimacs, refine
 from ampsat.approx import (
     _PANEL_ROWS,
-    RIDGE_LADDER,
     ApproxState,
     DeadlineReached,
     WeightSolveError,
@@ -23,7 +23,7 @@ from ampsat.approx import (
 )
 from ampsat.bias import BiasKind
 from ampsat.fourier import PRUNE_EPSILON
-from ampsat.oracle import dense_evaluate, dense_omega, exact_lstsq
+from ampsat.oracle import dense_evaluate, dense_omega, exact_lstsq, solution_count
 from ampsat.refine import RefinementSaturated, plan_refinement
 from ampsat.solver import SolverConfig, Status, solve
 
@@ -71,7 +71,7 @@ def _rounded_fourier_signature(poly):
 def _random_batch_runs():
     """25 random formulas (random.Random(47)), each fitted to first order and
     grown by up to four random batches of pair columns. Yields (state, None)
-    after the first-order fit and (state, (the panels and lambda before the
+    after the first-order fit and (state, (the panels and weights before the
     batch)) after every batch that added columns."""
     rng = random.Random(47)
     for _ in range(25):
@@ -82,9 +82,31 @@ def _random_batch_runs():
         rng.shuffle(pairs)
         cuts = sorted(rng.sample(range(1, len(pairs)), min(3, len(pairs) - 1)))
         for lo, hi in zip([0] + cuts, cuts + [len(pairs)]):
-            before = (list(state._panels), state.ridge_lambda)
+            before = (list(state._panels), state.weights)
             if add_columns(state, pairs[lo:hi]):
                 yield state, before
+
+
+def _dense_columns(state):
+    """The (2^n x K) values of the state's columns at every assignment."""
+    return np.stack(
+        [dense_evaluate(state.cache.column_poly(key)).values for key in state.keys], axis=1
+    )
+
+
+def _min_norm_fit(state):
+    """The minimum-norm least-squares fit's function, cols @ pinv(G) e_0,
+    or None when G a = e_0 has no solution."""
+    gram = state.gram
+    a = np.linalg.pinv(gram)[:, 0]
+    if np.abs(gram @ a - _unit_rhs(len(a))).max() > 1e-6:
+        return None
+    return _dense_columns(state) @ a
+
+
+def _decoupled(state):
+    """The columns the factor decouples: those of zero row scale."""
+    return [p.rows.shape[1] + j for p in state._panels for j in np.flatnonzero(p.scale == 0)]
 
 
 def _unpacked(packed, d):
@@ -260,16 +282,21 @@ class TestSolveWeights:
         assert np.array_equal(state.gram, np.eye(3))
         weights = solve_weights(state)
         assert weights == pytest.approx(_unit_rhs(3))
-        assert state.ridge_lambda == 0.0
+        assert state.inconsistent_from is None
 
     def test_duplicated_column_triggers_ridge(self):
+        # Named for the ridge it once took. The duplicate leaves G singular
+        # and G a = e_0 consistent: its int8 panel fails, the int16 rung
+        # decouples it in the factor, and PCG solves the unchanged system
+        # to the minimum-norm fit's function.
         f = parse_dimacs("p cnf 2 1\n1 2 0")
         state = init_first_order(f)
         state._append([((0,), column_signature(state.cache, (0,)))])
         weights = solve_weights(state)
-        assert state.ridge_lambda > 0.0
-        m = state.gram + state.ridge_lambda * np.eye(3)
-        assert np.abs(m @ weights - _unit_rhs(3)).max() < 1e-6
+        assert state._panel_dtype == np.int16 and _decoupled(state) == [2]
+        assert np.abs(state.gram @ weights - _unit_rhs(3)).max() < 1e-6
+        assert np.abs(_dense_columns(state) @ weights - _min_norm_fit(state)).max() < 1e-12
+        assert state.inconsistent_from is None
 
     def test_unsolvable_raises(self, monkeypatch):
         state = ApproxState(parse_dimacs("p cnf 1 0\n"))
@@ -281,147 +308,161 @@ class TestSolveWeights:
 
 class TestIncrementalFactor:
     @staticmethod
-    def _check_against_full_refactor(state):
-        # Full rank: the weights against one Cholesky of the whole rebuilt
-        # Gram matrix at the ridge the state settled on. Linearly dependent
-        # columns leave the split of weight between them open, and a ridge
-        # rung's weights are ~1/lambda there, so only the fitted function and
-        # omega_tilde are compared, at an absolute bound, with the
-        # minimum-norm least-squares fit.
+    def _check_against_full_refactor(state, last=None):
+        """The state's fit against a dense reference, by the kind of its
+        system, which it returns: "full" rank, the weights against one
+        Cholesky of the whole rebuilt Gram matrix; "dependent" columns with
+        G a = e_0 consistent, the fitted function and omega_tilde against
+        the minimum-norm least-squares fit (dependent columns leave the
+        split of weight between them open), to 1e-7 relative to its largest
+        value; "inconsistent", the weights are `last`, the last solved ones,
+        padded with zeros."""
         k = state.num_columns
         gram = state.gram
-        cols = np.stack(
-            [dense_evaluate(state.cache.column_poly(key)).values for key in state.keys], axis=1
-        )
+        cols = _dense_columns(state)
         omega = dense_evaluate(state.omega_tilde).values
-        full_rank = np.linalg.matrix_rank(cols) == k
-        if full_rank:
-            m = gram + state.ridge_lambda * np.eye(k)
-            ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(m, lower=True), _unit_rhs(k))
+        if np.linalg.matrix_rank(cols) == k:
+            ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram, lower=True), _unit_rhs(k))
             scale = max(1.0, np.abs(ref).max())
             assert np.abs(state.weights - ref).max() <= TOL * scale
             assert np.abs(cols @ state.weights - cols @ ref).max() <= TOL * scale
             assert np.abs(omega - cols @ ref).max() <= TOL * scale
-        else:
-            min_norm_fit = cols @ np.linalg.pinv(gram)[:, 0]
-            assert np.abs(cols @ state.weights - min_norm_fit).max() < 1e-4
-            assert np.abs(omega - min_norm_fit).max() < 1e-4
-        return full_rank
+            return "full"
+        fit = _min_norm_fit(state)
+        if fit is None:
+            expected = _unit_rhs(k)
+            expected[: len(last)] = last
+            assert np.array_equal(state.weights, expected)
+            assert state.inconsistent_from is not None
+            return "inconsistent"
+        bound = 1e-7 * max(1.0, np.abs(fit).max())
+        assert np.abs(cols @ state.weights - fit).max() <= bound
+        assert np.abs(omega - fit).max() <= bound
+        return "dependent"
 
     def test_matches_full_refactor_over_random_batches(self):
-        extended = {False: 0, True: 0}  # by whether the ridge was nonzero
-        landed = dependent = 0
+        # Every batch adds its own panels to the factor held, or, when an
+        # int8 panel fails, takes the int16 rung, which keeps the float64
+        # first-order panels and factors the rest again. Every fit is
+        # checked by the kind of its system.
+        kinds, paths = Counter(), Counter()
         for state, before in _random_batch_runs():
             if before is None:
-                self._check_against_full_refactor(state)
+                kinds[self._check_against_full_refactor(state, np.zeros(0))] += 1
                 continue
-            panels, lam = before
-            if len(state._panels) == len(panels) + 1:
-                # the batch's own panel on the held factor, at its ridge
-                assert all(held is panel for held, panel in zip(panels, state._panels))
-                assert state.ridge_lambda == lam
-                extended[lam > 0.0] += 1
+            panels, weights = before
+            kept = [panel for panel in panels if panel.rows.dtype == np.float64]
+            assert all(held is panel for held, panel in zip(kept, state._panels))
+            if all(held is panel for held, panel in zip(panels, state._panels)):
+                paths["extended"] += 1
             else:
-                # the ladder re-factored the whole Gram matrix
-                assert len(state._panels) == 1
-                assert state._panels[0] is not panels[0]
-                landed += state.ridge_lambda > 0.0
-            if not self._check_against_full_refactor(state):
-                dependent += 1
-        # every path is exercised: extensions at lambda = 0 and at a ridge,
-        # ladder landings on a ridge, and linearly dependent states
-        assert extended[False] and extended[True] and landed and dependent
+                assert state._panel_dtype == np.int16
+                assert any(panel.rows.dtype == np.int8 for panel in panels)
+                paths["rung"] += 1
+            kinds[self._check_against_full_refactor(state, weights)] += 1
+        # every path is exercised: extensions, rungs, and full-rank,
+        # dependent and inconsistent systems
+        assert paths["extended"] and paths["rung"]
+        assert kinds["full"] and kinds["dependent"] and kinds["inconsistent"]
 
     def test_singular_gram_never_yields_runaway_weights(self):
-        # A singular Gram matrix whose null space meets e_0 has lambda = 0
-        # "solutions" of ~1e16 that pass a residual bound relative to the
-        # weights; the absolute bound sends them to the ridge ladder. Every
-        # accepted solve fits the minimum-norm least-squares function.
+        # A singular Gram matrix leaves PCG the null space to drift in, but
+        # from a = 0 on a consistent system it stays out of it: the weights
+        # stay bounded and every consistent singular fit is the minimum-norm
+        # least-squares fit's function. An inconsistent system's weights
+        # are the last solved ones.
         singular = 0
         for state, _ in _random_batch_runs():
-            assert np.abs(state.weights).max() <= 1e12
+            assert np.abs(state.weights).max() <= 1e3
             gram = state.gram
-            k = state.num_columns
-            if np.linalg.matrix_rank(gram) == k:
+            if np.linalg.matrix_rank(gram) == state.num_columns:
                 continue
             singular += 1
-            cols = np.stack(
-                [dense_evaluate(state.cache.column_poly(key)).values for key in state.keys],
-                axis=1,
-            )
-            min_norm_fit = cols @ np.linalg.pinv(gram)[:, 0]
-            assert np.abs(dense_evaluate(state.omega_tilde).values - min_norm_fit).max() < 1e-4
+            fit = _min_norm_fit(state)
+            if fit is not None:
+                assert np.abs(dense_evaluate(state.omega_tilde).values - fit).max() <= 1e-7
         assert singular
 
     def test_rank_deficient_hundreds_of_columns_take_the_first_ridge_rung(self):
-        # n = 7 leaves a 128-dimensional function space for ~500 columns. The
-        # lam = 1e-10 weights are ~1e10 and G a is rounded relative to them
-        # (residual ~3e-6), so only a bound scaled by max |a| accepts the rung.
+        # Named for the ridge rung it once took. n = 7 leaves a
+        # 128-dimensional function space for ~500 columns of an UNSAT
+        # formula whose G a = e_0 has no solution, from the first-order fit
+        # on: every fit misses the residual check and keeps the weights e_0,
+        # the state records the first-order K, and the factor, int16 past
+        # the rung, covers every column with hundreds decoupled.
         rng = random.Random(2)
         f = random_formula(rng, 7, 60)
         state = init_first_order(f)
+        first_order = state.num_columns
+        assert solution_count(f) == 0 and state.inconsistent_from == first_order
         pairs = [(i, j) for i in range(f.num_clauses) for j in range(i + 1, f.num_clauses)]
         rng.shuffle(pairs)
         for lo in range(0, len(pairs), 200):
             add_columns(state, pairs[lo : lo + 200])
-            assert state.ridge_lambda == RIDGE_LADDER[1]
-        assert state.num_columns > 400
-        a = state.weights
-        residual = state.gram @ a + state.ridge_lambda * a - _unit_rhs(len(a))
-        assert np.abs(residual).max() <= 1e-6 * np.abs(a).max()
+            assert np.array_equal(state.weights, _unit_rhs(state.num_columns))
+        assert state.num_columns > 400 and state.inconsistent_from == first_order
+        assert _panel_rows(state)[-1][1] == state.num_columns
+        assert state._panel_dtype == np.int16 and len(_decoupled(state)) > 200
 
     def test_forced_ridge_fallback_then_more_batches(self):
-        # clause 3 repeats clause 0, so (1, 3) is the column (0, 1) again
+        # Named for the ridge fallback it once forced. Clause 3 repeats
+        # clause 0, so (1, 3) is the column (0, 1) again: its int8 panel
+        # fails, and the int16 rung factors both pair columns again,
+        # decoupling the duplicate. Later batches extend that factor.
         f = parse_dimacs("p cnf 6 4\n1 2 0\n3 4 0\n5 6 0\n2 1 0")
         state = init_first_order(f)
         add_columns(state, [(0, 1)])
-        assert state.ridge_lambda == 0.0 and len(state._panels) == 2
+        assert len(state._panels) == 2 and state._panels[1].rows.dtype == np.int8
         state._append([((1, 3), column_signature(state.cache, (0, 1)))])  # duplicate
         solve_weights(state)
-        lam, landed = state.ridge_lambda, state._panels[0]
-        assert lam > 0.0 and len(state._panels) == 1
+        landed = state._panels[1]
+        assert state._panel_dtype == np.int16 and _decoupled(state) == [5]
         assert add_columns(state, [(0, 2), (1, 2)]) == 2
-        assert state.ridge_lambda == lam and state._panels[0] is landed
-        assert _panel_rows(state) == [(0, 6), (6, 8)]
-        self._check_against_full_refactor(state)
+        assert state._panels[1] is landed and _decoupled(state) == [5]
+        assert _panel_rows(state) == [(0, 4), (4, 6), (6, 8)]
+        assert self._check_against_full_refactor(state) == "dependent"
 
     def test_a_ridged_factor_grows_by_its_new_panels(self, monkeypatch):
-        # Random 3-SAT on 10 variables grown by batches of 100 pairs: the
-        # columns become linearly dependent and the third batch lands on a
-        # ridge rung. From then on each batch factors only its own rows, at
-        # that ridge, onto the panels the state holds. Six batches (K = 432)
-        # keep the ridge fit within the helper's 1e-4 of the minimum-norm
-        # fit; as more columns crowd the 1024-dimensional space, a ridge of
-        # 1e-10 moves the fit further from it, by any solver.
+        # Named for the ridged factor it once grew. Random 3-SAT on 10
+        # variables, UNSAT but with G a = e_0 consistent, grown by all its
+        # pairs in batches of 150 to K = 710: the columns become dependent,
+        # the second batch takes the int16 rung, and from then on each batch
+        # factors only its own rows onto the panels the state holds,
+        # decoupling more columns. The fit stays the minimum-norm
+        # least-squares fit's function, which a ridge of 1e-10 missed by
+        # 4e-3 at K = 710.
         rng = random.Random(2)
-        f = random_formula(rng, 10, 45, widths=(3,))
+        f = random_formula(rng, 10, 50, widths=(3,))
         state = init_first_order(f)
         pairs = [(i, j) for i in range(f.num_clauses) for j in range(i + 1, f.num_clauses)]
         rng.shuffle(pairs)
         factored = []
         factor_panel = approx_module._factor_panel
 
-        def recording(state, lo, dtype, lam):
+        def recording(state, lo, dtype):
             factored.append(lo)
-            return factor_panel(state, lo, dtype, lam)
+            return factor_panel(state, lo, dtype)
 
         monkeypatch.setattr(approx_module, "_factor_panel", recording)
         extended = 0
-        for lo in range(0, 600, 100):
-            before, lam, o = list(state._panels), state.ridge_lambda, state.num_columns
+        decoupled = []
+        for lo in range(0, len(pairs), 150):
+            before, o = list(state._panels), state.num_columns
             rows_before = _panel_rows(state)
+            dtype = state._panel_dtype
             factored.clear()
-            add_columns(state, pairs[lo : lo + 100])
-            if lam == 0.0:
+            add_columns(state, pairs[lo : lo + 150])
+            assert self._check_against_full_refactor(state) != "inconsistent"
+            if dtype == np.int8:
                 continue
             extended += 1
             new_tiles = _tiles(o, state.num_columns)
-            assert state.ridge_lambda == lam
             assert factored == [start for start, _ in new_tiles]
             assert all(held is panel for held, panel in zip(before, state._panels))
             assert _panel_rows(state) == rows_before + new_tiles
-            assert not self._check_against_full_refactor(state)  # dependent columns
-        assert extended >= 3 and state.ridge_lambda == RIDGE_LADDER[1]
+            decoupled.append(len(_decoupled(state)))
+        assert solution_count(f) == 0 and state.num_columns == 710
+        assert extended >= 5 and decoupled == sorted(decoupled) and decoupled[0] < decoupled[-1]
 
     def test_panels_hold_the_cholesky_factor(self):
         # 300 and 135 pair columns on 30 first-order ones: each batch is
@@ -442,7 +483,7 @@ class TestIncrementalFactor:
         add_columns(state, pairs[:300])
         add_columns(state, pairs[300:])
         k = state.num_columns
-        assert state.ridge_lambda == 0.0 and k == 466
+        assert k == 466
         ranges = [(0, 31)] + _tiles(31, 331) + _tiles(331, 466)
         assert _panel_rows(state) == ranges and len(_tiles(31, 331)) > 1
         # no square is stored: each panel holds its L21 rows and exactly the
@@ -491,7 +532,6 @@ class TestIncrementalFactor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert state.ridge_lambda == 0.0
         assert all(held is panel for held, panel in zip(before, state._panels))
         added = state._panels[len(before) :]
         assert _panel_rows(state)[len(before) :] == _tiles(o, o + 1000)
@@ -507,11 +547,11 @@ class TestIncrementalFactor:
         # uf50-001 grown past K = 2000: every panel after the float64
         # first-order block holds int8 rows with float32 row scales and a
         # float32 diagonal inverse, so the factor takes about an eighth of
-        # the bytes of a float64 one, and no ridge was needed on the way.
+        # the bytes of a float64 one, and no column was decoupled on the way.
         state, _ = grown_uf50_001()
         first_order = state.formula.num_clauses + 1  # no two clauses share a cube
         k = state.num_columns
-        assert k > 2000 and state.ridge_lambda == 0.0
+        assert k > 2000 and not _decoupled(state)
         ranges = _panel_rows(state)
         assert ranges[: len(_tiles(0, first_order))] == _tiles(0, first_order)
         for (lo, _), panel in zip(ranges, state._panels):
@@ -539,7 +579,7 @@ class TestIncrementalFactor:
         finally:
             tracemalloc.stop()
         k = state.num_columns
-        assert state.ridge_lambda == 0.0 and k == before + 1000
+        assert k == before + 1000
         added = state._panels[panels:]
         assert all(panel.rows.dtype == np.int8 for panel in added)
         factor = sum(array.nbytes for panel in added for array in panel)
@@ -590,7 +630,7 @@ class TestIncrementalFactor:
         finally:
             tracemalloc.stop()
         k = state.num_columns
-        assert state.ridge_lambda == 0.0 and state._panels[-1].rows.dtype == np.int8
+        assert state._panels[-1].rows.dtype == np.int8
         factored = [(args[1], peak) for function, args, peak in calls if function is factor_panel]
         solved = [peak for function, _, peak in calls if function is solve_factored]
         assert len(factored) == len(_tiles(k - 1000, k)) and len(solved) >= 3
@@ -602,11 +642,11 @@ class TestIncrementalFactor:
             assert peak <= 4 * d * lo + max(gram, 4 * _PANEL_ROWS * lo) + squares + 24 * k
 
     @staticmethod
-    def _check_ladder_then_float64(monkeypatch, name, failing):
+    def _check_the_rung_then_int16(monkeypatch, name, failing):
         # The first batch after the first-order fit is solved with
-        # approx.<name> replaced by `failing`: its int8 extension fails, the
-        # int16 rung fails too, and it lands on the float64 lambda = 0 rung;
-        # every later batch is factored in float64 too.
+        # approx.<name> replaced by `failing`: its int8 extension fails, and
+        # it takes the int16 rung; every later batch is factored in int16,
+        # on the float64 first-order panels. Returns the state.
         f = _disjoint_formula(30)
         state = init_first_order(f)
         pairs = [(i, j) for i in range(30) for j in range(i + 1, 30)]
@@ -615,39 +655,44 @@ class TestIncrementalFactor:
             m.setattr(approx_module, name, failing)
             factor_panel = approx_module._factor_panel
 
-            def recording(state, lo, dtype, lam):
+            def recording(state, lo, dtype):
                 dtypes.append(np.dtype(dtype))
-                return factor_panel(state, lo, dtype, lam)
+                return factor_panel(state, lo, dtype)
 
             m.setattr(approx_module, "_factor_panel", recording)
             add_columns(state, pairs[:100])
-        # int8 panels, the int16 rung's, then the ladder's float64 ones
+        # int8 panels, then the rung's int16 ones
         runs = [d for i, d in enumerate(dtypes) if i == 0 or d != dtypes[i - 1]]
-        assert runs == [np.int8, np.int16, np.float64]
-        assert state.ridge_lambda == 0.0 and state._panel_dtype == np.float64
-        assert all(array.dtype == np.float64 for panel in state._panels for array in panel)
+        assert runs == [np.int8, np.int16] and state._panel_dtype == np.int16
+        first_order = state._panels[0]
         add_columns(state, pairs[100:200])
-        assert state.ridge_lambda == 0.0 and state.num_columns == 231
-        assert _panel_rows(state) == _tiles(0, 131) + _tiles(131, 231)
-        assert all(array.dtype == np.float64 for panel in state._panels for array in panel)
+        assert state.num_columns == 231 and state._panels[0] is first_order
+        assert _panel_rows(state) == [(0, 31)] + _tiles(31, 131) + _tiles(131, 231)
+        assert all(panel.rows.dtype == np.int16 for panel in state._panels[1:])
+        return state
+
+    def test_a_state_that_took_the_ladder_keeps_float64_panels(self, monkeypatch):
+        # Named for the float64 ridge ladder the rung once fell back to.
+        # int8 panels whose Schur blocks are not positive definite take the
+        # int16 rung, and the state keeps int16 panels, solved to float64
+        # accuracy.
+        factor_panel = approx_module._factor_panel
+
+        def failing(state, lo, dtype):
+            return None if dtype == np.int8 else factor_panel(state, lo, dtype)
+
+        state = self._check_the_rung_then_int16(monkeypatch, "_factor_panel", failing)
         k = state.num_columns
         ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(state.gram, lower=True), _unit_rhs(k))
         assert np.abs(state.weights - ref).max() <= TOL * max(1.0, np.abs(ref).max())
-
-    def test_a_state_that_took_the_ladder_keeps_float64_panels(self, monkeypatch):
-        # int8 and int16 panels whose Schur blocks are not positive definite
-        factor_panel = approx_module._factor_panel
-
-        def failing(state, lo, dtype, lam):
-            return None if dtype != np.float64 else factor_panel(state, lo, dtype, lam)
-
-        self._check_ladder_then_float64(monkeypatch, "_factor_panel", failing)
+        assert state.inconsistent_from is None
 
     def test_an_int16_factor_that_misses_the_gate_lands_on_the_float64_rung(self, monkeypatch):
-        # PCG cut to one step: the int8 factor's solve misses the residual
-        # check, and so does the int16 rung's, so the ridge ladder takes
-        # over, whose float64 factor is refined as before. Both quantized
-        # factors were solved with, each over the whole batch.
+        # Named for the float64 rung it once landed on. PCG cut to one step:
+        # the int8 factor's solve misses the residual check, and so does the
+        # int16 rung's, each over the whole batch. The fit then keeps the
+        # first-order weights, the batch's columns weighing 0, and records
+        # its K as evidence of an inconsistent system.
         solve_factored = approx_module._solve_factored
         quantized = []
 
@@ -656,21 +701,49 @@ class TestIncrementalFactor:
                 quantized.append((len(panels), panels[-1].rows.dtype))
             return solve_factored(panels, rhs)
 
+        first_order = init_first_order(_disjoint_formula(30)).weights
         monkeypatch.setattr(approx_module, "_solve_factored", recording)
-        self._check_ladder_then_float64(monkeypatch, "_PCG_STEPS", 1)
+        with monkeypatch.context() as m:
+            m.setattr(approx_module, "_PCG_STEPS", 1)
+            state = init_first_order(_disjoint_formula(30))
+            add_columns(state, [(i, j) for i in range(30) for j in range(i + 1, 30)][:100])
         panels = len(_tiles(0, 31) + _tiles(31, 131))
         assert quantized == [(panels, np.int8), (panels, np.int16)]
+        assert np.array_equal(state.weights[:31], first_order) and not state.weights[31:].any()
+        assert state._panel_dtype == np.int16 and state.inconsistent_from == 131
+
+    def test_an_int16_failure_after_the_rung_lands_on_the_float64_rung(self, monkeypatch):
+        # Named for the float64 rung it once landed on. A batch whose int8
+        # Schur block fails takes the int16 rung; a later column that
+        # repeats an earlier one is decoupled in its own int16 panel, on
+        # the factor held. Its weight and column 2's, whose cube it repeats,
+        # sum to column 2's weight in the fit without it.
+        factor_panel = approx_module._factor_panel
+
+        def failing(state, lo, dtype):
+            return None if dtype == np.int8 else factor_panel(state, lo, dtype)
+
+        state = self._check_the_rung_then_int16(monkeypatch, "_factor_panel", failing)
+        held = list(state._panels)
+        state._append([((0,), column_signature(state.cache, (1,)))])
+        a = solve_weights(state)
+        assert all(held_panel is panel for held_panel, panel in zip(held, state._panels))
+        assert _panel_rows(state)[-1] == (231, 232) and _decoupled(state) == [231]
+        gram = state.gram[:231, :231]
+        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram, lower=True), _unit_rhs(231))
+        merged = a[:231].copy()
+        merged[2] += a[231]
+        assert np.abs(merged - ref).max() <= TOL * max(1.0, np.abs(ref).max())
 
     def test_an_int8_schur_failure_rebuilds_at_int16(self, monkeypatch):
         # uf50-001 grown past K = 2000 with int8 panels, then a round of
         # 1000 columns whose last int8 panel is not positive definite: every
         # int8 panel is dropped, and each column past the first-order fit
         # is factored again as int16, in panels cut from its first row. The
-        # state keeps its float64 first-order panels, lambda = 0 and the
-        # int16 dtype. The solve's peak, all of it traced, is what it
-        # started with less the int8 panels, plus the int16 factor, the
-        # term table's extension (its sorted keys reallocated) and one
-        # bounded block.
+        # state keeps its float64 first-order panels and the int16 dtype.
+        # The solve's peak, all of it traced, is what it started with less
+        # the int8 panels, plus the int16 factor, the term table's
+        # extension (its sorted keys reallocated) and one bounded block.
         factor_panel = approx_module._factor_panel
         tracemalloc.start()
         try:
@@ -683,10 +756,10 @@ class TestIncrementalFactor:
             k = state.num_columns
             last = _tiles(k - 1000, k)[-1][0]
 
-            def failing(state, lo, dtype, lam):
+            def failing(state, lo, dtype):
                 if dtype == np.int8 and lo == last:
                     return None
-                return factor_panel(state, lo, dtype, lam)
+                return factor_panel(state, lo, dtype)
 
             monkeypatch.setattr(approx_module, "_factor_panel", failing)
             table = _table_bytes(state._terms)
@@ -696,7 +769,7 @@ class TestIncrementalFactor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert state.ridge_lambda == 0.0 and state._panel_dtype == np.int16
+        assert state._panel_dtype == np.int16
         assert _panel_rows(state) == _tiles(0, first_order) + _tiles(first_order, k)
         assert all(held is panel for held, panel in zip(float64, state._panels))
         int16 = state._panels[len(float64) :]
@@ -705,35 +778,6 @@ class TestIncrementalFactor:
         extension = _table_bytes(state._terms) - table
         keys = state._terms.keys.nbytes + state._terms.key_ids.nbytes
         assert peak <= start - int8 + factor + extension + keys + 2 * 2**20
-        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(state.gram, lower=True), _unit_rhs(k))
-        assert np.abs(state.weights - ref).max() <= TOL * max(1.0, np.abs(ref).max())
-
-    def test_an_int16_failure_after_the_rung_lands_on_the_float64_rung(self, monkeypatch):
-        # A batch whose int8 Schur block fails takes the int16 rung; the
-        # next one, whose int16 Schur block fails, takes the ridge ladder
-        # to float64 at lambda = 0, and the batch after that is factored
-        # in float64 onto it.
-        f = _disjoint_formula(30)
-        state = init_first_order(f)
-        pairs = [(i, j) for i in range(30) for j in range(i + 1, 30)]
-        factor_panel = approx_module._factor_panel
-        for failing_dtype, batch, dtype in ((np.int8, pairs[:100], np.int16),
-                                            (np.int16, pairs[100:200], np.float64)):
-            with monkeypatch.context() as m:
-
-                def failing(state, lo, dtype, lam, failing_dtype=failing_dtype):
-                    if dtype == failing_dtype:
-                        return None
-                    return factor_panel(state, lo, dtype, lam)
-
-                m.setattr(approx_module, "_factor_panel", failing)
-                add_columns(state, batch)
-            assert state.ridge_lambda == 0.0 and state._panel_dtype == dtype
-        assert _panel_rows(state) == _tiles(0, 231)
-        assert all(array.dtype == np.float64 for panel in state._panels for array in panel)
-        add_columns(state, pairs[200:250])
-        assert state.ridge_lambda == 0.0 and _panel_rows(state) == _tiles(0, 231) + _tiles(231, 281)
-        k = state.num_columns
         ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(state.gram, lower=True), _unit_rhs(k))
         assert np.abs(state.weights - ref).max() <= TOL * max(1.0, np.abs(ref).max())
 
@@ -747,9 +791,9 @@ class TestIncrementalFactor:
         solves = []
         factor_and_solve = approx_module._factor_and_solve
 
-        def recording(state, rhs, lam, start, dtype):
-            a = factor_and_solve(state, rhs, lam, start, dtype)
-            solves.append((state.num_columns, lam, np.dtype(dtype), a is not None))
+        def recording(state, rhs, start, dtype):
+            a = factor_and_solve(state, rhs, start, dtype)
+            solves.append((state.num_columns, np.dtype(dtype), a is not None))
             return a
 
         monkeypatch.setattr(approx_module, "_factor_and_solve", recording)
@@ -757,7 +801,7 @@ class TestIncrementalFactor:
             solves.clear()
             stats = solve(f, SolverConfig(seed=seed, max_rounds=8))
             assert (stats.status, stats.rounds, stats.columns_final) == (Status.SAT, 2, 165)
-            assert solves == [(92, 0.0, np.float64, True), (165, 0.0, np.int8, True)]
+            assert solves == [(92, np.float64, True), (165, np.int8, True)]
 
     @staticmethod
     def _long_and_short_formula():
@@ -800,33 +844,30 @@ class TestIncrementalFactor:
                 assert np.all(np.abs(state._gram_times(x) - gram @ x) <= bound)
 
     def test_ridge_ladder_holds_only_the_lower_triangle(self):
-        # A second constant column at K > 1000 on uf50-001: e_0 then meets
-        # the null space of G, so G a = e_0 has no solution and the solve
-        # takes the ridge ladder, which rebuilds the Gram rows as bounded
-        # panels: its peak stays below one dense K x K matrix.
-        f = parse_dimacs(UF50_001.read_text())
-        state = init_first_order(f)
-        pairs = [(i, j) for i in range(f.num_clauses) for j in range(i + 1, f.num_clauses)]
-        random.Random(52).shuffle(pairs)
-        for lo in range(0, len(pairs), 400):
-            add_columns(state, pairs[lo : lo + 400])
-            if state.num_columns >= 1000:
-                break
-        assert state.ridge_lambda == 0.0
-        state._append([((), column_signature(state.cache, ()))])
-        k = state.num_columns
+        # Named for the float64 ridge ladder, which rebuilt the whole factor
+        # in float64 for a dependent column (1.2 GB on uf50-009 at
+        # K = 16758). On uf50-001 grown past K = 2000, a repeated column
+        # takes the int16 rung and is decoupled there; a second repeated
+        # column is decoupled in its own int16 panel, and that solve's peak
+        # stays within 2 MiB, an eighth of a float64 factor.
+        state, _ = grown_uf50_001()
+        state._append([((0,), column_signature(state.cache, (0,)))])
+        solve_weights(state)
+        assert state._panel_dtype == np.int16 and _decoupled(state) == [state.num_columns - 1]
+        k = state.num_columns + 1
+        state._append([((1,), column_signature(state.cache, (1,)))])
         tracemalloc.start()
         try:
             solve_weights(state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert state.ridge_lambda > 0.0 and k > 1000
-        assert _panel_rows(state) == _tiles(0, k)
-        assert peak < k * k * 8
-        a = state.weights
-        residual = state.gram @ a + state.ridge_lambda * a - _unit_rhs(k)
-        assert np.abs(residual).max() <= 1e-6 * max(1.0, np.abs(a).max())
+        assert _decoupled(state) == [k - 2, k - 1] and _panel_rows(state)[-1][1] == k
+        first_order = len(_tiles(0, state.formula.num_clauses + 1))
+        assert all(panel.rows.dtype == np.int16 for panel in state._panels[first_order:])
+        assert peak <= 2 * 2**20 and 8 * peak <= 8 * k * (k + 1) // 2
+        assert np.abs(state.gram @ state.weights - _unit_rhs(k)).max() <= 1e-6
+        assert state.inconsistent_from is None
 
     def test_incremental_solve_never_rebuilds_the_whole_gram(self, monkeypatch):
         # Each closed-form Gram block the factor builds, as its row range.
@@ -853,13 +894,11 @@ class TestIncrementalFactor:
         state = init_first_order(f)
         add_columns(state, [(0, 1)])
         add_columns(state, [(0, 2), (1, 2)])
-        assert state.ridge_lambda == 0.0
         assert rows == [(0, 4), (4, 5), (5, 7)]  # only the new rows, once per batch
         # a batch taller than a panel: its rows once, a panel at a time
         rows.clear()
         state = init_first_order(_disjoint_formula(30))
         add_columns(state, [(i, j) for i in range(30) for j in range(i + 1, 30)][:300])
-        assert state.ridge_lambda == 0.0
         assert rows == [(0, 31)] + _tiles(31, 331)
         assert _panel_rows(state) == [(0, 31)] + _tiles(31, 331)
 
@@ -928,18 +967,20 @@ class TestDeadline:
         assert now[0] == units
 
     def test_the_ridge_ladder_ends_within_one_panel_of_its_deadline(self, monkeypatch):
-        # A duplicate column fails the int8 extension and the int16 rung,
-        # and sends the solve to the ladder, whose rungs each rebuild every
-        # panel; the deadline cuts it short there too.
+        # Named for the ridge ladder the rung once fell back to. A duplicate
+        # column fails the int8 extension and sends the solve to the int16
+        # rung, which factors every column past the first-order fit again;
+        # the deadline cuts it short there too, before its second panel.
         f = _disjoint_formula(30)
         now = self._clocked(monkeypatch)
         state = init_first_order(f)
         add_columns(state, [(i, j) for i in range(30) for j in range(i + 1, 30)][:100])
         state._append([((0,), column_signature(state.cache, (1,)))])
-        state.deadline = now[0] + 4.5
+        state.deadline = now[0] + 1.5
         with pytest.raises(DeadlineReached):
             solve_weights(state)
-        assert state._panel_dtype == np.float64  # on the ladder
+        assert state._panel_dtype == np.int16  # on the rung
+        assert _panel_rows(state) == [(0, 31), (31, 95)]
         assert state.deadline <= now[0] <= state.deadline + 1.0
         assert len(state.weights) == 131
 
@@ -1003,14 +1044,14 @@ class TestOmegaTilde:
         # an incremental solve
         state._append([((0, 1), column_signature(state.cache, (0, 1)))])
         solve_weights(state)
-        assert state.ridge_lambda == 0.0
+        assert not _decoupled(state)
         incremental = state.omega_tilde
         assert incremental is not first
         self._check(state)
-        # a ridge-ladder re-solve
+        # a solve through the int16 rung that decouples the repeated column
         state._append([((1, 3), column_signature(state.cache, (0, 1)))])
         solve_weights(state)
-        assert state.ridge_lambda > 0.0
+        assert _decoupled(state) == [5]
         assert state.omega_tilde is not incremental
         self._check(state)
 
@@ -1121,6 +1162,41 @@ class TestApproximationQuality:
             for _ in range(100):
                 c = np.array([rng.gauss(0, 1) for _ in range(state.num_columns)])
                 assert best <= np.linalg.norm(omega - cols @ c) + TOL
+
+    def test_a_satisfiable_fit_is_the_projection(self):
+        # For a satisfiable formula every column but the constant vanishes
+        # on the solutions, so G a = e_0 is consistent whatever the rank of
+        # G, and its fit is the minimum-norm least-squares fit's function
+        # (2^n/|SAT| times the projection of omega onto the columns' span).
+        # Seeded random formulas, n = 3..10 with 3 to 5n clauses, each grown
+        # by all its pairs in shuffled batches of 10, 50 or 200: every fit
+        # meets the residual check and is that function to 1e-7, singular
+        # Gram matrices included. The weights stay under 1e3 (at most 302;
+        # a ridge of 1e-10 drifted up to 5.7e-5 from the function, with
+        # weights up to 5.4e3).
+        rng = random.Random(60)
+        fits = singular = 0
+        for _ in range(1200):
+            n = rng.randrange(3, 11)
+            f = random_formula(rng, n, rng.randrange(3, 5 * n + 1))
+            if solution_count(f) == 0:
+                continue
+            state = init_first_order(f)
+            pairs = [(i, j) for i in range(f.num_clauses) for j in range(i + 1, f.num_clauses)]
+            rng.shuffle(pairs)
+            size = rng.choice((10, 50, 200))
+            for lo in range(-size, len(pairs), size):
+                if lo >= 0 and not add_columns(state, pairs[lo : lo + size]):
+                    continue
+                gram, a = state.gram, state.weights
+                assert state.inconsistent_from is None
+                assert np.abs(gram @ a - _unit_rhs(len(a))).max() <= 1e-6
+                assert np.abs(a).max() <= 1e3
+                cols = _dense_columns(state)
+                assert np.abs(cols @ a - cols @ np.linalg.pinv(gram)[:, 0]).max() <= 1e-7
+                fits += 1
+                singular += np.linalg.matrix_rank(gram) < len(a)
+        assert fits > 1000 and singular > 400
 
     def test_heuristic_rhs_matches_true_rhs_biases_statistically(self):
         # The all-ones overlap is set to exactly 1 instead of the (unknown)

@@ -161,9 +161,9 @@ class TestMeasureBias:
 # Steps whose top two |biases| lie within this band, relative to the fit's
 # coefficient scale, may resolve differently on the cube and the polynomial
 # route: the routes sum in different orders and only the polynomial prunes
-# at PRUNE_EPSILON. On a ridge fit the weights are ~1/lambda and cancel, so
-# a bias that is exactly 0 comes out as rounding dust of ~1e-7 on either
-# route.
+# at PRUNE_EPSILON. A fit is the minimum-norm fit's function even where
+# columns are dependent, so a bias that is exactly 0 comes out far under
+# the band on either route.
 NEAR_TIE = 1e-6
 N72 = "p cnf 72 5\n63 64 65 0\n-64 66 0\n-65 -66 0\n1 64 72 0\n-63 70 0"
 
@@ -247,7 +247,9 @@ class TestCubeDecimation:
             parted += _compare_routes(monkeypatch, state)
             parted += _compare_routes(monkeypatch, state, seed=rng.randrange(1 << 30))
         assert zeroed > 10
-        assert parted <= 0.05 * 2 * len(cases)
+        # the routes parted at 2 of these 136 decimations while ridge fits
+        # decimated on rounding dust (their ~1/lambda weights cancelled)
+        assert not parted
 
     def test_two_mask_words(self, monkeypatch):
         state = _refined_state(random.Random(58), parse_dimacs(N72), 4)

@@ -85,6 +85,14 @@ class TestSolve:
         assert code == 0
         assert "s UNKNOWN" in out
 
+    def test_unsat_evidence_is_a_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "unsat.cnf"
+        path.write_text(UNSAT)
+        code = main(["solve", str(path), "--max-rounds", "4"])
+        out = capsys.readouterr().out
+        assert code == 0 and out.splitlines()[-1] == "s UNKNOWN"
+        assert "c diagnostic: fit inconsistent from K=3: floating-point evidence of UNSAT" in out
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cnf"
         path.write_text("p cnf 2 1\n1 2\n")  # unterminated clause

@@ -179,6 +179,17 @@ class TestRefinementIntegration:
         assert len(stats.candidate_history) == 4
         assert len(stats.hamming_gaps) == 3
 
+    def test_an_inconsistent_fit_is_evidence_never_an_answer(self):
+        # The constant is the sum of the indicators of (x1) and (~x1), so
+        # G a = e_0 has no solution: the first-order fit misses the
+        # residual check and keeps the weights e_0, and the solve says so
+        # in its diagnostic, still UNKNOWN.
+        f = parse_dimacs("p cnf 1 2\n1 0\n-1 0")
+        stats = solve(f, _cfg(timeout=30.0, max_rounds=4))
+        assert (stats.status, stats.rounds, stats.columns_final) == (Status.UNKNOWN, 4, 3)
+        assert stats.diagnostic == "fit inconsistent from K=3: floating-point evidence of UNSAT"
+        assert solve(parse_dimacs("p cnf 2 1\n1 2 0"), _cfg()).diagnostic is None
+
     def test_columns_monotone_and_random_refinements_counted(self):
         # a deliberately feeble annealing schedule forces multi-round runs
         from ampsat.anneal import AnnealSchedule
