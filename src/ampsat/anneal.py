@@ -2,8 +2,10 @@
 
 Used both as the per-round local search of the main solver and, with fresh
 random restarts, as the standalone "sa" baseline in the benchmark harness.
-The cost function is the number of unsatisfied clauses; flips are evaluated
-incrementally from per-clause true-literal counts.
+The cost function is the number of unsatisfied clauses. A flip's delta is
+read from per-clause true-literal counts over the flipped variable's clauses:
++1 for each clause whose only true literal it falsifies, -1 for each clause
+with no true literal that it satisfies.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Sequence
 
 from .cnf import Assignment, Formula, count_unsat
 
@@ -79,59 +80,6 @@ def default_schedule(n: int) -> AnnealSchedule:
     )
 
 
-class _FlipState:
-    """Incremental unsat-count bookkeeping for single-variable flips."""
-
-    def __init__(self, formula: Formula):
-        self.num_vars = formula.num_vars
-        self.clause_lits = [
-            [(lit.var, lit.polarity) for lit in clause.literals]
-            for clause in formula.clauses
-        ]
-        self.var_clauses: list[list[tuple[int, int]]] = [
-            [] for _ in range(formula.num_vars)
-        ]
-        for c, lits in enumerate(self.clause_lits):
-            for var, pol in lits:
-                self.var_clauses[var].append((c, pol))
-        self.s: list[int] = []
-        self.true_count: list[int] = []
-        self.cost = 0
-
-    def reset(self, start: Sequence[int]) -> None:
-        self.s = list(start)
-        s = self.s
-        self.true_count = [
-            sum(1 for var, pol in lits if s[var] == pol) for lits in self.clause_lits
-        ]
-        self.cost = sum(1 for t in self.true_count if t == 0)
-
-    def flip_delta(self, var: int) -> int:
-        s_v = self.s[var]
-        delta = 0
-        for c, pol in self.var_clauses[var]:
-            if pol == s_v:  # literal currently true, will turn false
-                if self.true_count[c] == 1:
-                    delta += 1
-            else:  # literal currently false, will turn true
-                if self.true_count[c] == 0:
-                    delta -= 1
-        return delta
-
-    def apply_flip(self, var: int) -> None:
-        s_v = self.s[var]
-        for c, pol in self.var_clauses[var]:
-            if pol == s_v:
-                self.true_count[c] -= 1
-                if self.true_count[c] == 0:
-                    self.cost += 1
-            else:
-                if self.true_count[c] == 0:
-                    self.cost -= 1
-                self.true_count[c] += 1
-        self.s[var] = -s_v
-
-
 def local_search(
     formula: Formula,
     start: Assignment,
@@ -148,31 +96,64 @@ def local_search(
     A satisfying configuration short-circuits everything. The deadline (from
     time.monotonic) is checked before every _CLOCK_STEPS steps of each
     repeat, so a search overshoots it by at most that many steps; the checks
-    draw nothing from rng.
+    draw nothing from rng. Each step draws one rng.randrange(n), and one
+    rng.random() only when the flip would raise the cost.
+
+    A flip's delta is read from the per-clause true-literal counts of the
+    clauses the variable's current sign makes true (+1 for each count of 1)
+    and of those its other sign does (-1 for each count of 0). A clause
+    holds at most one literal of a variable, so the two are disjoint.
     """
-    if len(start) != formula.num_vars:
+    n = formula.num_vars
+    if len(start) != n:
         raise ValueError("start assignment length mismatch")
-    state = _FlipState(formula)
+    if not set(start) <= {-1, 1}:
+        raise ValueError("start assignment entries must be +1 or -1")
+    # made_true[v]: (the clauses x_v makes true, the clauses -x_v makes true)
+    made_true: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n)]
+    start_counts = []  # per clause, its literals true at start
+    for c, clause in enumerate(formula.clauses):
+        true_lits = 0
+        for lit in clause.literals:
+            made_true[lit.var][lit.polarity < 0].append(c)
+            true_lits += start[lit.var] == lit.polarity
+        start_counts.append(true_lits)
+    # flips[v][s_v < 0]: (the clauses a flip of v can break, those it can make)
+    flips = [(pair, pair[::-1]) for pair in made_true]
     best: Assignment = tuple(start)
-    state.reset(start)
-    best_cost = state.cost
+    start_cost = best_cost = start_counts.count(0)
     if best_cost == 0:
         return best
-    n = formula.num_vars
-    for repeat in range(schedule.repeats):
-        if repeat > 0:
-            state.reset(start)
-        for chunk in range(0, schedule.steps, _CLOCK_STEPS):
+    steps, temperature = schedule.steps, schedule.temperature
+    randrange, uniform, exp = rng.randrange, rng.random, math.exp
+    for _ in range(schedule.repeats):
+        s = list(start)
+        true_count = start_counts.copy()
+        cost = start_cost
+        for chunk in range(0, steps, _CLOCK_STEPS):
             if deadline is not None and time.monotonic() >= deadline:
                 return best
-            for t in range(chunk, min(chunk + _CLOCK_STEPS, schedule.steps)):
-                var = rng.randrange(n)
-                delta = state.flip_delta(var)
-                if delta <= 0 or rng.random() < math.exp(-delta / schedule.temperature(t)):
-                    state.apply_flip(var)
-                    if state.cost < best_cost:
-                        best_cost = state.cost
-                        best = tuple(state.s)
+            for t in range(chunk, min(chunk + _CLOCK_STEPS, steps)):
+                var = randrange(n)
+                s_v = s[var]
+                breaks, makes = flips[var][s_v < 0]
+                delta = 0
+                for c in breaks:
+                    if true_count[c] == 1:
+                        delta += 1
+                for c in makes:
+                    if true_count[c] == 0:
+                        delta -= 1
+                if delta <= 0 or uniform() < exp(-delta / temperature(t)):
+                    for c in breaks:
+                        true_count[c] -= 1
+                    for c in makes:
+                        true_count[c] += 1
+                    s[var] = -s_v
+                    cost += delta
+                    if cost < best_cost:
+                        best_cost = cost
+                        best = tuple(s)
                         if best_cost == 0:
                             return best
     return best

@@ -246,7 +246,11 @@ def cmd_bench(args) -> int:
     if not instances:
         print(f"error: no .cnf files in {args.dir}", file=sys.stderr)
         return EXIT_ERROR
-    solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
+    # each named solver once, in the order first named
+    solvers = list(dict.fromkeys(s.strip() for s in args.solvers.split(",") if s.strip()))
+    if not solvers:
+        print("error: --solvers names no solver", file=sys.stderr)
+        return EXIT_ERROR
     for solver_id in solvers:
         if solver_id not in SOLVER_IDS:
             print(

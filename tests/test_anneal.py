@@ -5,6 +5,8 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ampsat.anneal as anneal_module
 from ampsat import count_unsat, parse_dimacs
@@ -17,6 +19,7 @@ from ampsat.anneal import (
     sa_solve,
 )
 
+import reference_anneal
 from helpers import random_formula, random_assignment
 
 
@@ -108,6 +111,14 @@ class TestLocalSearch:
         with pytest.raises(ValueError):
             local_search(f, (1,), sched, random.Random(0))
 
+    @pytest.mark.parametrize("start", [(0, 0), (1, 2), (-1, 0.5)])
+    def test_start_entries_checked(self, start):
+        # (0, 0) falsifies both clauses, but per-clause counts that compare
+        # entries with literal signs would see them both as satisfied
+        f = parse_dimacs("p cnf 2 2\n1 2 0\n-1 2 0\n")
+        with pytest.raises(ValueError):
+            local_search(f, start, default_schedule(2), random.Random(0))
+
 
 class _CountingRandom(random.Random):
     """A Random that counts local_search's steps: each step draws one
@@ -156,6 +167,22 @@ class TestDeadline:
         assert local_search(f, start, sched, timed, 1.0) == local_search(f, start, sched, untimed)
         assert timed.getstate() == untimed.getstate()
 
+    def test_a_deadline_cuts_the_reference_trajectory_at_the_same_step(self, monkeypatch):
+        rng = random.Random(8)
+        f = random_formula(rng, 20, 91, widths=(3,))
+        start = random_assignment(rng, 20)
+        sched = AnnealSchedule(t_max=2.0, t_min=1e-4, steps=3000, repeats=2)
+        ours, reference = _CountingRandom(9), _CountingRandom(9)
+        for module, counted in ((anneal_module, ours), (reference_anneal, reference)):
+            clock = SimpleNamespace(monotonic=lambda counted=counted: counted.steps)
+            monkeypatch.setattr(module, "time", clock)
+        deadline = sched.steps + _CLOCK_STEPS + 0.5  # inside the second repeat
+        assert local_search(f, start, sched, ours, deadline) == reference_anneal.local_search(
+            f, start, sched, reference, deadline
+        )
+        assert ours.steps == reference.steps == sched.steps + 2 * _CLOCK_STEPS
+        assert ours.getstate() == reference.getstate()
+
 
 class TestSaBaseline:
     def test_solves_easy_instance(self):
@@ -171,3 +198,31 @@ class TestSaBaseline:
         assignment, restarts = sa_solve(f, default_schedule(2), random.Random(0), 1.0)
         assert assignment == (1, 1)
         assert restarts == 1
+
+
+_STEPS = st.one_of(
+    st.sampled_from((1, _CLOCK_STEPS, 2 * _CLOCK_STEPS)),
+    st.integers(2, 2 * _CLOCK_STEPS + 100).filter(lambda steps: steps % _CLOCK_STEPS),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 5 * n))),
+    _STEPS,
+    st.integers(1, 3),
+    st.floats(1e-3, 3.0),
+    st.floats(1e-3, 1.0),
+    st.integers(0, 1 << 30),
+)
+def test_local_search_matches_the_reference(size, steps, repeats, t_max, cool, seed):
+    """Same result and same rng state afterwards as the _FlipState loop."""
+    (n, m), rng = size, random.Random(seed)
+    f = random_formula(rng, n, m, widths=tuple(range(1, 9)))
+    start = random_assignment(rng, n)
+    sched = AnnealSchedule(t_max=t_max, t_min=t_max * cool, steps=steps, repeats=repeats)
+    ours, reference = random.Random(seed + 1), random.Random(seed + 1)
+    assert local_search(f, start, sched, ours) == reference_anneal.local_search(
+        f, start, sched, reference
+    )
+    assert ours.getstate() == reference.getstate()

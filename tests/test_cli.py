@@ -396,9 +396,22 @@ class TestBench:
                      "--csv", str(tmp_path / "x.csv")])
         assert code == 1
 
+    def test_a_solver_named_twice_runs_once(self, cnf_dir, tmp_path, capsys):
+        out_csv = tmp_path / "bench.csv"
+        code = main(["bench", str(cnf_dir), "--solvers", "sa, sa,amp-bias1,sa", "--timeout", "10",
+                     "--csv", str(out_csv)])
+        assert code == 0
+        rows = self._read(out_csv)
+        assert sorted(r["solver"] for r in rows) == ["amp-bias1"] * 3 + ["sa"] * 3
+        assert capsys.readouterr().out == (
+            "sa: solved 3/3 (100.0%)\namp-bias1: solved 3/3 (100.0%)\n"
+        )
+
     @pytest.mark.parametrize(
         "flags, message",
         [
+            (["--solvers", ","], "--solvers names no solver"),
+            (["--solvers", ""], "--solvers names no solver"),
             (["--timeout", "-1"], "--timeout must be positive"),
             (["--timeout", "0"], "--timeout must be positive"),
             (["--timeout", "nan"], "--timeout must be positive"),
