@@ -410,12 +410,12 @@ class TestBench:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--solvers", ","], "--solvers names no solver"),
-            (["--solvers", ""], "--solvers names no solver"),
             (["--timeout", "-1"], "--timeout must be positive"),
             (["--timeout", "0"], "--timeout must be positive"),
             (["--timeout", "nan"], "--timeout must be positive"),
             (["--jobs", "0"], "--jobs must be at least 1"),
+            (["--solvers", ","], "--solvers names no solver"),
+            (["--solvers", ""], "--solvers names no solver"),
         ],
     )
     def test_bad_limits_error_before_any_run(self, cnf_dir, tmp_path, capsys, flags, message):
