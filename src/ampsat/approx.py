@@ -214,7 +214,7 @@ class _TermTable:
             if c > _TABLE_VARS:
                 self.wide = np.concatenate([self.wide, cols + first])
                 continue
-            for block in row_blocks(0, len(cols), 1 << c):
+            for block in row_blocks(len(cols), 1 << c):
                 part = cols[block]
                 term_masks, signs = _cube_terms(plus[part], minus[part], c)
                 self.blocks.append(_TermBlock(part + first, c, self._intern(term_masks), signs))
@@ -365,7 +365,7 @@ class ApproxState:
         """
         k = self.num_columns
         out = np.empty((k, k))
-        for block in row_blocks(0, k, k):
+        for block in row_blocks(k, k):
             out[block] = self._gram_block(block, k)
         return out
 
@@ -423,28 +423,28 @@ class ApproxState:
         rows = np.concatenate([terms.wide, np.arange(terms.columns, k)])
         table_a = a.copy()
         table_a[rows] = 0.0
-        for block in row_blocks(0, len(rows), k):
+        for block in row_blocks(len(rows), k):
             gram = self._gram_block(rows[block], k)
             out[rows[block]] += gram @ table_a
             out += gram.T @ a[rows[block]]
         return out
 
 
-def row_blocks(lo: int, hi: int, width: int) -> list[slice]:
-    """Rows [lo, hi) cut into blocks of at most _GRAM_BLOCK_ENTRIES // width
+def row_blocks(hi: int, width: int) -> list[slice]:
+    """Rows [0, hi) cut into blocks of at most _GRAM_BLOCK_ENTRIES // width
     rows (one at least), so that a block of `width` columns stays bounded."""
     step = max(1, _GRAM_BLOCK_ENTRIES // max(1, width))
-    return [slice(r, min(r + step, hi)) for r in range(lo, hi, step)]
+    return [slice(r, min(r + step, hi)) for r in range(0, hi, step)]
 
 
 def weighted_row_sum(
     w: np.ndarray, rows: np.ndarray, blocks: list[slice] | None = None
 ) -> np.ndarray:
     """w @ rows in float64 for a (K x m) array of any numeric dtype, cast to
-    float one block of row_blocks(0, K, m) at a time; a caller that sums the
+    float one block of row_blocks(K, m) at a time; a caller that sums the
     same array many times passes those blocks, computed once. Rows that fit
     in one block give exactly w @ rows.astype(float)."""
-    first, *rest = row_blocks(0, len(rows), rows.shape[1]) if blocks is None else blocks
+    first, *rest = row_blocks(len(rows), rows.shape[1]) if blocks is None else blocks
     out = w[first] @ rows[first].astype(float)
     for block in rest:
         out += w[block] @ rows[block].astype(float)
@@ -612,7 +612,7 @@ def _factor_panel(state: ApproxState, lo: int, dtype) -> _Panel | None:
     work = np.float32 if quantized else np.float64
     rows = np.empty((d, lo), work)
     g22 = np.empty((d, d))
-    for block in row_blocks(0, d, lo + d):
+    for block in row_blocks(d, lo + d):
         gram = state._gram_block(slice(lo + block.start, lo + block.stop), lo + d)
         rows[block], g22[block] = gram[:, :lo], gram[:, lo:]
     diagonal = g22.diagonal().copy()

@@ -125,7 +125,7 @@ def _decimate_cubes(state: ApproxState, tie_rng: random.Random | None) -> Assign
     n = state.formula.num_vars
     signs = state.signs()  # (K, n) int8: sigma_ij, 0 where cube i leaves j free
     w = np.ldexp(state.weights, -np.count_nonzero(signs, axis=1))
-    blocks = row_blocks(0, len(signs), n)
+    blocks = row_blocks(len(signs), n)
     out = [0] * n
     unfixed = list(range(n))
     for _ in range(n):

@@ -90,46 +90,28 @@ def _schedule_from_args(args, num_vars: int) -> AnnealSchedule:
     )
 
 
-def _record(instance: str, solver_id: str, seed: int, status: str,
-            wall_time: float, rounds: int, columns: int, randoms: int,
-            mean_gap: float | None) -> dict:
+def _record(instance: str, solver_id: str, seed: int, stats: SolverStats) -> dict:
+    mean_gap = stats.mean_hamming_gap
     return {
         "instance": instance,
         "solver": solver_id,
         "seed": seed,
-        "status": status,
-        "wall_time_s": f"{wall_time:.3f}",
-        "rounds": rounds,
-        "columns_final": columns,
-        "random_refinements": randoms,
+        "status": stats.status.value,
+        "wall_time_s": f"{stats.wall_time:.3f}",
+        "rounds": stats.rounds,
+        "columns_final": stats.columns_final,
+        "random_refinements": stats.random_refinements,
         "mean_hamming_gap": "" if mean_gap is None else f"{mean_gap:.4f}",
     }
 
 
-def _stats_record(instance: str, solver_id: str, seed: int, stats: SolverStats) -> dict:
-    return _record(
-        instance,
-        solver_id,
-        seed,
-        stats.status.value,
-        stats.wall_time,
-        stats.rounds,
-        stats.columns_final,
-        stats.random_refinements,
-        stats.mean_hamming_gap,
-    )
-
-
-def _write_csv(path: str, rows: list[dict], mode: str = "w") -> None:
-    """Write rows as CSV_FIELDS records. Mode "a" appends them, with the
-    header only when the file is new or empty."""
-    target = Path(path)
-    header = mode == "w" or not target.exists() or target.stat().st_size == 0
-    with target.open(mode, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-        if header:
-            writer.writeheader()
-        writer.writerows(rows)
+def _write_csv(fh, rows: list[dict]) -> None:
+    """Write rows as CSV_FIELDS records to an open file, with the header
+    only when the file is empty."""
+    writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
+    if fh.tell() == 0:
+        writer.writeheader()
+    writer.writerows(rows)
 
 
 def _print_v_line(assignment: Assignment) -> None:
@@ -156,25 +138,28 @@ def cmd_solve(args) -> int:
         enable_random_refinement=not args.no_random_refine,
         max_rounds=args.max_rounds,
     )
-    stats = solve(formula, config)
-    print(f"c {args.cnf}: n={formula.num_vars} m={formula.num_clauses}")
-    print(
-        f"c rounds={stats.rounds} columns={stats.columns_final}"
-        f" random_refinements={stats.random_refinements}"
-        f" wall_time={stats.wall_time:.3f}s"
-    )
-    if stats.diagnostic:
-        print(f"c diagnostic: {stats.diagnostic}")
-    if stats.status == Status.SAT:
-        print("s SATISFIABLE")
-        _print_v_line(stats.assignment)
-        exit_code = EXIT_SAT
-    else:
-        print("s UNKNOWN")
-        exit_code = EXIT_UNKNOWN
-    if args.stats:
-        solver_id = f"amp-{config.bias_kind.value}"
-        _write_csv(args.stats, [_stats_record(args.cnf, solver_id, args.seed, stats)], "a")
+    # Opened before the solve, so a bad path fails before any 's' line.
+    stats_file = Path(args.stats).open("a", newline="") if args.stats else None
+    with stats_file or contextlib.nullcontext():
+        stats = solve(formula, config)
+        print(f"c {args.cnf}: n={formula.num_vars} m={formula.num_clauses}")
+        print(
+            f"c rounds={stats.rounds} columns={stats.columns_final}"
+            f" random_refinements={stats.random_refinements}"
+            f" wall_time={stats.wall_time:.3f}s"
+        )
+        if stats.diagnostic:
+            print(f"c diagnostic: {stats.diagnostic}")
+        if stats.status == Status.SAT:
+            print("s SATISFIABLE")
+            _print_v_line(stats.assignment)
+            exit_code = EXIT_SAT
+        else:
+            print("s UNKNOWN")
+            exit_code = EXIT_UNKNOWN
+        if stats_file:
+            solver_id = f"amp-{config.bias_kind.value}"
+            _write_csv(stats_file, [_record(args.cnf, solver_id, args.seed, stats)])
     return exit_code
 
 
@@ -182,27 +167,23 @@ def run_one(instance: str, solver_id: str, seed: int, timeout: float) -> dict:
     """Run one solver on one instance and return its CSV record.
 
     An instance holding the empty clause is recorded as UNKNOWN, with a
-    diagnostic on stderr, so it does not stop the other runs."""
+    diagnostic on stderr, so it does not stop the other runs. The sa
+    baseline's restarts are recorded as its rounds."""
     try:
         formula = _load_formula(instance)
     except EmptyClauseError as exc:
         print(f"c diagnostic: {instance}: {exc}: recorded as UNKNOWN", file=sys.stderr)
-        return _record(instance, solver_id, seed, Status.UNKNOWN.value, 0.0, 0, 0, 0, None)
+        return _record(instance, solver_id, seed, SolverStats(Status.UNKNOWN, None, 0, 0, 0))
     if solver_id == "sa":
         schedule = default_schedule(max(1, formula.num_vars))
-        rng = random.Random(seed)
         t0 = time.monotonic()
-        assignment, restarts = sa_solve(formula, schedule, rng, timeout)
-        wall = time.monotonic() - t0
-        status = Status.SAT.value if assignment is not None else Status.UNKNOWN.value
-        return _record(instance, solver_id, seed, status, wall, restarts, 0, 0, None)
-    bias = BiasKind.BIAS1 if solver_id == "amp-bias1" else BiasKind.BIAS2
-    stats = solve(formula, SolverConfig(bias_kind=bias, timeout=timeout, seed=seed))
-    return _stats_record(instance, solver_id, seed, stats)
-
-
-def _bench_task(task: tuple[str, str, int, float]) -> dict:
-    return run_one(*task)
+        assignment, restarts = sa_solve(formula, schedule, random.Random(seed), timeout)
+        status = Status.SAT if assignment is not None else Status.UNKNOWN
+        stats = SolverStats(status, assignment, restarts, 0, 0, wall_time=time.monotonic() - t0)
+    else:
+        bias = BiasKind.BIAS1 if solver_id == "amp-bias1" else BiasKind.BIAS2
+        stats = solve(formula, SolverConfig(bias_kind=bias, timeout=timeout, seed=seed))
+    return _record(instance, solver_id, seed, stats)
 
 
 # OpenBLAS and OpenMP size their thread pools once, when the library loads.
@@ -266,12 +247,13 @@ def cmd_bench(args) -> int:
     ]
     if args.jobs > 1:
         with single_thread_blas_pool(args.jobs) as pool:
-            rows = list(pool.map(_bench_task, tasks))
+            rows = list(pool.map(run_one, *zip(*tasks)))
     else:
-        rows = [_bench_task(t) for t in tasks]
+        rows = [run_one(*t) for t in tasks]
     rows.sort(key=lambda r: (r["instance"], r["solver"]))
     try:
-        _write_csv(args.csv, rows)
+        with open(args.csv, "w", newline="") as fh:
+            _write_csv(fh, rows)
     except OSError as exc:
         print(f"error: cannot write {args.csv}: {exc}", file=sys.stderr)
         return EXIT_ERROR

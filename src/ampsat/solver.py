@@ -1,11 +1,13 @@
 """Main solver loop: approximate, decimate, local-search, refine, repeat.
 
-Each round builds a candidate assignment by bias decimation of the current
-approximation, polishes it with annealing, and, if still unsatisfying,
-extends the approximation with second-order indicator-product columns chosen
-by the refinement policy. The solver is incomplete: it certifies SAT by
-exhibiting a verified assignment and otherwise reports UNKNOWN at timeout
-(never UNSAT).
+`solve` fits the first-order approximation and then runs one loop whose
+every iteration is a round: it builds a candidate assignment by bias
+decimation of the current approximation, polishes it with annealing, and,
+if still unsatisfying and within budget, extends the approximation with
+second-order indicator-product columns chosen by the refinement policy.
+A fit error ends the loop, and one exit turns its outcome into the
+SolverStats. The solver is incomplete: it certifies SAT by exhibiting a
+verified assignment and otherwise reports UNKNOWN at timeout (never UNSAT).
 """
 
 from __future__ import annotations
@@ -82,6 +84,13 @@ def verify(formula: Formula, s: Assignment) -> bool:
 def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
     """Run the full solver on a parsed formula.
 
+    One loop, one round per iteration: decimate the approximation (breaking
+    ties with the rng only when the previous round added no columns),
+    anneal the candidate, and stop on SAT, at the deadline or after
+    max_rounds rounds; otherwise plan refinement columns and add them. The
+    first-order fit is made before the first round, and one exit after the
+    loop builds the SolverStats.
+
     Deterministic for a fixed (formula, config) as long as the timeout is not
     hit. The timeout is checked between rounds, every 1024 annealing steps
     (anneal._CLOCK_STEPS), and before each factor panel and refinement step
@@ -99,88 +108,69 @@ def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
     schedule = config.schedule or default_schedule(max(1, formula.num_vars))
 
     candidates: list[Assignment] = []
-    randoms = 0
-    rounds = 0
-    state = None
-
-    def finish(status: Status, assignment: Assignment | None, columns: int,
-               diagnostic: str | None = None) -> SolverStats:
-        # The soundness gate: an explicit check, so it also runs under -O.
-        if status == Status.SAT and (
-            assignment is None or not verify(formula, assignment)
-        ):
-            status = Status.UNKNOWN
-            diagnostic = "SAT candidate failed verification; not reported as SAT"
-        if status == Status.UNKNOWN and diagnostic is None and state and state.inconsistent_from:
-            diagnostic = (
-                f"fit inconsistent from K={state.inconsistent_from}:"
-                " floating-point evidence of UNSAT"
-            )
-        return SolverStats(
-            status=status,
-            assignment=assignment if status == Status.SAT else None,
-            rounds=rounds,
-            columns_final=columns,
-            random_refinements=randoms,
-            candidate_history=candidates,
-            wall_time=time.monotonic() - t_start,
-            diagnostic=diagnostic,
-        )
-
-    try:
-        state = init_first_order(formula, deadline=deadline)
-    except WeightSolveError as exc:
-        return finish(Status.UNKNOWN, None, 0, diagnostic=str(exc))
-    except DeadlineReached:  # a timeout, as between rounds: no diagnostic
-        return finish(Status.UNKNOWN, None, 0)
-
-    s_star = measure_bias(state, config.bias_kind)
-    candidates.append(s_star)
-    s_final = local_search(formula, s_star, schedule, rng, deadline)
-    rounds = 1
+    randoms = rounds = 0
+    state = s_final = diagnostic = None
     # Saturated: no order-2 columns can ever be added again; the solver keeps
     # restarting annealing from tie-perturbed decimations of the final
     # approximation until the timeout.
     saturated = False
-
-    while (
-        count_unsat(formula, s_final) > 0
-        and time.monotonic() < deadline
-        and (config.max_rounds is None or rounds < config.max_rounds)
-    ):
-        plan = None
-        if not saturated:
-            try:
-                plan = plan_refinement(
-                    formula,
-                    s_star,
-                    state,
-                    rng,
-                    allow_random=config.enable_random_refinement,
-                )
-            except RefinementSaturated:
-                saturated = True
-
-        if plan is not None and plan.keys:
-            try:
+    added = True  # the first round decimates the first-order fit as it is
+    try:
+        state = init_first_order(formula, deadline=deadline)
+        while True:
+            s_star = measure_bias(state, config.bias_kind, tie_rng=None if added else rng)
+            candidates.append(s_star)
+            s_final = local_search(formula, s_star, schedule, rng, deadline)
+            rounds += 1
+            if (
+                count_unsat(formula, s_final) == 0
+                or time.monotonic() >= deadline
+                or (config.max_rounds is not None and rounds >= config.max_rounds)
+            ):
+                break
+            plan = None
+            if not saturated:
+                try:
+                    plan = plan_refinement(
+                        formula,
+                        s_star,
+                        state,
+                        rng,
+                        allow_random=config.enable_random_refinement,
+                    )
+                except RefinementSaturated:
+                    saturated = True
+            # Saturated, or nothing new to add: the next round perturbs ties only.
+            added = plan is not None and bool(plan.keys)
+            if added:
                 add_columns(state, plan.keys)
-            except WeightSolveError as exc:
-                return finish(
-                    Status.UNKNOWN, None, state.num_columns, diagnostic=str(exc)
-                )
-            except DeadlineReached:  # a timeout, as between rounds: no diagnostic
-                return finish(Status.UNKNOWN, None, len(state.weights))
-            if plan.used_random:
-                randoms += 1
-            s_star = measure_bias(state, config.bias_kind)
+                randoms += plan.used_random
+        columns = state.num_columns
+    except WeightSolveError as exc:
+        s_final, diagnostic = None, str(exc)
+        columns = state.num_columns if state else 0
+    except DeadlineReached:  # a timeout, as between rounds: no diagnostic
+        s_final, columns = None, len(state.weights) if state else 0
+
+    status = Status.UNKNOWN
+    if s_final is not None and count_unsat(formula, s_final) == 0:
+        # The soundness gate: an explicit check, so it also runs under -O.
+        if verify(formula, s_final):
+            status = Status.SAT
         else:
-            # Saturated, or nothing new to add this round: perturb ties only.
-            s_star = measure_bias(state, config.bias_kind, tie_rng=rng)
-
-        candidates.append(s_star)
-        s_final = local_search(formula, s_star, schedule, rng, deadline)
-        rounds += 1
-
-    if count_unsat(formula, s_final) == 0:
-        return finish(Status.SAT, s_final, state.num_columns)
-    return finish(Status.UNKNOWN, None, state.num_columns)
+            diagnostic = "SAT candidate failed verification; not reported as SAT"
+    if status == Status.UNKNOWN and diagnostic is None and state and state.inconsistent_from:
+        diagnostic = (
+            f"fit inconsistent from K={state.inconsistent_from}:"
+            " floating-point evidence of UNSAT"
+        )
+    return SolverStats(
+        status=status,
+        assignment=s_final if status == Status.SAT else None,
+        rounds=rounds,
+        columns_final=columns,
+        random_refinements=randoms,
+        candidate_history=candidates,
+        wall_time=time.monotonic() - t_start,
+        diagnostic=diagnostic,
+    )

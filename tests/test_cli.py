@@ -168,6 +168,15 @@ class TestSolve:
         assert rows[1]["solver"] == "amp-bias2"
         assert set(rows[0]) == set(CSV_FIELDS)
 
+    def test_an_unwritable_stats_file_errors_before_any_answer(self, tmp_path, capsys):
+        path = tmp_path / "one.cnf"
+        path.write_text(ONE_CLAUSE)
+        stats = tmp_path / "missing" / "stats.csv"
+        assert main(["solve", str(path), "--stats", str(stats)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     @pytest.mark.parametrize("instance, min_rounds", [("uf20/uf20-001.cnf", 1),
                                                       ("uf50/uf50-005.cnf", 2)])
     def test_solve_runs_without_scipy(self, instance, min_rounds):

@@ -11,6 +11,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ampsat.approx as approx_module
 import ampsat.solver as solver_module
@@ -20,6 +22,7 @@ from ampsat.indicator import IndicatorCache
 from ampsat.oracle import solution_count
 from ampsat.solver import SolverConfig, SolverStats, Status
 
+import reference_solver
 from helpers import random_formula
 
 UF50_005 = Path(__file__).resolve().parents[1] / "instances" / "uf50" / "uf50-005.cnf"
@@ -39,6 +42,18 @@ def _cfg(**kwargs):
     kwargs.setdefault("timeout", 30.0)
     kwargs.setdefault("seed", 0)
     return SolverConfig(**kwargs)
+
+
+def _outcome(stats):
+    return (
+        stats.status,
+        stats.assignment,
+        stats.rounds,
+        stats.columns_final,
+        stats.random_refinements,
+        stats.candidate_history,
+        stats.diagnostic,
+    )
 
 
 class TestSolveBasics:
@@ -215,21 +230,45 @@ class TestRefinementIntegration:
         # uf50-005 solves in round 3 (two refinement batches). Here the
         # fit's clock passes the deadline once the second batch is offered:
         # the solve ends in that batch's fit, as a timeout (no diagnostic),
-        # with the column count of the fit solved before it.
-        offered = []
-        add_columns = solver_module.add_columns
+        # with the column count of the fit solved before it, as the
+        # reference loop's does.
+        f = parse_dimacs(UF50_005.read_text())
+        outcomes = []
+        for module in (solver_module, reference_solver):
+            with monkeypatch.context() as patch:
+                offered = []
+                add_columns = module.add_columns
 
-        def adding(state, keys):
-            offered.append(len(state.weights))
-            if len(offered) == 2:
-                clock = SimpleNamespace(monotonic=lambda: math.inf)
-                monkeypatch.setattr(approx_module, "time", clock)
-            return add_columns(state, keys)
+                def adding(state, keys):
+                    offered.append(len(state.weights))
+                    if len(offered) == 2:
+                        clock = SimpleNamespace(monotonic=lambda: math.inf)
+                        patch.setattr(approx_module, "time", clock)
+                    return add_columns(state, keys)
 
-        monkeypatch.setattr(solver_module, "add_columns", adding)
-        stats = solve(parse_dimacs(UF50_005.read_text()), _cfg(timeout=600.0, max_rounds=8))
+                patch.setattr(module, "add_columns", adding)
+                outcomes.append(module.solve(f, _cfg(timeout=600.0, max_rounds=8)))
+                assert outcomes[-1].columns_final == offered[1] > offered[0]
+        stats, reference = outcomes
         assert (stats.status, stats.diagnostic, stats.rounds) == (Status.UNKNOWN, None, 2)
-        assert stats.columns_final == offered[1] > offered[0]
+        assert _outcome(stats) == _outcome(reference)
+
+    def test_a_non_finite_gram_product_ends_the_solve_unknown(self, monkeypatch):
+        # uf50-005's first-order fit has 219 columns; every fit past it
+        # gets a NaN G a product, so the first refinement fit raises
+        # WeightSolveError, whose message is the diagnostic.
+        gram_times = approx_module.ApproxState._gram_times
+
+        def poisoned(state, a):
+            out = gram_times(state, a)
+            return out * math.nan if len(a) > 219 else out
+
+        monkeypatch.setattr(approx_module.ApproxState, "_gram_times", poisoned)
+        f, config = parse_dimacs(UF50_005.read_text()), _cfg(timeout=600.0, max_rounds=8)
+        stats = solve(f, config)
+        assert (stats.status, stats.rounds) == (Status.UNKNOWN, 1)
+        assert stats.diagnostic.startswith("Gram product is not finite")
+        assert _outcome(stats) == _outcome(reference_solver.solve(f, config))
 
     def test_a_deadline_inside_the_first_order_fit_ends_the_solve_unknown(self, monkeypatch):
         # The first-order fit checks the solve's deadline too: a clock past
@@ -278,3 +317,25 @@ class TestDecimationPath:
         config = _cfg(timeout=600.0, max_rounds=8, bias_kind=BiasKind.BIAS2)
         stats = solve(parse_dimacs(UF50_005.read_text()), config)
         assert (stats.status, stats.rounds, stats.columns_final) == (Status.UNKNOWN, 8, 1182)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 5 * n))),
+    st.sampled_from(BiasKind),
+    st.integers(1, 6),
+    st.booleans(),
+    st.integers(0, 1 << 30),
+)
+def test_solve_matches_the_reference(size, kind, max_rounds, random_refine, seed):
+    """The one round loop gives the outcome of the loop it replaced."""
+    (n, m), rng = size, random.Random(seed)
+    f = random_formula(rng, n, m)
+    config = _cfg(
+        timeout=600.0,
+        seed=seed,
+        bias_kind=kind,
+        max_rounds=max_rounds,
+        enable_random_refinement=random_refine,
+    )
+    assert _outcome(solve(f, config)) == _outcome(reference_solver.solve(f, config))
