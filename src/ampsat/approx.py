@@ -42,8 +42,8 @@ and stored, one panel at a time, with numpy's matrix product and Cholesky.
 Each diagonal block is kept as its inverse, so both triangular solves, in
 the update and in the weight solve, are matrix products too; a packed block
 is expanded for them into a square of at most _PANEL_ROWS^2 entries, one at
-a time. The solve casts a quantized panel to float32 _CAST_COLUMNS columns
-at a time, each chunk's product summed into the d-vector it feeds.
+a time, and a quantized panel is cast to float32 whole, one panel at a
+time.
 Every other array that grows with K beyond O(K) is built one bounded block
 of _GRAM_BLOCK_ENTRIES entries at a time, cut by `row_blocks`, which also
 cuts the decimation's sign matrix (`weighted_row_sum`, ampsat.bias).
@@ -108,12 +108,6 @@ _PANEL_ROWS = 64
 # A lower triangle of order d is _LOWER[:d, :d], in the row-major order its
 # packed entries follow.
 _LOWER = np.tri(_PANEL_ROWS, dtype=bool)
-# Columns of a panel's rows the solve casts to the working precision at a
-# time: a 512 KiB float32 copy of a 64-row int8 or int16 panel, however long
-# its rows. At 2048 columns it ran as fast as with whole-panel casts
-# (K = 761 to 8424, int16 panels); a whole-factor product in 512-column
-# chunks was half again slower.
-_CAST_COLUMNS = 2048
 # A column fixing c variables adds 2^c entries to the term table, without
 # bound for long clauses. Past this many (4096 entries, a closed-form Gram
 # row at K = 4096) it stays out of the table, and G a takes its rows in
@@ -308,9 +302,9 @@ class ApproxState:
     check, or None. `ridge_lambda` is always 0.0, as the fit takes no ridge;
     the benchmark's tracer (benchmark/spans.py) reads it. Apart from the
     panels, no array the fit builds grows faster than O(K) beyond one block
-    of _GRAM_BLOCK_ENTRIES entries, one panel, or one chunk of
-    _CAST_COLUMNS panel columns, and the term table holds about 5 bytes per
-    Fourier term, in blocks that are never copied again.
+    of _GRAM_BLOCK_ENTRIES entries or one panel and its float32 cast, and
+    the term table holds about 5 bytes per Fourier term, in blocks that are
+    never copied again.
     """
 
     def __init__(self, formula: Formula):
@@ -602,11 +596,11 @@ def _factor_panel(state: ApproxState, lo: int, dtype) -> _Panel | None:
     Every product, and so every temporary beyond X and one prior panel's
     cast, is at most _PANEL_ROWS square.
 
-    A prior panel is cast whole, not in _CAST_COLUMNS chunks: the float32
+    Each prior panel is cast and multiplied whole because the float32
     rounding of X decides whether the Schur block of a column that depends
-    on earlier ones comes out positive definite. With X summed over column
-    chunks, uf50-018's int16 Schur block at K = 11084 in the uf50
-    acceptance run (criterion 6) was not, where whole casts keep it so."""
+    on earlier ones comes out positive definite: with X summed in another
+    order, uf50-018's int16 Schur block at K = 11084 in the uf50 acceptance
+    run (criterion 6) was not."""
     d = min(_PANEL_ROWS, state.num_columns - lo)
     quantized = dtype != np.float64
     work = np.float32 if quantized else np.float64
@@ -686,36 +680,20 @@ def _invert_lower(block: np.ndarray) -> None:
     block[h:, :h] = -(block[h:, h:] @ block[h:, :h]) @ block[:h, :h]
 
 
-def _cast_chunk(rows: np.ndarray, c: int, work) -> np.ndarray:
-    """Columns [c, c + _CAST_COLUMNS) of a panel's rows as `work`. Each
-    chunk is used in one product and freed at once, so no cast copies a
-    whole panel and no two chunk copies are alive together: a generator of
-    chunks keeps the last one alive into the next cast, and its products
-    were measured 10-20 % slower at K ~ 2000."""
-    return rows[:, c : c + _CAST_COLUMNS].astype(work, copy=False)
-
-
 def _solve_factored(panels: list[_Panel], rhs: np.ndarray) -> np.ndarray:
     """Solve L L^T a = rhs by panel-wise forward then back substitution,
     each panel's products in its own precision: its rows are cast to that
-    precision one column chunk at a time, each chunk's product summed into
-    the d-vector (forward) or taken from it (back), and the row scales
-    applied to the d-vectors."""
+    precision whole, once per pass, as `_factor_panel` reads them, and the
+    row scales applied to the d-vectors."""
     a = rhs.copy()
     for rows, scale, diag in panels:
         d, o = rows.shape
         work = diag.dtype
-        known = a[:o].astype(work, copy=False)
-        product = _cast_chunk(rows, 0, work) @ known[:_CAST_COLUMNS]
-        for c in range(_CAST_COLUMNS, o, _CAST_COLUMNS):
-            product += _cast_chunk(rows, c, work) @ known[c : c + _CAST_COLUMNS]
-        inverse = _unpack(diag, d)
-        a[o : o + d] = inverse @ (a[o : o + d].astype(work) - scale * product)
+        product = rows.astype(work, copy=False) @ a[:o].astype(work, copy=False)
+        a[o : o + d] = _unpack(diag, d) @ (a[o : o + d].astype(work) - scale * product)
     for rows, scale, diag in reversed(panels):
         d, o = rows.shape
         x = _unpack(diag, d).T @ a[o : o + d].astype(diag.dtype, copy=False)
         a[o : o + d] = x
-        scaled, head = scale * x, a[:o]
-        for c in range(0, o, _CAST_COLUMNS):
-            head[c : c + _CAST_COLUMNS] -= _cast_chunk(rows, c, diag.dtype).T @ scaled
+        a[:o] -= rows.astype(diag.dtype, copy=False).T @ (scale * x)
     return a

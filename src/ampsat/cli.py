@@ -120,36 +120,41 @@ def _print_v_line(assignment: Assignment) -> None:
 
 
 def cmd_solve(args) -> int:
+    empty_clause = None
     try:
         formula = _load_formula(args.cnf)
     except EmptyClauseError as exc:
-        # Trivially unsatisfiable, but an incomplete solver never reports UNSAT.
-        print(f"c diagnostic: {exc}: no assignment satisfies the formula")
-        print("s UNKNOWN")
-        return EXIT_UNKNOWN
+        empty_clause = exc
     except DimacsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    config = SolverConfig(
-        bias_kind=BiasKind(args.bias),
-        timeout=args.timeout,
-        seed=args.seed,
-        schedule=_schedule_from_args(args, formula.num_vars),
-        enable_random_refinement=not args.no_random_refine,
-        max_rounds=args.max_rounds,
-    )
+    bias = BiasKind(args.bias)
+    if empty_clause is None:
+        config = SolverConfig(
+            bias_kind=bias,
+            timeout=args.timeout,
+            seed=args.seed,
+            schedule=_schedule_from_args(args, formula.num_vars),
+            enable_random_refinement=not args.no_random_refine,
+            max_rounds=args.max_rounds,
+        )
     # Opened before the solve, so a bad path fails before any 's' line.
     stats_file = Path(args.stats).open("a", newline="") if args.stats else None
     with stats_file or contextlib.nullcontext():
-        stats = solve(formula, config)
-        print(f"c {args.cnf}: n={formula.num_vars} m={formula.num_clauses}")
-        print(
-            f"c rounds={stats.rounds} columns={stats.columns_final}"
-            f" random_refinements={stats.random_refinements}"
-            f" wall_time={stats.wall_time:.3f}s"
-        )
-        if stats.diagnostic:
-            print(f"c diagnostic: {stats.diagnostic}")
+        if empty_clause is not None:
+            # Trivially unsatisfiable, but an incomplete solver never reports UNSAT.
+            print(f"c diagnostic: {empty_clause}: no assignment satisfies the formula")
+            stats = SolverStats(Status.UNKNOWN, None, 0, 0, 0)
+        else:
+            stats = solve(formula, config)
+            print(f"c {args.cnf}: n={formula.num_vars} m={formula.num_clauses}")
+            print(
+                f"c rounds={stats.rounds} columns={stats.columns_final}"
+                f" random_refinements={stats.random_refinements}"
+                f" wall_time={stats.wall_time:.3f}s"
+            )
+            if stats.diagnostic:
+                print(f"c diagnostic: {stats.diagnostic}")
         if stats.status == Status.SAT:
             print("s SATISFIABLE")
             _print_v_line(stats.assignment)
@@ -158,8 +163,7 @@ def cmd_solve(args) -> int:
             print("s UNKNOWN")
             exit_code = EXIT_UNKNOWN
         if stats_file:
-            solver_id = f"amp-{config.bias_kind.value}"
-            _write_csv(stats_file, [_record(args.cnf, solver_id, args.seed, stats)])
+            _write_csv(stats_file, [_record(args.cnf, f"amp-{bias.value}", args.seed, stats)])
     return exit_code
 
 
@@ -245,18 +249,20 @@ def cmd_bench(args) -> int:
         for inst in instances
         for solver_id in solvers
     ]
-    if args.jobs > 1:
-        with single_thread_blas_pool(args.jobs) as pool:
-            rows = list(pool.map(run_one, *zip(*tasks)))
-    else:
-        rows = [run_one(*t) for t in tasks]
-    rows.sort(key=lambda r: (r["instance"], r["solver"]))
+    # Opened before the runs, so a bad path fails before any solve.
     try:
-        with open(args.csv, "w", newline="") as fh:
-            _write_csv(fh, rows)
+        csv_file = open(args.csv, "w", newline="")
     except OSError as exc:
         print(f"error: cannot write {args.csv}: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    with csv_file:
+        if args.jobs > 1:
+            with single_thread_blas_pool(args.jobs) as pool:
+                rows = list(pool.map(run_one, *zip(*tasks)))
+        else:
+            rows = [run_one(*t) for t in tasks]
+        rows.sort(key=lambda r: (r["instance"], r["solver"]))
+        _write_csv(csv_file, rows)
     for solver_id in solvers:
         mine = [r for r in rows if r["solver"] == solver_id]
         solved = sum(1 for r in mine if r["status"] == Status.SAT.value)

@@ -588,20 +588,17 @@ class TestIncrementalFactor:
         assert peak <= factor + table + 2 * 2**20
 
     def test_solve_casts_one_column_chunk_and_factor_one_panel(self, monkeypatch):
-        # uf50-001 grown past K = 2000, then a round of 1000 columns, the
-        # solve casting 256 columns at a time and Gram blocks cut to 2^12
-        # entries. Above what it started with, each solve with the factor
-        # (one per PCG step) holds at most one chunk's float32 copy, three
-        # K-vectors and two expanded diagonal blocks, far under one
-        # whole-panel cast (4 * 64 * K bytes). Each panel's factoring holds
-        # its float32 rows and, one at a time, a Gram block, one earlier
-        # panel cast whole or its own int8 copy: max |row| is taken without
-        # a copy of |rows|.
+        # uf50-001 grown past K = 2000, then a round of 1000 columns, Gram
+        # blocks cut to 2^12 entries. Above what it started with, each
+        # solve with the factor (one per PCG step) holds at most one
+        # whole-panel float32 cast (4 * d * o bytes for a panel of d rows
+        # at column o), three K-vectors and two expanded diagonal blocks.
+        # Each panel's factoring holds its float32 rows and, one at a time,
+        # a Gram block, one earlier panel cast whole or its own int8 copy:
+        # max |row| is taken without a copy of |rows|.
         state, pairs = grown_uf50_001()
         columns = _new_columns(state, pairs, 1000)
-        monkeypatch.setattr(approx_module, "_CAST_COLUMNS", 256)
         monkeypatch.setattr(approx_module, "_GRAM_BLOCK_ENTRIES", 1 << 12)
-        chunk = 4 * _PANEL_ROWS * 256
         squares = 2 * 8 * _PANEL_ROWS**2
         calls = []
 
@@ -634,12 +631,51 @@ class TestIncrementalFactor:
         factored = [(args[1], peak) for function, args, peak in calls if function is factor_panel]
         solved = [peak for function, _, peak in calls if function is solve_factored]
         assert len(factored) == len(_tiles(k - 1000, k)) and len(solved) >= 3
-        assert 4 * _PANEL_ROWS * k > 2 * (chunk + squares + 24 * k)
+        cast = 4 * max(panel.rows.size for panel in state._panels)
         for peak in solved:
-            assert peak <= chunk + squares + 24 * k
+            assert peak <= cast + squares + 24 * k
         for lo, peak in factored:
             d = min(_PANEL_ROWS, k - lo)
             assert peak <= 4 * d * lo + max(gram, 4 * _PANEL_ROWS * lo) + squares + 24 * k
+
+    def test_the_factored_solve_solves_with_the_stored_factor(self, monkeypatch):
+        # _solve_factored(panels, r) against L L^T a = r solved in float64
+        # by two triangular solves with L = _dense_factor (forming L L^T
+        # would square L's condition number and take 150 MiB more), for
+        # three random r, on uf50-001's float64 first-order fit, grown past
+        # K = 4200 with int8 panels over 4000 columns wide, and after the
+        # int16 rung on that state. Each pass rounds a panel's products
+        # once in its working precision, with unit roundoff u (2^-24 for
+        # float32, 2^-53 for float64); the error was at most 7.3 u max |a|
+        # on all three, and is bounded at _PANEL_ROWS u max |a|.
+        def check(state, dtype):
+            assert state._panels[-1].rows.dtype == dtype
+            factor = _dense_factor(state)
+            u = np.finfo(state._panels[-1].diag.dtype).eps / 2
+            rng = np.random.default_rng(54)
+            for _ in range(3):
+                r = rng.standard_normal(state.num_columns)
+                ref = scipy.linalg.cho_solve((factor.T, False), r)
+                a = approx_module._solve_factored(state._panels, r)
+                assert np.abs(a - ref).max() <= _PANEL_ROWS * u * np.abs(ref).max()
+
+        check(init_first_order(parse_dimacs(UF50_001.read_text())), np.float64)
+        state, pairs = grown_uf50_001()
+        while state.num_columns <= 4200:
+            add_columns(state, pairs[:500])
+            del pairs[:500]
+        assert max(panel.rows.shape[1] for panel in state._panels) > 4000
+        check(state, np.int8)
+        factor_panel = approx_module._factor_panel
+
+        def failing(state, lo, dtype):
+            return None if dtype == np.int8 else factor_panel(state, lo, dtype)
+
+        state._append(_new_columns(state, pairs, 64))
+        monkeypatch.setattr(approx_module, "_factor_panel", failing)
+        solve_weights(state)
+        assert state._panel_dtype == np.int16
+        check(state, np.int16)
 
     @staticmethod
     def _check_the_rung_then_int16(monkeypatch, name, failing):

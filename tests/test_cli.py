@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ampsat
-from ampsat import parse_dimacs, verify
+from ampsat import cli, parse_dimacs, verify
 from ampsat.cli import (
     CSV_FIELDS,
     SINGLE_THREAD_BLAS_ENV,
@@ -20,6 +20,7 @@ from ampsat.cli import (
     derive_seed,
     main,
     parse_assignment_file,
+    run_one,
     single_thread_blas_pool,
 )
 
@@ -173,6 +174,26 @@ class TestSolve:
         path.write_text(ONE_CLAUSE)
         stats = tmp_path / "missing" / "stats.csv"
         assert main(["solve", str(path), "--stats", str(stats)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_an_empty_clause_input_appends_the_bench_row(self, tmp_path, capsys):
+        # The UNKNOWN row `ampsat bench` records for the instance; a bad
+        # path still errors before the 's' line.
+        path = tmp_path / "empty_clause.cnf"
+        path.write_text(EMPTY_CLAUSE)
+        stats = tmp_path / "stats.csv"
+        assert main(["solve", str(path), "--seed", "3", "--stats", str(stats)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "s UNKNOWN"
+        with stats.open() as fh:
+            rows = list(csv.DictReader(fh))
+        bench = {field: str(value) for field, value in run_one(str(path), "amp-bias1", 3, 1.0).items()}
+        assert rows == [bench]
+        assert bench["status"] == "UNKNOWN" and bench["rounds"] == bench["columns_final"] == "0"
+        capsys.readouterr()
+        missing = tmp_path / "missing" / "stats.csv"
+        assert main(["solve", str(path), "--stats", str(missing)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
@@ -433,6 +454,19 @@ class TestBench:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_csv.exists()
+
+    def test_an_unwritable_csv_errors_before_any_run(self, cnf_dir, tmp_path, capsys, monkeypatch):
+        runs = []
+
+        def counting(*task):
+            runs.append(task)
+            return run_one(*task)
+
+        monkeypatch.setattr(cli, "run_one", counting)
+        out_csv = tmp_path / "missing" / "x.csv"
+        code = main(["bench", str(cnf_dir), "--solvers", "sa", "--csv", str(out_csv)])
+        assert code == 1 and runs == []
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out_csv}: ")
 
 
 class TestHelpers:
