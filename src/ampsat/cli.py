@@ -4,6 +4,8 @@ solve prints SAT-competition-style output ('s SATISFIABLE' plus a 'v' line
 of 1-based signed literals terminated by 0, or 's UNKNOWN') and exits with
 10 on SAT, 0 on UNKNOWN, 1 on usage or parse errors. bench runs a directory
 of .cnf instances across solvers and writes one CSV record per run.
+Commands raise their input and flag errors (ValueError, OSError); main
+reports each as 'error: ...' on stderr with exit code 1.
 """
 
 from __future__ import annotations
@@ -73,7 +75,9 @@ def _load_formula(path: str) -> Formula:
 
 
 def derive_seed(master_seed: int, instance: str) -> int:
-    """Stable per-instance seed: hash of the master seed and the instance path."""
+    """Stable per-instance seed: hash of the master seed and the instance
+    name. bench passes the file name, so how its directory is spelled does
+    not change the seed."""
     digest = hashlib.blake2b(
         f"{master_seed}|{instance}".encode(), digest_size=8
     ).digest()
@@ -120,24 +124,21 @@ def _print_v_line(assignment: Assignment) -> None:
 
 
 def cmd_solve(args) -> int:
-    empty_clause = None
+    formula = empty_clause = None
     try:
         formula = _load_formula(args.cnf)
     except EmptyClauseError as exc:
         empty_clause = exc
-    except DimacsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     bias = BiasKind(args.bias)
-    if empty_clause is None:
-        config = SolverConfig(
-            bias_kind=bias,
-            timeout=args.timeout,
-            seed=args.seed,
-            schedule=_schedule_from_args(args, formula.num_vars),
-            enable_random_refinement=not args.no_random_refine,
-            max_rounds=args.max_rounds,
-        )
+    # Built for every input, so a bad flag is an error on the empty clause too.
+    config = SolverConfig(
+        bias_kind=bias,
+        timeout=args.timeout,
+        seed=args.seed,
+        schedule=_schedule_from_args(args, (formula or empty_clause).num_vars),
+        enable_random_refinement=not args.no_random_refine,
+        max_rounds=args.max_rounds,
+    )
     # Opened before the solve, so a bad path fails before any 's' line.
     stats_file = Path(args.stats).open("a", newline="") if args.stats else None
     with stats_file or contextlib.nullcontext():
@@ -221,31 +222,32 @@ def single_thread_blas_pool(max_workers: int):
 
 def cmd_bench(args) -> int:
     if not args.timeout > 0:  # also rejects nan
-        print("error: --timeout must be positive", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("--timeout must be positive")
     if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return EXIT_ERROR
-    directory = Path(args.dir)
-    instances = sorted(str(p) for p in directory.glob("*.cnf"))
+        raise ValueError("--jobs must be at least 1")
+    instances = sorted(str(p) for p in Path(args.dir).glob("*.cnf"))
     if not instances:
-        print(f"error: no .cnf files in {args.dir}", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"no .cnf files in {args.dir}")
     # each named solver once, in the order first named
     solvers = list(dict.fromkeys(s.strip() for s in args.solvers.split(",") if s.strip()))
     if not solvers:
-        print("error: --solvers names no solver", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("--solvers names no solver")
     for solver_id in solvers:
         if solver_id not in SOLVER_IDS:
-            print(
-                f"error: unknown solver {solver_id!r}"
-                f" (choose from {', '.join(SOLVER_IDS)})",
-                file=sys.stderr,
+            raise ValueError(
+                f"unknown solver {solver_id!r} (choose from {', '.join(SOLVER_IDS)})"
             )
-            return EXIT_ERROR
+    # A malformed instance fails before any solve, and before the CSV is
+    # opened (and emptied).
+    for inst in instances:
+        try:
+            _load_formula(inst)
+        except EmptyClauseError:
+            pass  # run_one records it as UNKNOWN
+        except DimacsError as exc:
+            raise DimacsError(f"{inst}: {exc}") from exc
     tasks = [
-        (inst, solver_id, derive_seed(args.seed, inst), args.timeout)
+        (inst, solver_id, derive_seed(args.seed, Path(inst).name), args.timeout)
         for inst in instances
         for solver_id in solvers
     ]
@@ -253,8 +255,7 @@ def cmd_bench(args) -> int:
     try:
         csv_file = open(args.csv, "w", newline="")
     except OSError as exc:
-        print(f"error: cannot write {args.csv}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise OSError(f"cannot write {args.csv}: {exc}") from exc
     with csv_file:
         if args.jobs > 1:
             with single_thread_blas_pool(args.jobs) as pool:
@@ -302,13 +303,9 @@ def parse_assignment_file(text: str, num_vars: int) -> Assignment:
 
 
 def cmd_verify(args) -> int:
-    try:
-        formula = _load_formula(args.cnf)
-        text = _read_text(args.assignment)
-        assignment = parse_assignment_file(text, formula.num_vars)
-    except (DimacsError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    formula = _load_formula(args.cnf)
+    text = _read_text(args.assignment)
+    assignment = parse_assignment_file(text, formula.num_vars)
     unsat = count_unsat(formula, assignment)
     if unsat == 0:
         print("SAT")
@@ -318,12 +315,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        formula = _load_formula(args.cnf)
-        table = oracle_mod.dense_omega(formula)
-    except (DimacsError, oracle_mod.SizeCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    formula = _load_formula(args.cnf)
+    table = oracle_mod.dense_omega(formula)
     print(f"solutions {int(table.values.sum())}")
     print("var bias1_raw bias1_norm bias2_raw bias2_norm")
     for i in range(formula.num_vars):

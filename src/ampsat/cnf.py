@@ -44,7 +44,12 @@ class DimacsError(ValueError):
 
 
 class EmptyClauseError(DimacsError):
-    """Otherwise valid input holding the empty clause, which nothing satisfies."""
+    """Otherwise valid input holding the empty clause, which nothing satisfies.
+    num_vars is the header's variable count, when known."""
+
+    def __init__(self, message: str, line: int | None = None, num_vars: int | None = None):
+        self.num_vars = num_vars
+        super().__init__(message, line)
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,7 +249,7 @@ def parse_dimacs(text: str) -> Formula:
     if pending:
         raise DimacsError("unterminated clause at end of input", pending_line)
     if empty_line is not None:
-        raise EmptyClauseError("empty clause", empty_line)
+        raise EmptyClauseError("empty clause", empty_line, num_vars)
     formula = object.__new__(Formula)  # in range already: skip Formula.__post_init__
     object.__setattr__(formula, "num_vars", num_vars)
     object.__setattr__(formula, "clauses", tuple(clauses))

@@ -198,6 +198,23 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--timeout", "timeout must be positive"),
+            ("--max-rounds", "max_rounds must be >= 1"),
+            ("--steps", "steps and repeats must be >= 1"),
+            ("--tmin", "require t_max >= t_min > 0"),
+        ],
+    )
+    def test_an_empty_clause_input_checks_every_flag(self, tmp_path, capsys, flag, message):
+        path = tmp_path / "empty_clause.cnf"
+        path.write_text(EMPTY_CLAUSE)
+        assert main(["solve", str(path), flag, "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert not any(line.startswith("s ") for line in captured.out.splitlines())
+
     @pytest.mark.parametrize("instance, min_rounds", [("uf20/uf20-001.cnf", 1),
                                                       ("uf50/uf50-005.cnf", 2)])
     def test_solve_runs_without_scipy(self, instance, min_rounds):
@@ -467,6 +484,36 @@ class TestBench:
         code = main(["bench", str(cnf_dir), "--solvers", "sa", "--csv", str(out_csv)])
         assert code == 1 and runs == []
         assert capsys.readouterr().err.startswith(f"error: cannot write {out_csv}: ")
+
+    def test_a_malformed_instance_errors_before_any_run(self, cnf_dir, tmp_path, capsys,
+                                                        monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "run_one", lambda *task: runs.append(task))
+        (cnf_dir / "empty_clause.cnf").write_text(EMPTY_CLAUSE)  # recorded, not an error
+        bad = cnf_dir / "zz-bad.cnf"
+        bad.write_text("p cnf 2 1\n1 x 0\n")
+        out_csv = tmp_path / "x.csv"
+        out_csv.write_text("old\n")
+        code = main(["bench", str(cnf_dir), "--solvers", "sa", "--csv", str(out_csv)])
+        assert code == 1 and runs == []
+        assert capsys.readouterr().err == f"error: {bad}: line 2: non-integer token 'x'\n"
+        assert out_csv.read_text() == "old\n"
+
+    def test_seeds_follow_the_file_name_not_the_directory_spelling(self, cnf_dir, tmp_path,
+                                                                   capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        relative, absolute = tmp_path / "rel.csv", tmp_path / "abs.csv"
+        for directory, out in ((cnf_dir.name, relative), (str(cnf_dir), absolute)):
+            assert main(["bench", directory, "--solvers", "amp-bias1,sa", "--timeout", "10",
+                         "--seed", "4", "--csv", str(out)]) == 0
+        keep = lambda rows: [
+            {k: r[k] for k in ("solver", "seed", "status", "rounds", "columns_final")}
+            for r in rows
+        ]
+        rows = keep(self._read(relative))
+        assert rows == keep(self._read(absolute))
+        names = sorted(p.name for p in cnf_dir.glob("*.cnf"))
+        assert {r["seed"] for r in rows} == {str(derive_seed(4, n)) for n in names}
 
 
 class TestHelpers:

@@ -20,7 +20,7 @@ from ampsat import (
     parse_dimacs,
     to_dimacs,
 )
-from ampsat.cnf import Clause, Literal, hamming_distance, make_clause
+from ampsat.cnf import Clause, EmptyClauseError, Literal, hamming_distance, make_clause
 from ampsat.indicator import clause_indicator
 
 from helpers import all_assignments, random_formula
@@ -92,6 +92,12 @@ class TestParse:
         with pytest.raises(DimacsError) as err:
             parse_dimacs("p cnf 2 2\n1 2 0\n5 0")
         assert err.value.line == 3
+
+    def test_empty_clause_error_carries_the_header_variable_count(self):
+        # what `ampsat solve` sizes the annealing schedule from
+        with pytest.raises(EmptyClauseError) as err:
+            parse_dimacs("p cnf 2 2\n1 2 0\n0\n")
+        assert err.value.num_vars == 2 and err.value.line == 3
 
     def test_roundtrip_random(self):
         rng = random.Random(11)
