@@ -30,20 +30,18 @@ enumerated over 2^n.
 
 No Gram matrix is kept. The only K-squared state is a lower Cholesky factor
 L of G, stored as row panels of at most _PANEL_ROWS rows: a panel holds L's
-rows left of its diagonal block, and the block's inverse as a lower
-triangle packed by rows. A batch of d columns appended at K = o costs
-O(K^2 d), not O(K^3): each new panel's raw Gram rows are built, factored by
-the block Cholesky update (Golub & Van Loan, Matrix Computations, section
-4.2)
+rows left of its diagonal block, and the block's inverse as a square of at
+most _PANEL_ROWS^2 entries, zero above the diagonal. A batch of d columns
+appended at K = o costs O(K^2 d), not O(K^3): each new panel's raw Gram
+rows are built, factored by the block Cholesky update (Golub & Van Loan,
+Matrix Computations, section 4.2)
 
     L21 = G21 L11^-T,    L22 = chol(G22 - L21 L21^T),
 
 and stored, one panel at a time, with numpy's matrix product and Cholesky.
 Each diagonal block is kept as its inverse, so both triangular solves, in
-the update and in the weight solve, are matrix products too; a packed block
-is expanded for them into a square of at most _PANEL_ROWS^2 entries, one at
-a time, and a quantized panel is cast to float32 whole, one panel at a
-time.
+the update and in the weight solve, are matrix products too, and a
+quantized panel is cast to float32 whole, one panel at a time.
 Every other array that grows with K beyond O(K) is built one bounded block
 of _GRAM_BLOCK_ENTRIES entries at a time, cut by `row_blocks`, which also
 cuts the decimation's sign matrix (`weighted_row_sum`, ampsat.bias).
@@ -100,14 +98,11 @@ _RESIDUAL_TOL = 1e-6
 # Gram-vector product or a decimation step however many columns there are,
 # to about 1.2 MiB for a Gram block of 256 KiB.
 _GRAM_BLOCK_ENTRIES = 1 << 15
-# Rows per factor panel: bounds every block the factor updates, factors or
-# inverts, and the square a packed diagonal block is expanded into. At 64
-# rows the float64 copies np.linalg.cholesky makes of a block take 96 KiB
-# (about 1 MiB at 256), far under one Gram block.
+# Rows per factor panel: bounds every block the factor updates, factors,
+# inverts or stores as its diagonal. At 64 rows the float64 copies
+# np.linalg.cholesky makes of a block take 96 KiB (about 1 MiB at 256), far
+# under one Gram block, and a stored float32 diagonal square 16 KiB.
 _PANEL_ROWS = 64
-# A lower triangle of order d is _LOWER[:d, :d], in the row-major order its
-# packed entries follow.
-_LOWER = np.tri(_PANEL_ROWS, dtype=bool)
 # A column fixing c variables adds 2^c entries to the term table, without
 # bound for long clauses. Past this many (4096 entries, a closed-form Gram
 # row at K = 4096) it stays out of the table, and G a takes its rows in
@@ -139,10 +134,10 @@ class _Panel(NamedTuple):
     """Rows [o, o + d) of the lower factor L. L[o:o+d, :o] is
     `rows * scale[:, None]`: int8 or int16 rows with float32 scales, or
     float64 rows with unit scales; a decoupled column's row and scale are 0.
-    `diag` is the inverse of the diagonal block L[o:o+d, o:o+d], a lower
-    triangle packed by rows into d(d+1)/2 entries; its dtype (float32 beside
-    quantized rows, float64 otherwise) is the one the panel's products are
-    taken in."""
+    `diag` is the inverse of the diagonal block L[o:o+d, o:o+d], a (d, d)
+    lower triangle with exact zeros above the diagonal; its dtype (float32
+    beside quantized rows, float64 otherwise) is the one the panel's
+    products are taken in."""
 
     rows: np.ndarray
     scale: np.ndarray
@@ -574,14 +569,6 @@ def _check_deadline(state: ApproxState) -> None:
         raise DeadlineReached(f"deadline reached at K={state.num_columns}")
 
 
-def _unpack(packed: np.ndarray, d: int) -> np.ndarray:
-    """The lower triangle of order d packed by rows in `packed`, as a new
-    d x d square in packed's dtype, zero above the diagonal."""
-    square = np.zeros((d, d), packed.dtype)
-    square[_LOWER[:d, :d]] = packed
-    return square
-
-
 def _factor_panel(state: ApproxState, lo: int, dtype) -> _Panel | None:
     """The panel of factor rows [lo, lo + d), given the panels before it,
     stored as `dtype` (int8, int16 or float64). Its raw Gram rows G21 are
@@ -590,7 +577,7 @@ def _factor_panel(state: ApproxState, lo: int, dtype) -> _Panel | None:
     forward substitution, each prior panel read in that precision, its
     scales applied to the product and its decoupled columns of X zeroed,
     and L22 = chol(G22 - X X^T), cast to the working precision and stored
-    packed as its inverse. When that Cholesky fails or has a pivot^2 under
+    as its inverse. When that Cholesky fails or has a pivot^2 under
     _PIVOT_FLOOR * G_jj, an int8 panel is None and any other is factored by
     `_decoupling_cholesky`. X is quantized only after the Schur complement.
     Every product, and so every temporary beyond X and one prior panel's
@@ -614,7 +601,7 @@ def _factor_panel(state: ApproxState, lo: int, dtype) -> _Panel | None:
         dp, op = prior.rows.shape
         block = rows[:, op : op + dp]
         block -= (rows[:, :op] @ prior.rows.astype(work, copy=False).T) * prior.scale
-        block[...] = block @ _unpack(prior.diag, dp).T
+        block[...] = block @ prior.diag.T
         block[:, prior.scale == 0.0] = 0.0
     g22 -= rows @ rows.T
     try:
@@ -638,7 +625,7 @@ def _factor_panel(state: ApproxState, lo: int, dtype) -> _Panel | None:
     else:
         scale = np.ones(d)
     scale[~coupled] = 0.0
-    return _Panel(rows, scale, factor[_LOWER[:d, :d]])
+    return _Panel(rows, scale, factor)
 
 
 def _decoupling_cholesky(schur: np.ndarray, diagonal: np.ndarray):
@@ -690,10 +677,10 @@ def _solve_factored(panels: list[_Panel], rhs: np.ndarray) -> np.ndarray:
         d, o = rows.shape
         work = diag.dtype
         product = rows.astype(work, copy=False) @ a[:o].astype(work, copy=False)
-        a[o : o + d] = _unpack(diag, d) @ (a[o : o + d].astype(work) - scale * product)
+        a[o : o + d] = diag @ (a[o : o + d].astype(work) - scale * product)
     for rows, scale, diag in reversed(panels):
         d, o = rows.shape
-        x = _unpack(diag, d).T @ a[o : o + d].astype(diag.dtype, copy=False)
+        x = diag.T @ a[o : o + d].astype(diag.dtype, copy=False)
         a[o : o + d] = x
         a[:o] -= rows.astype(diag.dtype, copy=False).T @ (scale * x)
     return a

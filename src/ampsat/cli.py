@@ -2,8 +2,9 @@
 
 solve prints SAT-competition-style output ('s SATISFIABLE' plus a 'v' line
 of 1-based signed literals terminated by 0, or 's UNKNOWN') and exits with
-10 on SAT, 0 on UNKNOWN, 1 on usage or parse errors. bench runs a directory
-of .cnf instances across solvers and writes one CSV record per run.
+10 on SAT, 0 on UNKNOWN, 1 on usage or parse errors. bench parses each .cnf
+instance of a directory once, runs it across solvers and writes one CSV
+record per run.
 Commands raise their input and flag errors (ValueError, OSError); main
 reports each as 'error: ...' on stderr with exit code 1.
 """
@@ -66,11 +67,12 @@ def _read_text(path: str) -> str:
 
 
 def _load_formula(path: str) -> Formula:
-    """Parse a DIMACS file, read by _read_text."""
+    """Parse a DIMACS file, read by _read_text. A file that cannot be read
+    raises OSError, which names it."""
     try:
         text = _read_text(path)
     except OSError as exc:
-        raise DimacsError(f"cannot read {path}: {exc}") from exc
+        raise OSError(f"cannot read {path}: {exc}") from exc
     return parse_dimacs(text)
 
 
@@ -168,16 +170,17 @@ def cmd_solve(args) -> int:
     return exit_code
 
 
-def run_one(instance: str, solver_id: str, seed: int, timeout: float) -> dict:
-    """Run one solver on one instance and return its CSV record.
+def run_one(
+    instance: str, formula: Formula | EmptyClauseError, solver_id: str, seed: int, timeout: float
+) -> dict:
+    """Run one solver on one instance, parsed as `formula`, and return its
+    CSV record under the name `instance`.
 
-    An instance holding the empty clause is recorded as UNKNOWN, with a
-    diagnostic on stderr, so it does not stop the other runs. The sa
-    baseline's restarts are recorded as its rounds."""
-    try:
-        formula = _load_formula(instance)
-    except EmptyClauseError as exc:
-        print(f"c diagnostic: {instance}: {exc}: recorded as UNKNOWN", file=sys.stderr)
+    An instance holding the empty clause, passed as its EmptyClauseError, is
+    recorded as UNKNOWN, with a diagnostic on stderr, so it does not stop
+    the other runs. The sa baseline's restarts are recorded as its rounds."""
+    if isinstance(formula, EmptyClauseError):
+        print(f"c diagnostic: {instance}: {formula}: recorded as UNKNOWN", file=sys.stderr)
         return _record(instance, solver_id, seed, SolverStats(Status.UNKNOWN, None, 0, 0, 0))
     if solver_id == "sa":
         schedule = default_schedule(max(1, formula.num_vars))
@@ -237,17 +240,18 @@ def cmd_bench(args) -> int:
             raise ValueError(
                 f"unknown solver {solver_id!r} (choose from {', '.join(SOLVER_IDS)})"
             )
-    # A malformed instance fails before any solve, and before the CSV is
-    # opened (and emptied).
+    # Each instance is parsed once, here: a malformed one fails before any
+    # solve, and before the CSV is opened (and emptied).
+    formulas: dict[str, Formula | EmptyClauseError] = {}
     for inst in instances:
         try:
-            _load_formula(inst)
-        except EmptyClauseError:
-            pass  # run_one records it as UNKNOWN
+            formulas[inst] = _load_formula(inst)
+        except EmptyClauseError as exc:
+            formulas[inst] = exc  # run_one records it as UNKNOWN
         except DimacsError as exc:
             raise DimacsError(f"{inst}: {exc}") from exc
     tasks = [
-        (inst, solver_id, derive_seed(args.seed, Path(inst).name), args.timeout)
+        (inst, formulas[inst], solver_id, derive_seed(args.seed, Path(inst).name), args.timeout)
         for inst in instances
         for solver_id in solvers
     ]

@@ -109,36 +109,31 @@ def _decoupled(state):
     return [p.rows.shape[1] + j for p in state._panels for j in np.flatnonzero(p.scale == 0)]
 
 
-def _unpacked(packed, d):
-    """A lower triangle of order d packed by rows, as a d x d square."""
-    square = np.zeros((d, d), packed.dtype)
-    square[np.tril_indices(d)] = packed
-    return square
-
-
 def _dense_factor(state):
     """The factor panels laid out as one dense lower-triangular matrix; each
-    panel keeps its rows scaled and its diagonal block inverted and packed,
-    which is unpacked and inverted back."""
+    panel keeps its rows scaled and its diagonal block inverted, which is
+    inverted back."""
     k = state.num_columns
     out = np.zeros((k, k))
     for rows, scale, diag in state._panels:
         d, o = rows.shape
         out[o : o + d, :o] = rows * scale[:, None].astype(float)
-        out[o : o + d, o : o + d] = np.tril(np.linalg.inv(_unpacked(diag, d)))
+        out[o : o + d, o : o + d] = np.tril(np.linalg.inv(diag))
     return out
 
 
 def _panel_rows(state):
     """The row range [o, o + d) of every panel, checking that each is at
     most _PANEL_ROWS tall, holds its rows left of the diagonal, one scale
-    per row and its diagonal block's packed triangle, as int8 or int16 rows
-    with float32 scales and triangle or all float64, and follows the last."""
+    per row and its diagonal block's inverse as a (d, d) square with exact
+    zeros above the diagonal, as int8 or int16 rows with float32 scales and
+    square or all float64, and follows the last."""
     ranges = []
     for rows, scale, diag in state._panels:
         d, o = rows.shape
         assert 0 < d <= _PANEL_ROWS
-        assert scale.shape == (d,) and diag.shape == (d * (d + 1) // 2,)
+        assert scale.shape == (d,) and diag.shape == (d, d)
+        assert not np.triu(diag, 1).any()
         assert (rows.dtype, scale.dtype, diag.dtype) in (
             (np.int8, np.float32, np.float32),
             (np.int16, np.float32, np.float32),
@@ -486,13 +481,15 @@ class TestIncrementalFactor:
         assert k == 466
         ranges = [(0, 31)] + _tiles(31, 331) + _tiles(331, 466)
         assert _panel_rows(state) == ranges and len(_tiles(31, 331)) > 1
-        # no square is stored: each panel holds its L21 rows and exactly the
-        # d(d+1)/2 entries of its diagonal block's inverse, K(K+1)/2 in all
+        # no K x K square is stored: each panel holds its L21 rows and the
+        # d^2 entries of its diagonal block's inverse, K(K+1)/2 in all but
+        # for the zero upper halves of the diagonal blocks
         diagonal = [panel.diag.size for panel in state._panels]
-        assert diagonal == [(hi - lo) * (hi - lo + 1) // 2 for lo, hi in ranges]
+        assert diagonal == [(hi - lo) ** 2 for lo, hi in ranges]
         below = [panel.rows.size for panel in state._panels]
         assert below == [(hi - lo) * lo for lo, hi in ranges]
-        assert sum(diagonal) + sum(below) == k * (k + 1) // 2
+        upper = sum((hi - lo) * (hi - lo - 1) // 2 for lo, hi in ranges)
+        assert sum(diagonal) + sum(below) == k * (k + 1) // 2 + upper
         assert all(panel.rows.dtype == dtype for panel in state._panels[1:])
         factor = _dense_factor(state)
         gram = state.gram
@@ -557,7 +554,7 @@ class TestIncrementalFactor:
         for (lo, _), panel in zip(ranges, state._panels):
             assert panel.rows.dtype == (np.float64 if lo < first_order else np.int8)
         below = sum(d * o for o, d in ((lo, hi - lo) for lo, hi in ranges if lo >= first_order))
-        diagonal = sum((hi - lo) * (hi - lo + 1) // 2 for lo, hi in ranges if lo >= first_order)
+        diagonal = sum((hi - lo) ** 2 for lo, hi in ranges if lo >= first_order)
         stored = sum(array.nbytes for panel in state._panels for array in panel)
         assert stored <= 1 * below + 4 * diagonal + 4 * k + 8 * first_order**2
 
@@ -592,7 +589,8 @@ class TestIncrementalFactor:
         # blocks cut to 2^12 entries. Above what it started with, each
         # solve with the factor (one per PCG step) holds at most one
         # whole-panel float32 cast (4 * d * o bytes for a panel of d rows
-        # at column o), three K-vectors and two expanded diagonal blocks.
+        # at column o) and three K-vectors, with room for two diagonal
+        # squares, though each stored diagonal inverse is multiplied as it is.
         # Each panel's factoring holds its float32 rows and, one at a time,
         # a Gram block, one earlier panel cast whole or its own int8 copy:
         # max |row| is taken without a copy of |rows|.
@@ -707,8 +705,7 @@ class TestIncrementalFactor:
         assert all(panel.rows.dtype == np.int16 for panel in state._panels[1:])
         return state
 
-    def test_a_state_that_took_the_ladder_keeps_float64_panels(self, monkeypatch):
-        # Named for the float64 ridge ladder the rung once fell back to.
+    def test_a_state_that_took_the_rung_keeps_int16_panels(self, monkeypatch):
         # int8 panels whose Schur blocks are not positive definite take the
         # int16 rung, and the state keeps int16 panels, solved to float64
         # accuracy.
@@ -723,12 +720,12 @@ class TestIncrementalFactor:
         assert np.abs(state.weights - ref).max() <= TOL * max(1.0, np.abs(ref).max())
         assert state.inconsistent_from is None
 
-    def test_an_int16_factor_that_misses_the_gate_lands_on_the_float64_rung(self, monkeypatch):
-        # Named for the float64 rung it once landed on. PCG cut to one step:
-        # the int8 factor's solve misses the residual check, and so does the
-        # int16 rung's, each over the whole batch. The fit then keeps the
-        # first-order weights, the batch's columns weighing 0, and records
-        # its K as evidence of an inconsistent system.
+    def test_a_gate_missed_at_int16_keeps_the_last_weights(self, monkeypatch):
+        # PCG cut to one step: the int8 factor's solve misses the residual
+        # check, and so does the int16 rung's, each over the whole batch.
+        # The fit then keeps the first-order weights, the batch's columns
+        # weighing 0, and records its K as evidence of an inconsistent
+        # system.
         solve_factored = approx_module._solve_factored
         quantized = []
 
@@ -748,12 +745,11 @@ class TestIncrementalFactor:
         assert np.array_equal(state.weights[:31], first_order) and not state.weights[31:].any()
         assert state._panel_dtype == np.int16 and state.inconsistent_from == 131
 
-    def test_an_int16_failure_after_the_rung_lands_on_the_float64_rung(self, monkeypatch):
-        # Named for the float64 rung it once landed on. A batch whose int8
-        # Schur block fails takes the int16 rung; a later column that
-        # repeats an earlier one is decoupled in its own int16 panel, on
-        # the factor held. Its weight and column 2's, whose cube it repeats,
-        # sum to column 2's weight in the fit without it.
+    def test_a_column_repeated_after_the_rung_is_decoupled(self, monkeypatch):
+        # A batch whose int8 Schur block fails takes the int16 rung; a later
+        # column that repeats an earlier one is decoupled in its own int16
+        # panel, on the factor held. Its weight and column 2's, whose cube
+        # it repeats, sum to column 2's weight in the fit without it.
         factor_panel = approx_module._factor_panel
 
         def failing(state, lo, dtype):

@@ -23,6 +23,7 @@ from ampsat.cli import (
     run_one,
     single_thread_blas_pool,
 )
+from ampsat.cnf import EmptyClauseError
 
 ONE_CLAUSE = "p cnf 2 1\n1 2 0\n"
 EMPTY_CLAUSE = "p cnf 2 2\n1 2 0\n0\n"
@@ -188,7 +189,10 @@ class TestSolve:
         assert capsys.readouterr().out.splitlines()[-1] == "s UNKNOWN"
         with stats.open() as fh:
             rows = list(csv.DictReader(fh))
-        bench = {field: str(value) for field, value in run_one(str(path), "amp-bias1", 3, 1.0).items()}
+        with pytest.raises(EmptyClauseError) as parsed:
+            parse_dimacs(EMPTY_CLAUSE)
+        record = run_one(str(path), parsed.value, "amp-bias1", 3, 1.0)
+        bench = {field: str(value) for field, value in record.items()}
         assert rows == [bench]
         assert bench["status"] == "UNKNOWN" and bench["rounds"] == bench["columns_final"] == "0"
         capsys.readouterr()
@@ -498,6 +502,41 @@ class TestBench:
         assert code == 1 and runs == []
         assert capsys.readouterr().err == f"error: {bad}: line 2: non-integer token 'x'\n"
         assert out_csv.read_text() == "old\n"
+
+    def test_each_instance_is_read_once(self, cnf_dir, tmp_path, capsys, monkeypatch):
+        # by the parse before the runs: each run takes the parsed formula,
+        # or the EmptyClauseError of c.cnf
+        (cnf_dir / "c.cnf").write_text(EMPTY_CLAUSE)
+        reads = []
+        read_text = cli._read_text
+
+        def counting(path):
+            reads.append(Path(path).name)
+            return read_text(path)
+
+        monkeypatch.setattr(cli, "_read_text", counting)
+        out_csv = tmp_path / "x.csv"
+        assert main(["bench", str(cnf_dir), "--solvers", "amp-bias1,sa", "--timeout", "10",
+                     "--csv", str(out_csv)]) == 0
+        assert reads == ["a.cnf", "b.cnf", "c.cnf"]
+        assert [(r["instance"], r["status"]) for r in self._read(out_csv)] == [
+            (str(cnf_dir / name), status)
+            for name, status in (("a.cnf", "SAT"), ("b.cnf", "SAT"), ("c.cnf", "UNKNOWN"))
+            for _ in range(2)
+        ]
+
+    def test_an_unreadable_instance_is_named_once(self, cnf_dir, tmp_path, capsys):
+        # bench reports it as `ampsat solve` does, with no PATH: prefix
+        unreadable = cnf_dir / "d.cnf"
+        unreadable.mkdir()
+        assert main(["solve", str(unreadable)]) == 1
+        solve_err = capsys.readouterr().err
+        out_csv = tmp_path / "x.csv"
+        assert main(["bench", str(cnf_dir), "--solvers", "sa", "--csv", str(out_csv)]) == 1
+        assert capsys.readouterr().err == solve_err == (
+            f"error: cannot read {unreadable}: [Errno 21] Is a directory: '{unreadable}'\n"
+        )
+        assert not out_csv.exists()
 
     def test_seeds_follow_the_file_name_not_the_directory_spelling(self, cnf_dir, tmp_path,
                                                                    capsys, monkeypatch):

@@ -99,6 +99,14 @@ class TestParse:
             parse_dimacs("p cnf 2 2\n1 2 0\n0\n")
         assert err.value.num_vars == 2 and err.value.line == 3
 
+    def test_empty_clause_error_round_trips_through_pickle(self):
+        # as `ampsat bench --jobs` hands it to a worker, to record the run
+        with pytest.raises(EmptyClauseError) as err:
+            parse_dimacs("p cnf 2 2\n1 2 0\n0\n")
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert type(copy) is EmptyClauseError and str(copy) == "line 3: empty clause"
+        assert copy.num_vars == 2 and copy.line == 3
+
     def test_roundtrip_random(self):
         rng = random.Random(11)
         for _ in range(50):
