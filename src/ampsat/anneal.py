@@ -166,12 +166,15 @@ def sa_solve(
     timeout: float,
 ) -> tuple[Assignment | None, int]:
     """Standalone annealing baseline: fresh uniform-random starts until the
-    timeout. Returns (satisfying assignment or None, number of restarts)."""
+    timeout. Returns (satisfying assignment or None, number of restarts);
+    a formula holding the empty clause returns (None, 0) at once."""
     deadline = time.monotonic() + timeout
     restarts = 0
     n = formula.num_vars
     if formula.num_clauses == 0:
         return tuple(1 for _ in range(n)), 1
+    if any(not clause.literals for clause in formula.clauses):
+        return None, 0
     while time.monotonic() < deadline:
         start = tuple(rng.choice((-1, 1)) for _ in range(n))
         restarts += 1

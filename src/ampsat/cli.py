@@ -4,7 +4,9 @@ solve prints SAT-competition-style output ('s SATISFIABLE' plus a 'v' line
 of 1-based signed literals terminated by 0, or 's UNKNOWN') and exits with
 10 on SAT, 0 on UNKNOWN, 1 on usage or parse errors. bench parses each .cnf
 instance of a directory once, runs it across solvers and writes one CSV
-record per run.
+record per run. An input holding the empty clause is a formula like any
+other: solve reports it UNKNOWN, verify finds that clause unsatisfied and
+oracle counts 0 solutions.
 Commands raise their input and flag errors (ValueError, OSError); main
 reports each as 'error: ...' on stderr with exit code 1.
 """
@@ -29,7 +31,6 @@ from .bias import BiasKind
 from .cnf import (
     Assignment,
     DimacsError,
-    EmptyClauseError,
     Formula,
     count_unsat,
     parse_dimacs,
@@ -62,18 +63,21 @@ def _read_text(path: str) -> str:
     """A file's text as UTF-8. Bytes that are not UTF-8 (a Latin-1 comment,
     say) decode to lone surrogates, so a comment may hold any bytes and line
     numbers count only the file's own line breaks; such a byte outside a
-    comment is a non-integer token."""
-    return Path(path).read_bytes().decode("utf-8", "surrogateescape")
-
-
-def _load_formula(path: str) -> Formula:
-    """Parse a DIMACS file, read by _read_text. A file that cannot be read
-    raises OSError, which names it."""
+    comment is a non-integer token. A file that cannot be read raises
+    OSError, which names it."""
     try:
-        text = _read_text(path)
+        return Path(path).read_bytes().decode("utf-8", "surrogateescape")
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
-    return parse_dimacs(text)
+
+
+def _open_csv(path: str, mode: str):
+    """A CSV file opened for writing. A path that cannot be opened raises
+    OSError, which names it."""
+    try:
+        return open(path, mode, newline="")
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def derive_seed(master_seed: int, instance: str) -> int:
@@ -122,42 +126,32 @@ def _write_csv(fh, rows: list[dict]) -> None:
 
 def _print_v_line(assignment: Assignment) -> None:
     lits = [str((i + 1) * b) for i, b in enumerate(assignment)]
-    print("v " + " ".join(lits) + " 0")
+    print(" ".join(["v", *lits, "0"]))
 
 
 def cmd_solve(args) -> int:
-    formula = empty_clause = None
-    try:
-        formula = _load_formula(args.cnf)
-    except EmptyClauseError as exc:
-        empty_clause = exc
+    formula = parse_dimacs(_read_text(args.cnf))
     bias = BiasKind(args.bias)
-    # Built for every input, so a bad flag is an error on the empty clause too.
     config = SolverConfig(
         bias_kind=bias,
         timeout=args.timeout,
         seed=args.seed,
-        schedule=_schedule_from_args(args, (formula or empty_clause).num_vars),
+        schedule=_schedule_from_args(args, formula.num_vars),
         enable_random_refinement=not args.no_random_refine,
         max_rounds=args.max_rounds,
     )
     # Opened before the solve, so a bad path fails before any 's' line.
-    stats_file = Path(args.stats).open("a", newline="") if args.stats else None
+    stats_file = _open_csv(args.stats, "a") if args.stats else None
     with stats_file or contextlib.nullcontext():
-        if empty_clause is not None:
-            # Trivially unsatisfiable, but an incomplete solver never reports UNSAT.
-            print(f"c diagnostic: {empty_clause}: no assignment satisfies the formula")
-            stats = SolverStats(Status.UNKNOWN, None, 0, 0, 0)
-        else:
-            stats = solve(formula, config)
-            print(f"c {args.cnf}: n={formula.num_vars} m={formula.num_clauses}")
-            print(
-                f"c rounds={stats.rounds} columns={stats.columns_final}"
-                f" random_refinements={stats.random_refinements}"
-                f" wall_time={stats.wall_time:.3f}s"
-            )
-            if stats.diagnostic:
-                print(f"c diagnostic: {stats.diagnostic}")
+        stats = solve(formula, config)
+        print(f"c {args.cnf}: n={formula.num_vars} m={formula.num_clauses}")
+        print(
+            f"c rounds={stats.rounds} columns={stats.columns_final}"
+            f" random_refinements={stats.random_refinements}"
+            f" wall_time={stats.wall_time:.3f}s"
+        )
+        if stats.diagnostic:
+            print(f"c diagnostic: {stats.diagnostic}")
         if stats.status == Status.SAT:
             print("s SATISFIABLE")
             _print_v_line(stats.assignment)
@@ -170,18 +164,10 @@ def cmd_solve(args) -> int:
     return exit_code
 
 
-def run_one(
-    instance: str, formula: Formula | EmptyClauseError, solver_id: str, seed: int, timeout: float
-) -> dict:
+def run_one(instance: str, formula: Formula, solver_id: str, seed: int, timeout: float) -> dict:
     """Run one solver on one instance, parsed as `formula`, and return its
-    CSV record under the name `instance`.
-
-    An instance holding the empty clause, passed as its EmptyClauseError, is
-    recorded as UNKNOWN, with a diagnostic on stderr, so it does not stop
-    the other runs. The sa baseline's restarts are recorded as its rounds."""
-    if isinstance(formula, EmptyClauseError):
-        print(f"c diagnostic: {instance}: {formula}: recorded as UNKNOWN", file=sys.stderr)
-        return _record(instance, solver_id, seed, SolverStats(Status.UNKNOWN, None, 0, 0, 0))
+    CSV record under the name `instance`. The sa baseline's restarts are
+    recorded as its rounds."""
     if solver_id == "sa":
         schedule = default_schedule(max(1, formula.num_vars))
         t0 = time.monotonic()
@@ -242,12 +228,10 @@ def cmd_bench(args) -> int:
             )
     # Each instance is parsed once, here: a malformed one fails before any
     # solve, and before the CSV is opened (and emptied).
-    formulas: dict[str, Formula | EmptyClauseError] = {}
+    formulas: dict[str, Formula] = {}
     for inst in instances:
         try:
-            formulas[inst] = _load_formula(inst)
-        except EmptyClauseError as exc:
-            formulas[inst] = exc  # run_one records it as UNKNOWN
+            formulas[inst] = parse_dimacs(_read_text(inst))
         except DimacsError as exc:
             raise DimacsError(f"{inst}: {exc}") from exc
     tasks = [
@@ -256,11 +240,7 @@ def cmd_bench(args) -> int:
         for solver_id in solvers
     ]
     # Opened before the runs, so a bad path fails before any solve.
-    try:
-        csv_file = open(args.csv, "w", newline="")
-    except OSError as exc:
-        raise OSError(f"cannot write {args.csv}: {exc}") from exc
-    with csv_file:
+    with _open_csv(args.csv, "w") as csv_file:
         if args.jobs > 1:
             with single_thread_blas_pool(args.jobs) as pool:
                 rows = list(pool.map(run_one, *zip(*tasks)))
@@ -278,23 +258,30 @@ def cmd_bench(args) -> int:
 
 def parse_assignment_file(text: str, num_vars: int) -> Assignment:
     """Read a solution: 'v' lines or bare signed literals, 0-terminated.
-    A variable given with both signs is an error."""
+    A token that is not an integer, or a literal out of range, is a
+    DimacsError naming its line; a variable given with both signs is an
+    error too."""
     values: dict[int, int] = {}
     done = False
-    for raw in split_lines(text):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line[0] in "cs":
             continue
         if line.startswith("v"):
             line = line[1:]
         for tok in line.split():
-            code = int(tok)
+            try:
+                code = int(tok)
+            except ValueError:
+                raise DimacsError(f"non-integer token {tok!r}", lineno) from None
             if code == 0:
                 done = True
                 break
             var = abs(code) - 1
             if var >= num_vars:
-                raise ValueError(f"literal {code} out of range")
+                raise DimacsError(
+                    f"literal {code} out of range for {num_vars} variables", lineno
+                )
             value = 1 if code > 0 else -1
             if values.setdefault(var, value) != value:
                 raise ValueError(f"conflicting literals for variable {var + 1}")
@@ -307,7 +294,7 @@ def parse_assignment_file(text: str, num_vars: int) -> Assignment:
 
 
 def cmd_verify(args) -> int:
-    formula = _load_formula(args.cnf)
+    formula = parse_dimacs(_read_text(args.cnf))
     text = _read_text(args.assignment)
     assignment = parse_assignment_file(text, formula.num_vars)
     unsat = count_unsat(formula, assignment)
@@ -319,7 +306,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    formula = _load_formula(args.cnf)
+    formula = parse_dimacs(_read_text(args.cnf))
     table = oracle_mod.dense_omega(formula)
     print(f"solutions {int(table.values.sum())}")
     print("var bias1_raw bias1_norm bias2_raw bias2_norm")

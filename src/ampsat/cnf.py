@@ -5,7 +5,8 @@ the +/-1 convention with s_i = +1 meaning variable i is true, so a positive
 literal on variable i is satisfied exactly when s_i == +1.
 
 Literal, Clause and Formula are frozen dataclasses with slots. A Clause or
-Formula built directly validates itself in __post_init__. parse_dimacs
+Formula built directly validates itself in __post_init__. The empty clause
+(a bare 0 in DIMACS) is a Clause like any other. parse_dimacs
 builds a formula in one pass over the text: it canonicalizes each clause as
 plain ints and takes the clause's literals from a per-formula table, so
 equal literals of one formula are one object (at most 2n of them), and it
@@ -43,15 +44,6 @@ class DimacsError(ValueError):
         super().__init__(message)
 
 
-class EmptyClauseError(DimacsError):
-    """Otherwise valid input holding the empty clause, which nothing satisfies.
-    num_vars is the header's variable count, when known."""
-
-    def __init__(self, message: str, line: int | None = None, num_vars: int | None = None):
-        self.num_vars = num_vars
-        super().__init__(message, line)
-
-
 @dataclass(frozen=True, slots=True)
 class Literal:
     """A variable occurrence: polarity +1 for x_var, -1 for its negation."""
@@ -68,14 +60,13 @@ class Literal:
 
 @dataclass(frozen=True, slots=True)
 class Clause:
-    """Disjunction of literals, sorted by variable, one literal per variable."""
+    """Disjunction of literals, sorted by variable, one literal per variable.
+    The empty clause, Clause(()), is one that no assignment satisfies."""
 
     literals: tuple[Literal, ...]
 
     def __post_init__(self):
         vars_ = [lit.var for lit in self.literals]
-        if len(self.literals) == 0:
-            raise ValueError("empty clause")
         if vars_ != sorted(set(vars_)):
             raise ValueError("clause literals must be sorted with distinct variables")
 
@@ -136,7 +127,7 @@ def make_clause(signed_literals: Iterable[int]) -> Clause | None:
     """Canonicalize DIMACS-style signed literal codes (+/-(var+1)) into a Clause.
 
     Duplicate literals are merged; returns None for a tautology (both
-    polarities of one variable present).
+    polarities of one variable present). No codes give the empty clause.
     """
     codes = list(signed_literals)
     if 0 in codes:
@@ -162,15 +153,15 @@ def parse_dimacs(text: str) -> Formula:
     Clauses are whitespace-separated nonzero integers terminated by 0 and may
     span lines. SATLIB-style trailing '%' (and anything after it) is ignored.
     Duplicate literals within a clause are merged; tautological clauses are
-    dropped and counted in Formula.tautology_count. Every clause of the
-    result takes its literals from one table, so equal literals are the same
+    dropped and counted in Formula.tautology_count. A bare 0 is the empty
+    clause, kept in its place like any other. Every clause of the result
+    takes its literals from one table, so equal literals are the same
     object and the formula holds at most 2 * num_vars Literal objects.
 
     Errors are DimacsError with the line number. A header error or a
     non-integer token anywhere in the text wins over an out-of-range
-    literal, which wins over an unterminated last clause, which wins over
-    an empty clause (a bare 0, EmptyClauseError); within one kind the first
-    in the text wins.
+    literal, which wins over an unterminated last clause; within one kind
+    the first in the text wins.
     """
     num_vars: int | None = None
     declared_clauses = 0  # validated for shape only; the count is not enforced
@@ -179,7 +170,6 @@ def parse_dimacs(text: str) -> Formula:
     tautologies = 0
     pending: list[int] = []  # codes of a clause not yet terminated by 0
     pending_line = 0
-    empty_line: int | None = None
     out_of_range: DimacsError | None = None  # raised once no earlier-ranked error can follow
 
     for lineno, raw in enumerate(split_lines(text), start=1):
@@ -227,9 +217,6 @@ def parse_dimacs(text: str) -> Formula:
             clause_codes = pending + codes[start:end]
             pending = []
             start = end + 1
-            if not clause_codes:
-                empty_line = empty_line or lineno
-                continue
             canonical = _canonical_codes(clause_codes)
             if canonical is None:
                 tautologies += 1
@@ -248,8 +235,6 @@ def parse_dimacs(text: str) -> Formula:
         raise out_of_range
     if pending:
         raise DimacsError("unterminated clause at end of input", pending_line)
-    if empty_line is not None:
-        raise EmptyClauseError("empty clause", empty_line, num_vars)
     formula = object.__new__(Formula)  # in range already: skip Formula.__post_init__
     object.__setattr__(formula, "num_vars", num_vars)
     object.__setattr__(formula, "clauses", tuple(clauses))
@@ -262,7 +247,7 @@ def to_dimacs(formula: Formula) -> str:
     lines = [f"p cnf {formula.num_vars} {formula.num_clauses}"]
     for clause in formula.clauses:
         codes = [lit.polarity * (lit.var + 1) for lit in clause.literals]
-        lines.append(" ".join(str(c) for c in codes) + " 0")
+        lines.append(" ".join(map(str, [*codes, 0])))
     return "\n".join(lines) + "\n"
 
 

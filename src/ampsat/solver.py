@@ -89,7 +89,9 @@ def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
     anneal the candidate, and stop on SAT, at the deadline or after
     max_rounds rounds; otherwise plan refinement columns and add them. The
     first-order fit is made before the first round, and one exit after the
-    loop builds the SolverStats.
+    loop builds the SolverStats. A formula holding the empty clause is
+    answered before the fit: UNKNOWN after 0 rounds, with a diagnostic
+    naming the clause.
 
     Deterministic for a fixed (formula, config) as long as the timeout is not
     hit. The timeout is checked between rounds, every 1024 annealing steps
@@ -102,6 +104,10 @@ def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
     as floating-point evidence of UNSAT, never as an answer.
     """
     config = config or SolverConfig()
+    empty = next((m for m, clause in enumerate(formula.clauses) if not clause.literals), None)
+    if empty is not None:
+        diagnostic = f"clause {empty + 1} is empty: no assignment satisfies the formula"
+        return SolverStats(Status.UNKNOWN, None, 0, 0, 0, diagnostic=diagnostic)
     t_start = time.monotonic()
     deadline = t_start + config.timeout
     rng = random.Random(config.seed)

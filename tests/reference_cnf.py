@@ -2,7 +2,8 @@
 literals: every literal occurrence its own Literal, every clause validated by
 make_clause and again by Clause.__post_init__, unslotted dataclasses. Kept
 verbatim as the reference the tests compare ampsat.cnf.parse_dimacs against,
-for results, errors and memory."""
+for results, errors and memory, but for the empty clause: both keep a bare
+0 as Clause(()), in its place."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import ampsat.cnf
-from ampsat.cnf import DimacsError, EmptyClauseError
+from ampsat.cnf import DimacsError
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,6 @@ class Clause:
 
     def __post_init__(self):
         vars_ = [lit.var for lit in self.literals]
-        if len(self.literals) == 0:
-            raise ValueError("empty clause")
         if vars_ != sorted(set(vars_)):
             raise ValueError("clause literals must be sorted with distinct variables")
 
@@ -102,7 +101,7 @@ def parse_dimacs(text: str) -> Formula:
     span lines. SATLIB-style trailing '%' (and anything after it) is ignored.
     Duplicate literals within a clause are merged; tautological clauses are
     dropped and counted in Formula.tautology_count. An empty clause (a bare
-    0) raises EmptyClauseError unless the input has another error.
+    0) is kept in its place.
     """
     num_vars: int | None = None
     declared_clauses = 0  # validated for shape only; the count is not enforced
@@ -147,11 +146,10 @@ def parse_dimacs(text: str) -> Formula:
     tautologies = 0
     pending: list[int] = []
     pending_line = header_line or 1
-    empty_line: int | None = None
     for code, lineno in tokens:
         if code == 0:
             if not pending:
-                empty_line = empty_line or lineno
+                clauses.append(Clause(()))
                 continue
             clause = make_clause(pending)
             if clause is None:
@@ -168,8 +166,6 @@ def parse_dimacs(text: str) -> Formula:
         pending_line = lineno
     if pending:
         raise DimacsError("unterminated clause at end of input", pending_line)
-    if empty_line is not None:
-        raise EmptyClauseError("empty clause", empty_line)
 
     return Formula(num_vars=num_vars, clauses=tuple(clauses), tautology_count=tautologies)
 

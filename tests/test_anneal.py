@@ -199,6 +199,12 @@ class TestSaBaseline:
         assert assignment == (1, 1)
         assert restarts == 1
 
+    @pytest.mark.parametrize("text", ["p cnf 2 2\n1 2 0\n0\n", "p cnf 0 1\n0\n"])
+    def test_an_empty_clause_returns_at_once(self, text):
+        f = parse_dimacs(text)
+        schedule = default_schedule(max(1, f.num_vars))
+        assert sa_solve(f, schedule, random.Random(0), timeout=60.0) == (None, 0)
+
 
 _STEPS = st.one_of(
     st.sampled_from((1, _CLOCK_STEPS, 2 * _CLOCK_STEPS)),

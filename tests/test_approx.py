@@ -279,11 +279,10 @@ class TestSolveWeights:
         assert weights == pytest.approx(_unit_rhs(3))
         assert state.inconsistent_from is None
 
-    def test_duplicated_column_triggers_ridge(self):
-        # Named for the ridge it once took. The duplicate leaves G singular
-        # and G a = e_0 consistent: its int8 panel fails, the int16 rung
-        # decouples it in the factor, and PCG solves the unchanged system
-        # to the minimum-norm fit's function.
+    def test_a_duplicate_column_is_decoupled_and_keeps_the_min_norm_fit(self):
+        # The duplicate leaves G singular and G a = e_0 consistent: its int8
+        # panel fails, the int16 rung decouples it in the factor, and PCG
+        # solves the unchanged system to the minimum-norm fit's function.
         f = parse_dimacs("p cnf 2 1\n1 2 0")
         state = init_first_order(f)
         state._append([((0,), column_signature(state.cache, (0,)))])
@@ -399,11 +398,10 @@ class TestIncrementalFactor:
         assert _panel_rows(state)[-1][1] == state.num_columns
         assert state._panel_dtype == np.int16 and len(_decoupled(state)) > 200
 
-    def test_forced_ridge_fallback_then_more_batches(self):
-        # Named for the ridge fallback it once forced. Clause 3 repeats
-        # clause 0, so (1, 3) is the column (0, 1) again: its int8 panel
-        # fails, and the int16 rung factors both pair columns again,
-        # decoupling the duplicate. Later batches extend that factor.
+    def test_later_batches_extend_a_factor_decoupling_a_duplicate(self):
+        # Clause 3 repeats clause 0, so (1, 3) is the column (0, 1) again:
+        # its int8 panel fails, and the int16 rung factors both pair columns
+        # again, decoupling the duplicate. Later batches extend that factor.
         f = parse_dimacs("p cnf 6 4\n1 2 0\n3 4 0\n5 6 0\n2 1 0")
         state = init_first_order(f)
         add_columns(state, [(0, 1)])
@@ -417,15 +415,14 @@ class TestIncrementalFactor:
         assert _panel_rows(state) == [(0, 4), (4, 6), (6, 8)]
         assert self._check_against_full_refactor(state) == "dependent"
 
-    def test_a_ridged_factor_grows_by_its_new_panels(self, monkeypatch):
-        # Named for the ridged factor it once grew. Random 3-SAT on 10
-        # variables, UNSAT but with G a = e_0 consistent, grown by all its
-        # pairs in batches of 150 to K = 710: the columns become dependent,
-        # the second batch takes the int16 rung, and from then on each batch
-        # factors only its own rows onto the panels the state holds,
-        # decoupling more columns. The fit stays the minimum-norm
-        # least-squares fit's function, which a ridge of 1e-10 missed by
-        # 4e-3 at K = 710.
+    def test_a_dependent_factor_grows_by_its_new_panels(self, monkeypatch):
+        # Random 3-SAT on 10 variables, UNSAT but with G a = e_0 consistent,
+        # grown by all its pairs in batches of 150 to K = 710: the columns
+        # become dependent, the second batch takes the int16 rung, and from
+        # then on each batch factors only its own rows onto the panels the
+        # state holds, decoupling more columns. The fit stays the
+        # minimum-norm least-squares fit's function, which a ridge of 1e-10
+        # missed by 4e-3 at K = 710.
         rng = random.Random(2)
         f = random_formula(rng, 10, 50, widths=(3,))
         state = init_first_order(f)
@@ -558,7 +555,7 @@ class TestIncrementalFactor:
         stored = sum(array.nbytes for panel in state._panels for array in panel)
         assert stored <= 1 * below + 4 * diagonal + 4 * k + 8 * first_order**2
 
-    def test_a_round_holds_its_packed_panels_and_one_bounded_block(self):
+    def test_a_round_holds_its_new_panels_and_one_bounded_block(self):
         # uf50-001 grown past K = 2000, then a round of 1000 columns: the
         # round's peak is the int8 panels it adds, the term table, whose
         # sorted keys the extension reallocates, and at most 2 MiB for a

@@ -23,7 +23,6 @@ from ampsat.cli import (
     run_one,
     single_thread_blas_pool,
 )
-from ampsat.cnf import EmptyClauseError
 
 ONE_CLAUSE = "p cnf 2 1\n1 2 0\n"
 EMPTY_CLAUSE = "p cnf 2 2\n1 2 0\n0\n"
@@ -108,9 +107,12 @@ class TestSolve:
         code = main(["solve", str(path)])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.splitlines()[-1] == "s UNKNOWN"
-        assert "c diagnostic: line 3: empty clause" in out
-        assert "UNSAT" not in out
+        assert out.splitlines() == [
+            f"c {path}: n=2 m=2",
+            "c rounds=0 columns=0 random_refinements=0 wall_time=0.000s",
+            "c diagnostic: clause 2 is empty: no assignment satisfies the formula",
+            "s UNKNOWN",
+        ]
 
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/really.cnf"]) == 1
@@ -179,6 +181,22 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_a_stats_directory_is_named_once(self, tmp_path, capsys):
+        path = tmp_path / "one.cnf"
+        path.write_text(ONE_CLAUSE)
+        assert main(["solve", str(path), "--stats", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot write {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+        )
+
+    def test_no_variables_print_a_bare_v_line(self, tmp_path, capsys):
+        path = tmp_path / "none.cnf"
+        path.write_text("p cnf 0 0\n")
+        assert main(["solve", str(path)]) == 10
+        assert capsys.readouterr().out.splitlines()[-2:] == ["s SATISFIABLE", "v 0"]
+
     def test_an_empty_clause_input_appends_the_bench_row(self, tmp_path, capsys):
         # The UNKNOWN row `ampsat bench` records for the instance; a bad
         # path still errors before the 's' line.
@@ -189,9 +207,7 @@ class TestSolve:
         assert capsys.readouterr().out.splitlines()[-1] == "s UNKNOWN"
         with stats.open() as fh:
             rows = list(csv.DictReader(fh))
-        with pytest.raises(EmptyClauseError) as parsed:
-            parse_dimacs(EMPTY_CLAUSE)
-        record = run_one(str(path), parsed.value, "amp-bias1", 3, 1.0)
+        record = run_one(str(path), parse_dimacs(EMPTY_CLAUSE), "amp-bias1", 3, 1.0)
         bench = {field: str(value) for field, value in record.items()}
         assert rows == [bench]
         assert bench["status"] == "UNKNOWN" and bench["rounds"] == bench["columns_final"] == "0"
@@ -275,14 +291,42 @@ class TestVerify:
         sol.write_text("v 1 0\n")
         assert main(["verify", str(cnf), str(sol)]) == 1
 
-    def test_empty_clause_is_an_error(self, tmp_path, capsys):
-        # verify needs a Formula, which cannot hold the empty clause
+    def test_empty_clause_is_unsatisfied(self, tmp_path, capsys):
         cnf = tmp_path / "empty_clause.cnf"
         cnf.write_text(EMPTY_CLAUSE)
         sol = tmp_path / "solution.txt"
         sol.write_text("v 1 2 0\n")
+        assert main(["verify", str(cnf), str(sol)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "UNSAT (1 clause(s) unsatisfied)\n"
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "solution, message",
+        [
+            ("v 1 -2 x 0\n", "line 1: non-integer token 'x'"),
+            ("c ok\nv 1 2 9 0\n", "line 2: literal 9 out of range for 3 variables"),
+            ("v 1\nv -4 0\n", "line 2: literal -4 out of range for 3 variables"),
+        ],
+    )
+    def test_a_bad_assignment_token_names_its_line(self, tmp_path, capsys, solution, message):
+        cnf = tmp_path / "three.cnf"
+        cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+        sol = tmp_path / "solution.txt"
+        sol.write_text(solution)
         assert main(["verify", str(cnf), str(sol)]) == 1
-        assert capsys.readouterr().err == "error: line 3: empty clause\n"
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_a_missing_assignment_file_is_named_once(self, tmp_path, capsys):
+        cnf = tmp_path / "one.cnf"
+        cnf.write_text(ONE_CLAUSE)
+        missing = tmp_path / "missing.txt"
+        assert main(["verify", str(cnf), str(missing)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+        )
 
 
     def test_conflicting_literals_are_an_error(self, tmp_path, capsys):
@@ -332,13 +376,18 @@ class TestOracle:
         assert main(["oracle", str(cnf)]) == 1
         assert "at most" in capsys.readouterr().err
 
-    def test_empty_clause_is_an_error(self, tmp_path, capsys):
+    def test_empty_clause_has_no_solutions(self, tmp_path, capsys):
         cnf = tmp_path / "empty_clause.cnf"
         cnf.write_text(EMPTY_CLAUSE)
-        assert main(["oracle", str(cnf)]) == 1
+        assert main(["oracle", str(cnf)]) == 0
         captured = capsys.readouterr()
-        assert captured.err == "error: line 3: empty clause\n"
-        assert captured.out == ""
+        assert captured.out.splitlines() == [
+            "solutions 0",
+            "var bias1_raw bias1_norm bias2_raw bias2_norm",
+            "1 0 0 0 0",
+            "2 0 0 0 0",
+        ]
+        assert captured.err == ""
 
 
 class TestBench:
@@ -376,14 +425,19 @@ class TestBench:
         (d / "uf20-001.cnf").write_text((corpus / "uf20-001.cnf").read_text())
         (d / "empty_clause.cnf").write_text(EMPTY_CLAUSE)
         out_csv = tmp_path / "bench.csv"
-        code = main(["bench", str(d), "--solvers", "amp-bias1", "--timeout", "10",
+        (d / "only_empty.cnf").write_text("p cnf 0 1\n0\n")
+        code = main(["bench", str(d), "--solvers", "amp-bias1,amp-bias2,sa", "--timeout", "10",
                      "--csv", str(out_csv)])
         assert code == 0
-        rows = {Path(r["instance"]).name: r for r in self._read(out_csv)}
-        assert set(rows) == {"uf20-001.cnf", "empty_clause.cnf"}
-        assert rows["uf20-001.cnf"]["status"] == "SAT"
-        assert rows["empty_clause.cnf"]["status"] == "UNKNOWN"
-        assert "line 3: empty clause" in capsys.readouterr().err
+        rows = {(Path(r["instance"]).name, r["solver"]): r for r in self._read(out_csv)}
+        assert len(rows) == 9
+        for (name, solver), row in rows.items():
+            if name == "uf20-001.cnf":
+                assert row["status"] == "SAT"
+            else:
+                assert (row["status"], row["rounds"], row["columns_final"]) == ("UNKNOWN", "0", "0")
+                assert row["random_refinements"] == "0" and row["mean_hamming_gap"] == ""
+        assert capsys.readouterr().err == ""
 
     def test_comment_may_hold_any_bytes(self, tmp_path, capsys):
         d = tmp_path / "instances"
@@ -493,7 +547,7 @@ class TestBench:
                                                         monkeypatch):
         runs = []
         monkeypatch.setattr(cli, "run_one", lambda *task: runs.append(task))
-        (cnf_dir / "empty_clause.cnf").write_text(EMPTY_CLAUSE)  # recorded, not an error
+        (cnf_dir / "empty_clause.cnf").write_text(EMPTY_CLAUSE)  # a formula, not an error
         bad = cnf_dir / "zz-bad.cnf"
         bad.write_text("p cnf 2 1\n1 x 0\n")
         out_csv = tmp_path / "x.csv"
@@ -505,7 +559,7 @@ class TestBench:
 
     def test_each_instance_is_read_once(self, cnf_dir, tmp_path, capsys, monkeypatch):
         # by the parse before the runs: each run takes the parsed formula,
-        # or the EmptyClauseError of c.cnf
+        # c.cnf's empty clause included
         (cnf_dir / "c.cnf").write_text(EMPTY_CLAUSE)
         reads = []
         read_text = cli._read_text

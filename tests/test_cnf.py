@@ -20,7 +20,7 @@ from ampsat import (
     parse_dimacs,
     to_dimacs,
 )
-from ampsat.cnf import Clause, EmptyClauseError, Literal, hamming_distance, make_clause
+from ampsat.cnf import Clause, Literal, hamming_distance, make_clause
 from ampsat.indicator import clause_indicator
 
 from helpers import all_assignments, random_formula
@@ -77,8 +77,7 @@ class TestParse:
             ("p cnf 2 1\n3 0", "out of range"),
             ("p cnf 2 1\n1 2", "unterminated"),
             ("1 2 0", "before header"),
-            ("p cnf 2 1\n0", "empty clause"),
-            ("p cnf 2 2\n0\n3 0", "out of range"),  # not masked by the empty clause
+            ("p cnf 2 2\n0\n3 0", "out of range"),  # after an empty clause
             ("p cnf 2 1\np cnf 2 1\n1 0", "duplicate header"),
             ("p cnf 2 1\n1 z 0", "non-integer"),
         ],
@@ -93,19 +92,26 @@ class TestParse:
             parse_dimacs("p cnf 2 2\n1 2 0\n5 0")
         assert err.value.line == 3
 
-    def test_empty_clause_error_carries_the_header_variable_count(self):
-        # what `ampsat solve` sizes the annealing schedule from
-        with pytest.raises(EmptyClauseError) as err:
-            parse_dimacs("p cnf 2 2\n1 2 0\n0\n")
-        assert err.value.num_vars == 2 and err.value.line == 3
+    def test_an_empty_clause_is_kept_in_its_place(self):
+        f = parse_dimacs("p cnf 2 4\n0\n1 2 0 0\n-1 0\n")
+        assert f.num_vars == 2
+        assert f.clauses == (
+            Clause(()), make_clause((1, 2)), Clause(()), make_clause((-1,))
+        )
+        assert [clause.width for clause in f.clauses] == [0, 2, 0, 1]
+        assert count_unsat(f, (-1, 1)) == 2
 
-    def test_empty_clause_error_round_trips_through_pickle(self):
-        # as `ampsat bench --jobs` hands it to a worker, to record the run
-        with pytest.raises(EmptyClauseError) as err:
-            parse_dimacs("p cnf 2 2\n1 2 0\n0\n")
-        copy = pickle.loads(pickle.dumps(err.value))
-        assert type(copy) is EmptyClauseError and str(copy) == "line 3: empty clause"
-        assert copy.num_vars == 2 and copy.line == 3
+    def test_a_formula_holding_an_empty_clause_round_trips_through_pickle(self):
+        # as `ampsat bench --jobs` hands it to a worker
+        f = parse_dimacs("p cnf 2 2\n1 2 0\n0\n")
+        copy = pickle.loads(pickle.dumps(f))
+        assert copy == f and copy.clauses[1] == Clause(())
+
+    def test_to_dimacs_writes_the_empty_clause_as_a_bare_zero(self):
+        f = parse_dimacs("p cnf 2 3\n0\n1 -2 0\n0\n")
+        assert to_dimacs(f) == "p cnf 2 3\n0\n1 -2 0\n0\n"
+        assert parse_dimacs(to_dimacs(f)) == f
+        assert to_dimacs(Formula(0, (Clause(()),))) == "p cnf 0 1\n0\n"
 
     def test_roundtrip_random(self):
         rng = random.Random(11)
@@ -166,6 +172,11 @@ class TestClauseValidation:
         assert make_clause((1, 1)).width == 1
         assert make_clause((1, -1)) is None
 
+    def test_the_empty_clause_is_a_clause(self):
+        assert Clause(()).width == 0 and Clause(()).variables() == ()
+        assert make_clause([]) == Clause(())
+        assert not clause_satisfied(Clause(()), (1, -1))
+
     def test_formula_rejects_out_of_range_literal(self):
         with pytest.raises(ValueError):
             Formula(num_vars=1, clauses=(make_clause((2,)),))
@@ -175,7 +186,7 @@ class TestClauseValidation:
         [
             lambda: Literal(0, 0),
             lambda: Literal(-1, 1),
-            lambda: Clause(()),
+            lambda: Clause((Literal(0, 1), Literal(0, 1))),
             lambda: Clause((Literal(1, 1), Literal(0, 1))),
             lambda: Clause((Literal(0, 1), Literal(0, -1))),
         ],
@@ -290,7 +301,7 @@ class TestParseMatchesReference:
     @example("p cnf 2 2\n1 2 0\n%\n0\nz\n")  # SATLIB trailer
     @example("p cnf 2 3\n0\n1 2\n5 0\n2 1")  # empty, out of range, unterminated
     @example("p cnf 2 3\n0\n5 0\nx 0\np cnf 2 3\n")  # out of range, then token errors
-    @example("p cnf 2 2\n0\n1")  # unterminated beats the empty clause
+    @example("p cnf 2 2\n0\n1")  # unterminated after an empty clause
     @example("p cnf 3 3\n1 1 -2 0 2 -2 3 0\n3 -1 1 0\n")  # merge, tautologies
     @example("")
     def test_every_text(self, text):

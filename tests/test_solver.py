@@ -63,6 +63,22 @@ class TestSolveBasics:
         assert stats.assignment == (1, 1, 1)
         assert stats.rounds == 1
 
+    @pytest.mark.parametrize(
+        "text, clause", [("p cnf 2 3\n1 2 0\n0\n-1 0\n", 2), ("p cnf 0 1\n0\n", 1)]
+    )
+    def test_an_empty_clause_is_answered_before_any_fit(self, monkeypatch, text, clause):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted a formula holding the empty clause")
+
+        monkeypatch.setattr(solver_module, "init_first_order", no_fit)
+        stats = solve(parse_dimacs(text), _cfg())
+        assert stats.status == Status.UNKNOWN and stats.assignment is None
+        assert (stats.rounds, stats.columns_final, stats.random_refinements) == (0, 0, 0)
+        assert stats.candidate_history == []
+        assert stats.diagnostic == (
+            f"clause {clause} is empty: no assignment satisfies the formula"
+        )
+
     def test_single_clause_first_round(self):
         stats = solve(parse_dimacs("p cnf 2 1\n1 2 0"), _cfg())
         assert stats.status == Status.SAT
