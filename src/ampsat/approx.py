@@ -40,8 +40,8 @@ Matrix Computations, section 4.2)
 
 and stored, one panel at a time, with numpy's matrix product and Cholesky.
 Each diagonal block is kept as its inverse, so both triangular solves, in
-the update and in the weight solve, are matrix products too, and a
-quantized panel is cast to float32 whole, one panel at a time.
+the update and in the weight solve, are matrix products too. The update
+reads each earlier panel whole, made dense in float32 one panel at a time.
 Every other array that grows with K beyond O(K) is built one bounded block
 of _GRAM_BLOCK_ENTRIES entries at a time, cut by `row_blocks`, which also
 cuts the decimation's sign matrix (`weighted_row_sum`, ampsat.bias).
@@ -51,13 +51,19 @@ Carson & Higham, SIAM J. Sci. Comput. 40(2), 2018), so it is stored
 coarsely. The panels of the first-order fit are float64; every later panel
 stores its L21 rows quantized, rint(row / s) with one float32 scale
 s = max |row| / 127 per row as int8 (32767 as int16), and its diagonal
-inverse as float32, so an int8 factor takes about a quarter of the bytes of
-a float32 one. The weights, the right-hand side, the residuals and the Gram
-entries stay float64. Every fit is one solve of the unmodified G a = e_0 by
-preconditioned conjugate gradients (PCG) with M = L L^T, each step one
-solve with the factor and one Fourier-domain G a: about a dozen steps where
-cond(G) is 3e3 to 5e3 (the uf50 fits, up to K ~ 5000), one on the exact
-float64 factor of a first-order fit.
+inverse as float32. An int8 panel then drops every entry that quantizes to
+-1, 0 or 1, under 1.5/127 of its row's largest, as a threshold-dropping
+incomplete Cholesky does (Saad, Iterative Methods for Sparse Linear
+Systems, 2nd ed., section 10.4), and stores the rest as CSR rows
+(`_SparseRows`): on uf50-016 at K = 4996 it keeps 12 % of the entries, in
+3 bytes each. Later panels are factored against the dropped rows. The
+int16 rows stay dense: 97-99 % of their entries are nonzero. The weights,
+the right-hand side, the residuals and the Gram entries stay float64.
+Every fit is one solve of the unmodified G a = e_0 by preconditioned
+conjugate gradients (PCG) with M = L L^T, each step one solve with the
+factor and one Fourier-domain G a: about a dozen steps where cond(G) is
+3e3 to 5e3 (the uf50 fits, up to K ~ 5000), one on the exact float64
+factor of a first-order fit.
 
 Every column but the constant vanishes on every satisfying assignment, so
 for a satisfiable formula G a = e_0 is consistent whatever the rank of G,
@@ -88,7 +94,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .cnf import Formula
+from .cnf import Formula, empty_clause_diagnostic
 from .fourier import PRUNE_EPSILON, SparsePoly
 from .indicator import ColumnKey, Cube, IndicatorCache, validate_key
 
@@ -130,16 +136,68 @@ class DeadlineReached(Exception):
     caller drops it."""
 
 
+class _SparseRows(NamedTuple):
+    """A (d, width) int8 matrix in CSR form: row i holds the values
+    `values[starts[i] : starts[i] + counts[i]]` at the columns `columns[...]`
+    of the same range, in column order, as the smallest unsigned dtype that
+    holds `width` (uint16 up to 65 536 columns). Both the counts and the
+    starts are kept, as each pass of the factored solve reads them."""
+
+    values: np.ndarray
+    columns: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    width: int
+
+    @classmethod
+    def keep(cls, dense: np.ndarray, kept: np.ndarray) -> _SparseRows:
+        """The entries of `dense` where `kept` is true."""
+        counts = kept.sum(axis=1)
+        column_dtype = np.min_scalar_type(max(dense.shape[1] - 1, 0))
+        columns = np.nonzero(kept)[1].astype(column_dtype)
+        return cls(dense[kept], columns, np.cumsum(counts) - counts, counts, dense.shape[1])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.counts), self.width
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.values.dtype
+
+    def astype(self, dtype, copy: bool = False) -> np.ndarray:
+        """The rows as a new dense array of `dtype`, as ndarray.astype
+        gives a dense panel's; `copy` is there for its signature."""
+        d, width = self.shape
+        flat = np.repeat(np.arange(0, d * width, width), self.counts)
+        flat += self.columns
+        out = np.zeros((d, width), dtype)
+        out.ravel()[flat] = self.values
+        return out
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """rows @ x in x's dtype: one gather and one segmented sum. A zero
+        past the products keeps every start in range; empty rows are 0."""
+        terms = np.zeros(len(self.values) + 1, x.dtype)
+        np.multiply(self.values, x.take(self.columns), out=terms[:-1])
+        return np.add.reduceat(terms, self.starts) * (self.counts > 0)
+
+    def transpose_times(self, y: np.ndarray) -> np.ndarray:
+        """rows.T @ y in float64: one scatter-add over the entries."""
+        weights = self.values * np.repeat(y, self.counts)
+        return np.bincount(self.columns, weights, minlength=self.width)
+
+
 class _Panel(NamedTuple):
     """Rows [o, o + d) of the lower factor L. L[o:o+d, :o] is
-    `rows * scale[:, None]`: int8 or int16 rows with float32 scales, or
-    float64 rows with unit scales; a decoupled column's row and scale are 0.
-    `diag` is the inverse of the diagonal block L[o:o+d, o:o+d], a (d, d)
-    lower triangle with exact zeros above the diagonal; its dtype (float32
-    beside quantized rows, float64 otherwise) is the one the panel's
-    products are taken in."""
+    `rows * scale[:, None]`: int8 `_SparseRows` or dense int16 rows with
+    float32 scales, or dense float64 rows with unit scales; a decoupled
+    column's row and scale are 0, and its int8 row is empty. `diag` is the
+    inverse of the diagonal block L[o:o+d, o:o+d], a (d, d) lower triangle
+    with exact zeros above the diagonal; its dtype (float32 beside quantized
+    rows, float64 otherwise) is the one the panel's products are taken in."""
 
-    rows: np.ndarray
+    rows: np.ndarray | _SparseRows
     scale: np.ndarray
     diag: np.ndarray
 
@@ -291,15 +349,16 @@ class ApproxState:
     `_Panel`s of d <= _PANEL_ROWS rows each, covering the columns the last
     solve saw; solve_weights factors the columns appended since onto it,
     one new panel at a time. The first-order fit's panels are float64 and
-    later ones `_panel_dtype` with row scales: int8, or int16 once an int8
-    extension failed and its panels were factored again.
+    later ones `_panel_dtype` with row scales: int8 in CSR form, past the
+    dead zone, or dense int16 once an int8 extension failed and its panels
+    were factored again.
     `inconsistent_from` is the K of the first fit that missed the residual
     check, or None. `ridge_lambda` is always 0.0, as the fit takes no ridge;
     the benchmark's tracer (benchmark/spans.py) reads it. Apart from the
     panels, no array the fit builds grows faster than O(K) beyond one block
-    of _GRAM_BLOCK_ENTRIES entries or one panel and its float32 cast, and
-    the term table holds about 5 bytes per Fourier term, in blocks that are
-    never copied again.
+    of _GRAM_BLOCK_ENTRIES entries or one panel and its dense float32 copy,
+    and the term table holds about 5 bytes per Fourier term, in blocks that
+    are never copied again.
     """
 
     def __init__(self, formula: Formula):
@@ -443,7 +502,12 @@ def weighted_row_sum(
 def init_first_order(formula: Formula, deadline: float | None = None) -> ApproxState:
     """Constant column plus one column per distinct clause, solved and
     assembled. The solve, and every later one, stops at `deadline` (see
-    ApproxState) by raising DeadlineReached."""
+    ApproxState) by raising DeadlineReached. Raises ValueError, naming the
+    first empty clause, for a formula holding one: its column is the
+    constant column's cube, so the fit would drop it as a duplicate."""
+    empty = empty_clause_diagnostic(formula)
+    if empty is not None:
+        raise ValueError(empty)
     state = ApproxState(formula)
     state.deadline = deadline
     keys: list[ColumnKey] = [()]
@@ -497,13 +561,13 @@ def solve_weights(state: ApproxState) -> np.ndarray:
         raise WeightSolveError("no columns to solve")
     rhs = np.zeros(k)
     rhs[0] = 1.0
-    covered = sum(len(panel.rows) for panel in state._panels)
+    covered = sum(len(panel.scale) for panel in state._panels)
     dtype = state._panel_dtype if covered else np.float64
     a = _factor_and_solve(state, rhs, covered, dtype)
     if a is None and dtype == np.int8:
         state._panels = [panel for panel in state._panels if panel.rows.dtype == np.float64]
         state._panel_dtype = np.int16
-        first_order = sum(len(panel.rows) for panel in state._panels)
+        first_order = sum(len(panel.scale) for panel in state._panels)
         a = _factor_and_solve(state, rhs, first_order, np.int16)
     if a is None:
         if state.inconsistent_from is None:
@@ -579,15 +643,18 @@ def _factor_panel(state: ApproxState, lo: int, dtype) -> _Panel | None:
     and L22 = chol(G22 - X X^T), cast to the working precision and stored
     as its inverse. When that Cholesky fails or has a pivot^2 under
     _PIVOT_FLOOR * G_jj, an int8 panel is None and any other is factored by
-    `_decoupling_cholesky`. X is quantized only after the Schur complement.
-    Every product, and so every temporary beyond X and one prior panel's
-    cast, is at most _PANEL_ROWS square.
+    `_decoupling_cholesky`. X is quantized only after the Schur complement,
+    and an int8 X is then stored as the CSR rows of its entries past the
+    dead zone, |q| > 1. Every product, and so every temporary beyond X and
+    one prior panel's dense copy (with an int8 panel's scatter index), is
+    at most _PANEL_ROWS square.
 
-    Each prior panel is cast and multiplied whole because the float32
-    rounding of X decides whether the Schur block of a column that depends
-    on earlier ones comes out positive definite: with X summed in another
-    order, uf50-018's int16 Schur block at K = 11084 in the uf50 acceptance
-    run (criterion 6) was not."""
+    Each prior panel is made dense in the working precision (an int8
+    panel's kept entries scattered into zeros, the others cast) and
+    multiplied whole because the float32 rounding of X decides whether the
+    Schur block of a column that depends on earlier ones comes out positive
+    definite: with X summed in another order, uf50-018's int16 Schur block
+    at K = 11084 in the uf50 acceptance run (criterion 6) was not."""
     d = min(_PANEL_ROWS, state.num_columns - lo)
     quantized = dtype != np.float64
     work = np.float32 if quantized else np.float64
@@ -625,6 +692,8 @@ def _factor_panel(state: ApproxState, lo: int, dtype) -> _Panel | None:
     else:
         scale = np.ones(d)
     scale[~coupled] = 0.0
+    if dtype == np.int8:
+        rows = _SparseRows.keep(rows, (rows > 1) | (rows < -1))
     return _Panel(rows, scale, factor)
 
 
@@ -669,18 +738,27 @@ def _invert_lower(block: np.ndarray) -> None:
 
 def _solve_factored(panels: list[_Panel], rhs: np.ndarray) -> np.ndarray:
     """Solve L L^T a = rhs by panel-wise forward then back substitution,
-    each panel's products in its own precision: its rows are cast to that
-    precision whole, once per pass, as `_factor_panel` reads them, and the
-    row scales applied to the d-vectors."""
+    each panel's products in its own precision, with the row scales
+    applied to the d-vectors. A dense panel's rows are cast to that
+    precision whole, once per pass; an int8 panel's CSR rows are read
+    where they are: a gather and a segmented sum forward, a scatter-add
+    back."""
     a = rhs.copy()
     for rows, scale, diag in panels:
         d, o = rows.shape
         work = diag.dtype
-        product = rows.astype(work, copy=False) @ a[:o].astype(work, copy=False)
+        x = a[:o].astype(work, copy=False)
+        if isinstance(rows, _SparseRows):
+            product = rows.times(x)
+        else:
+            product = rows.astype(work, copy=False) @ x
         a[o : o + d] = diag @ (a[o : o + d].astype(work) - scale * product)
     for rows, scale, diag in reversed(panels):
         d, o = rows.shape
         x = diag.T @ a[o : o + d].astype(diag.dtype, copy=False)
         a[o : o + d] = x
-        a[:o] -= rows.astype(diag.dtype, copy=False).T @ (scale * x)
+        if isinstance(rows, _SparseRows):
+            a[:o] -= rows.transpose_times(scale * x)
+        else:
+            a[:o] -= rows.astype(diag.dtype, copy=False).T @ (scale * x)
     return a

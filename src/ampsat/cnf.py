@@ -103,6 +103,15 @@ class Formula:
         return len(self.clauses)
 
 
+def empty_clause_diagnostic(formula: Formula) -> str | None:
+    """What is wrong with a formula holding the empty clause, naming the
+    first one (1-based), or None when it holds none."""
+    empty = next((m for m, clause in enumerate(formula.clauses) if not clause.literals), None)
+    if empty is None:
+        return None
+    return f"clause {empty + 1} is empty: no assignment satisfies the formula"
+
+
 class _LiteralTable(dict):
     """Signed DIMACS code -> the one Literal object standing for it, made
     on first use."""

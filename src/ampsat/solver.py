@@ -20,7 +20,7 @@ from enum import Enum
 from .anneal import AnnealSchedule, default_schedule, local_search
 from .approx import DeadlineReached, WeightSolveError, add_columns, init_first_order
 from .bias import BiasKind, measure_bias
-from .cnf import Assignment, Formula, count_unsat, hamming_distance
+from .cnf import Assignment, Formula, count_unsat, empty_clause_diagnostic, hamming_distance
 from .refine import RefinementSaturated, plan_refinement
 
 
@@ -104,9 +104,8 @@ def solve(formula: Formula, config: SolverConfig | None = None) -> SolverStats:
     as floating-point evidence of UNSAT, never as an answer.
     """
     config = config or SolverConfig()
-    empty = next((m for m, clause in enumerate(formula.clauses) if not clause.literals), None)
-    if empty is not None:
-        diagnostic = f"clause {empty + 1} is empty: no assignment satisfies the formula"
+    diagnostic = empty_clause_diagnostic(formula)
+    if diagnostic is not None:
         return SolverStats(Status.UNKNOWN, None, 0, 0, 0, diagnostic=diagnostic)
     t_start = time.monotonic()
     deadline = t_start + config.timeout

@@ -193,7 +193,8 @@ def test_criterion_5_uf20_success_rate(uf20_results):
 
 
 def test_criterion_6_uf50_success_rate(uf50_results):
-    """amp-bias1 solves well over half of 20 uf50-218 instances at 120 s."""
+    """amp-bias1 solves well over half of 20 uf50-218 instances at 120 s,
+    and, every one of them being satisfiable, marks no fit inconsistent."""
     solved = sum(
         1 for _, stats in uf50_results.values() if stats.status == Status.SAT
     )
@@ -203,6 +204,12 @@ def test_criterion_6_uf50_success_rate(uf50_results):
         len(uf50_results) >= 20 and rate >= 0.60,
         f"uf50 success {solved}/{len(uf50_results)} ({100 * rate:.0f}%), bound 60%",
     )
+    inconsistent = [
+        name
+        for name, (_, stats) in uf50_results.items()
+        if stats.diagnostic and stats.diagnostic.startswith("fit inconsistent")
+    ]
+    assert not inconsistent, f"satisfiable formulas marked inconsistent: {inconsistent}"
 
 
 def test_criterion_7_random_refinement_rescue():

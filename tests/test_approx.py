@@ -105,29 +105,51 @@ def _min_norm_fit(state):
 
 
 def _decoupled(state):
-    """The columns the factor decouples: those of zero row scale."""
-    return [p.rows.shape[1] + j for p in state._panels for j in np.flatnonzero(p.scale == 0)]
+    """The columns the factor decouples: those of zero row scale, whose
+    rows hold no entry."""
+    columns = []
+    for rows, scale, _ in state._panels:
+        decoupled = np.flatnonzero(scale == 0)
+        assert not rows.astype(float)[decoupled].any()
+        columns += [rows.shape[1] + j for j in decoupled]
+    return columns
 
 
 def _dense_factor(state):
     """The factor panels laid out as one dense lower-triangular matrix; each
-    panel keeps its rows scaled and its diagonal block inverted, which is
-    inverted back."""
+    panel keeps its rows scaled, int8 ones in CSR form, and its diagonal
+    block inverted, which is inverted back."""
     k = state.num_columns
     out = np.zeros((k, k))
     for rows, scale, diag in state._panels:
         d, o = rows.shape
-        out[o : o + d, :o] = rows * scale[:, None].astype(float)
+        out[o : o + d, :o] = rows.astype(float) * scale[:, None]
         out[o : o + d, o : o + d] = np.tril(np.linalg.inv(diag))
     return out
+
+
+def _check_sparse_rows(rows):
+    """A well-formed `_SparseRows`: int8 values, each row's columns
+    increasing from its start, in the smallest unsigned dtype that holds
+    the width."""
+    d, width = rows.shape
+    assert rows.values.dtype == np.int8 and len(rows.columns) == len(rows.values)
+    assert rows.columns.dtype == np.min_scalar_type(max(width - 1, 0))
+    assert rows.counts.shape == rows.starts.shape == (d,)
+    assert np.array_equal(rows.starts, np.cumsum(rows.counts) - rows.counts)
+    assert rows.counts.sum() == len(rows.values)
+    for start, count in zip(rows.starts.tolist(), rows.counts.tolist()):
+        assert np.all(np.diff(rows.columns[start : start + count].astype(int)) > 0)
+    assert np.all(rows.columns < width)
 
 
 def _panel_rows(state):
     """The row range [o, o + d) of every panel, checking that each is at
     most _PANEL_ROWS tall, holds its rows left of the diagonal, one scale
     per row and its diagonal block's inverse as a (d, d) square with exact
-    zeros above the diagonal, as int8 or int16 rows with float32 scales and
-    square or all float64, and follows the last."""
+    zeros above the diagonal, as int8 rows in CSR form holding no entry
+    of magnitude 1 or less, or dense int16 rows, with float32 scales and
+    square, or all float64 and dense, and follows the last."""
     ranges = []
     for rows, scale, diag in state._panels:
         d, o = rows.shape
@@ -139,28 +161,49 @@ def _panel_rows(state):
             (np.int16, np.float32, np.float32),
             (np.float64, np.float64, np.float64),
         )
+        if rows.dtype == np.int8:
+            _check_sparse_rows(rows)
+            assert np.all(np.abs(rows.values.astype(int)) > 1)
+        else:
+            assert isinstance(rows, np.ndarray)
         assert o == (ranges[-1][1] if ranges else 0)
         ranges.append((o, o + d))
     return ranges
 
 
+def _panel_bytes(panels):
+    """The bytes the panels store: their rows (an int8 panel's CSR arrays),
+    scales and diagonal inverses."""
+    arrays = []
+    for rows, scale, diag in panels:
+        arrays += [scale, diag, *([rows] if isinstance(rows, np.ndarray) else rows[:4])]
+    return sum(array.nbytes for array in arrays)
+
+
 def _check_quantized_panels(state, panels, gram):
     """Each of `panels`, quantized, against the factor stored before it:
-    its rows times their scales are X = G21 L11^-T, taken in float64 from
-    the dequantized earlier panels, to within half a quantization step and
-    float32 rounding, (K + 1) u_32 max |X| with u_32 = 2^-24; and its
-    diagonal block factors the Schur complement G22 - X X^T to float32
-    Cholesky's backward error, (K + 1) u_32 max |G| (Higham, Accuracy and
-    Stability of Numerical Algorithms, Thm 10.3)."""
+    X = G21 L11^-T, taken in float64 from the stored earlier panels, their
+    dropped entries included. An int16 panel's rows times their scales are
+    X to within half a quantization step and float32 rounding,
+    (K + 1) u_32 max |X| with u_32 = 2^-24. So are an int8 panel's kept
+    entries, and its dropped ones, those that quantize to -1, 0 or 1, are X
+    entries of at most 1.5 steps and that rounding. Its diagonal block
+    factors the Schur complement G22 - X X^T to float32 Cholesky's backward
+    error, (K + 1) u_32 max |G| (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3)."""
     k = state.num_columns
     factor = _dense_factor(state)
     u32 = (k + 1) * 2.0**-24
     for rows, scale, _ in panels:
         d, o = rows.shape
-        assert rows.dtype in (np.int8, np.int16) and np.abs(rows).max() <= np.iinfo(rows.dtype).max
+        q = rows.astype(float)
+        assert rows.dtype in (np.int8, np.int16) and np.abs(q).max() <= np.iinfo(rows.dtype).max
         x = scipy.linalg.solve_triangular(factor[:o, :o], gram[o : o + d, :o].T, lower=True).T
-        step = scale[:, None].astype(float)
-        assert np.all(np.abs(rows * step - x) <= step / 2 + u32 * np.abs(x).max())
+        step = np.broadcast_to(scale[:, None].astype(float), q.shape)
+        rounding = u32 * np.abs(x).max()
+        kept = (q != 0) | (rows.dtype == np.int16)
+        assert np.all(np.abs(q * step - x)[kept] <= step[kept] / 2 + rounding)
+        assert np.all(np.abs(x[~kept]) <= 1.5 * step[~kept] + rounding)
         l22 = factor[o : o + d, o : o + d]
         schur = gram[o : o + d, o : o + d] - x @ x.T
         assert np.abs(l22 @ l22.T - schur).max() <= u32 * np.abs(gram).max()
@@ -203,6 +246,13 @@ def _disjoint_formula(num_clauses):
 
 
 class TestInitFirstOrder:
+    def test_an_empty_clause_is_an_error(self):
+        # Its column is the constant's cube, so the fit would drop it as a
+        # duplicate and fit the rest of the formula.
+        f = parse_dimacs("p cnf 2 4\n1 2 0\n0\n-1 0\n0\n")
+        with pytest.raises(ValueError, match=r"^clause 2 is empty: no assignment satisfies"):
+            init_first_order(f)
+
     def test_empty_formula(self):
         state = init_first_order(parse_dimacs("p cnf 3 0\n"))
         assert state.keys == [()]
@@ -265,6 +315,59 @@ class TestInitFirstOrder:
             state = init_first_order(f)
             eigvals = np.linalg.eigvalsh(state.gram)
             assert eigvals.min() >= -TOL
+
+
+class TestSparseRows:
+    """`_SparseRows`, an int8 panel's CSR rows, built without a solve."""
+
+    @staticmethod
+    def _rows(width):
+        """Five int8 rows of `width` columns (np.random.default_rng(55)
+        values in -127..127, about half of them 0), the first, middle and
+        last empty, as a decoupled column's are."""
+        rng = np.random.default_rng(55)
+        dense = rng.integers(-127, 128, (5, width)).astype(np.int8)
+        dense[rng.random(dense.shape) < 0.5] = 0
+        dense[[0, 2, 4]] = 0
+        return dense
+
+    @pytest.mark.parametrize(
+        "width, column_dtype", [(200, np.uint8), (4000, np.uint16), (70_000, np.uint32)]
+    )
+    def test_dense_to_csr_to_dense_is_exact(self, width, column_dtype):
+        # Past 65 536 columns a column index takes a uint32.
+        dense = self._rows(width)
+        rows = approx_module._SparseRows.keep(dense, dense != 0)
+        _check_sparse_rows(rows)
+        assert rows.shape == (5, width) and rows.columns.dtype == column_dtype
+        assert rows.counts.tolist()[::2] == [0, 0, 0]
+        for dtype in (np.int8, np.float32):
+            back = rows.astype(dtype)
+            assert back.dtype == dtype and np.array_equal(back, dense)
+
+    def test_the_dead_zone_keeps_the_entries_past_one(self):
+        dense = self._rows(300)
+        rows = approx_module._SparseRows.keep(dense, (dense > 1) | (dense < -1))
+        assert np.array_equal(rows.astype(np.int8), np.where(np.abs(dense) > 1, dense, 0))
+        assert len(rows.values) == np.count_nonzero(np.abs(dense.astype(int)) > 1)
+
+    @pytest.mark.parametrize("width", [300, 70_000])
+    def test_products_match_the_dense_rows(self, width):
+        # rows @ x and rows.T @ y, with the empty rows' products 0, to
+        # within float32 rounding: x and y are float32, as the factored
+        # solve passes them beside an int8 panel.
+        dense = self._rows(width)
+        rows = approx_module._SparseRows.keep(dense, dense != 0)
+        rng = np.random.default_rng(56)
+        x = rng.standard_normal(width).astype(np.float32)
+        y = rng.standard_normal(5).astype(np.float32)
+        product = rows.times(x)
+        assert product.dtype == np.float32 and not product[::2].any()
+        for got, ref in (
+            (product, dense.astype(float) @ x.astype(float)),
+            (rows.transpose_times(y), dense.T.astype(float) @ y.astype(float)),
+        ):
+            assert np.allclose(got, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
 
 
 class TestSolveWeights:
@@ -480,13 +583,17 @@ class TestIncrementalFactor:
         assert _panel_rows(state) == ranges and len(_tiles(31, 331)) > 1
         # no K x K square is stored: each panel holds its L21 rows and the
         # d^2 entries of its diagonal block's inverse, K(K+1)/2 in all but
-        # for the zero upper halves of the diagonal blocks
+        # for the zero upper halves of the diagonal blocks; an int8 panel
+        # stores only the entries of its rows that it keeps
         diagonal = [panel.diag.size for panel in state._panels]
         assert diagonal == [(hi - lo) ** 2 for lo, hi in ranges]
-        below = [panel.rows.size for panel in state._panels]
+        below = [np.prod(panel.rows.shape) for panel in state._panels]
         assert below == [(hi - lo) * lo for lo, hi in ranges]
         upper = sum((hi - lo) * (hi - lo - 1) // 2 for lo, hi in ranges)
         assert sum(diagonal) + sum(below) == k * (k + 1) // 2 + upper
+        if dtype == np.int8:
+            kept = [len(panel.rows.values) for panel in state._panels[1:]]
+            assert 0 < sum(kept) < sum(below[1:])
         assert all(panel.rows.dtype == dtype for panel in state._panels[1:])
         factor = _dense_factor(state)
         gram = state.gram
@@ -539,9 +646,12 @@ class TestIncrementalFactor:
 
     def test_refinement_panels_are_int8(self):
         # uf50-001 grown past K = 2000: every panel after the float64
-        # first-order block holds int8 rows with float32 row scales and a
-        # float32 diagonal inverse, so the factor takes about an eighth of
-        # the bytes of a float64 one, and no column was decoupled on the way.
+        # first-order block holds int8 rows in CSR form with float32 row
+        # scales and a float32 diagonal inverse, and no column was decoupled
+        # on the way. The rows keep under a quarter of their entries (16 %
+        # here), each in 3 bytes (an int8 value and a uint16 column) plus
+        # 16 bytes of start and count per row, so they take at most 3/4 of
+        # the bytes of dense int8 rows (49 % here).
         state, _ = grown_uf50_001()
         first_order = state.formula.num_clauses + 1  # no two clauses share a cube
         k = state.num_columns
@@ -550,10 +660,15 @@ class TestIncrementalFactor:
         assert ranges[: len(_tiles(0, first_order))] == _tiles(0, first_order)
         for (lo, _), panel in zip(ranges, state._panels):
             assert panel.rows.dtype == (np.float64 if lo < first_order else np.int8)
+        quantized = state._panels[len(_tiles(0, first_order)) :]
         below = sum(d * o for o, d in ((lo, hi - lo) for lo, hi in ranges if lo >= first_order))
         diagonal = sum((hi - lo) ** 2 for lo, hi in ranges if lo >= first_order)
-        stored = sum(array.nbytes for panel in state._panels for array in panel)
-        assert stored <= 1 * below + 4 * diagonal + 4 * k + 8 * first_order**2
+        kept = sum(len(panel.rows.values) for panel in quantized)
+        assert kept <= below / 4
+        rows = 3 * kept + 16 * (k - first_order)
+        assert rows <= 3 * below / 4
+        stored = _panel_bytes(state._panels)
+        assert stored <= rows + 4 * diagonal + 4 * k + 8 * first_order**2
 
     def test_a_round_holds_its_new_panels_and_one_bounded_block(self):
         # uf50-001 grown past K = 2000, then a round of 1000 columns: the
@@ -576,7 +691,7 @@ class TestIncrementalFactor:
         assert k == before + 1000
         added = state._panels[panels:]
         assert all(panel.rows.dtype == np.int8 for panel in added)
-        factor = sum(array.nbytes for panel in added for array in panel)
+        factor = _panel_bytes(added)
         table = _table_bytes(state._terms)
         assert factor < 1.1 * (k * (k + 1) // 2 - before * (before + 1) // 2)
         assert peak <= factor + table + 2 * 2**20
@@ -584,13 +699,15 @@ class TestIncrementalFactor:
     def test_solve_casts_one_column_chunk_and_factor_one_panel(self, monkeypatch):
         # uf50-001 grown past K = 2000, then a round of 1000 columns, Gram
         # blocks cut to 2^12 entries. Above what it started with, each
-        # solve with the factor (one per PCG step) holds at most one
-        # whole-panel float32 cast (4 * d * o bytes for a panel of d rows
-        # at column o) and three K-vectors, with room for two diagonal
-        # squares, though each stored diagonal inverse is multiplied as it is.
-        # Each panel's factoring holds its float32 rows and, one at a time,
-        # a Gram block, one earlier panel cast whole or its own int8 copy:
-        # max |row| is taken without a copy of |rows|.
+        # solve with the factor (one per PCG step) holds at most the bytes
+        # of one whole-panel float32 cast (4 * d * o bytes for a panel of d
+        # rows at column o; an int8 panel's gather and scatter-add took
+        # less here) and three K-vectors, with room for two diagonal
+        # squares, though each stored diagonal inverse is multiplied as it
+        # is. Each panel's factoring holds its float32 rows and, one at a
+        # time, a Gram block, one earlier panel made dense in float32 (with,
+        # for an int8 one, the int64 index of its kept entries) or its own
+        # int8 copy: max |row| is taken without a copy of |rows|.
         state, pairs = grown_uf50_001()
         columns = _new_columns(state, pairs, 1000)
         monkeypatch.setattr(approx_module, "_GRAM_BLOCK_ENTRIES", 1 << 12)
@@ -626,23 +743,29 @@ class TestIncrementalFactor:
         factored = [(args[1], peak) for function, args, peak in calls if function is factor_panel]
         solved = [peak for function, _, peak in calls if function is solve_factored]
         assert len(factored) == len(_tiles(k - 1000, k)) and len(solved) >= 3
-        cast = 4 * max(panel.rows.size for panel in state._panels)
+        cast = 4 * max(np.prod(panel.rows.shape) for panel in state._panels)
         for peak in solved:
             assert peak <= cast + squares + 24 * k
+        def dense_copy(rows):
+            index = 8 * len(rows.values) if rows.dtype == np.int8 else 0
+            return 4 * np.prod(rows.shape) + index
+
         for lo, peak in factored:
             d = min(_PANEL_ROWS, k - lo)
-            assert peak <= 4 * d * lo + max(gram, 4 * _PANEL_ROWS * lo) + squares + 24 * k
+            prior = max(dense_copy(p.rows) for p in state._panels if p.rows.shape[1] < lo)
+            assert peak <= 4 * d * lo + max(gram, prior) + squares + 24 * k
 
     def test_the_factored_solve_solves_with_the_stored_factor(self, monkeypatch):
         # _solve_factored(panels, r) against L L^T a = r solved in float64
         # by two triangular solves with L = _dense_factor (forming L L^T
         # would square L's condition number and take 150 MiB more), for
         # three random r, on uf50-001's float64 first-order fit, grown past
-        # K = 4200 with int8 panels over 4000 columns wide, and after the
-        # int16 rung on that state. Each pass rounds a panel's products
+        # K = 4200 with int8 CSR panels over 4000 columns wide, and after
+        # the int16 rung on that state. Each pass rounds a panel's products
         # once in its working precision, with unit roundoff u (2^-24 for
-        # float32, 2^-53 for float64); the error was at most 7.3 u max |a|
-        # on all three, and is bounded at _PANEL_ROWS u max |a|.
+        # float32, 2^-53 for float64); the error was at most 5.5 u, 3.6 u
+        # and 5.7 u max |a| on the three, and is bounded at
+        # _PANEL_ROWS u max |a|.
         def check(state, dtype):
             assert state._panels[-1].rows.dtype == dtype
             factor = _dense_factor(state)
@@ -779,7 +902,7 @@ class TestIncrementalFactor:
             state, pairs = grown_uf50_001()
             first_order = state.formula.num_clauses + 1  # no two clauses share a cube
             float64 = state._panels[: len(_tiles(0, first_order))]
-            int8 = sum(array.nbytes for panel in state._panels[len(float64) :] for array in panel)
+            int8 = _panel_bytes(state._panels[len(float64) :])
             assert all(panel.rows.dtype == np.int8 for panel in state._panels[len(float64) :])
             state._append(_new_columns(state, pairs, 1000))
             k = state.num_columns
@@ -803,7 +926,7 @@ class TestIncrementalFactor:
         assert all(held is panel for held, panel in zip(float64, state._panels))
         int16 = state._panels[len(float64) :]
         assert all(panel.rows.dtype == np.int16 for panel in int16)
-        factor = sum(array.nbytes for panel in int16 for array in panel)
+        factor = _panel_bytes(int16)
         extension = _table_bytes(state._terms) - table
         keys = state._terms.keys.nbytes + state._terms.key_ids.nbytes
         assert peak <= start - int8 + factor + extension + keys + 2 * 2**20
@@ -872,13 +995,11 @@ class TestIncrementalFactor:
                 bound = k * np.finfo(float).eps * (np.abs(gram) @ np.abs(x))
                 assert np.all(np.abs(state._gram_times(x) - gram @ x) <= bound)
 
-    def test_ridge_ladder_holds_only_the_lower_triangle(self):
-        # Named for the float64 ridge ladder, which rebuilt the whole factor
-        # in float64 for a dependent column (1.2 GB on uf50-009 at
-        # K = 16758). On uf50-001 grown past K = 2000, a repeated column
-        # takes the int16 rung and is decoupled there; a second repeated
-        # column is decoupled in its own int16 panel, and that solve's peak
-        # stays within 2 MiB, an eighth of a float64 factor.
+    def test_int16_panels_decouple_repeated_columns_in_a_2_mib_peak(self):
+        # On uf50-001 grown past K = 2000, a repeated column takes the int16
+        # rung and is decoupled there; a second repeated column is
+        # decoupled in its own int16 panel, on the factor held, and that
+        # solve's peak stays within 2 MiB, an eighth of a float64 factor.
         state, _ = grown_uf50_001()
         state._append([((0,), column_signature(state.cache, (0,)))])
         solve_weights(state)
